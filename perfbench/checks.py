@@ -22,15 +22,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 COARSE_RESOLUTION = 12  # points per angle of the brute-force grids; divides 24 and 360
 
-# Reference visibility thresholds p_{m-1} for m = 2..n, and the tolerance of
-# each row, as in the acceptance suite.
-REFERENCE_THRESHOLDS = {
-    "ghz": {4: (0.948, 0.914, 0.822), 5: (0.964, 0.952, 0.923, 0.847),
-            6: (0.971, 0.969, 0.960, 0.931, 0.866)},
-    "w": {4: (0.903, 0.770, 0.573), 5: (0.911, 0.792, 0.688, 0.462),
-          6: (0.894, 0.783, 0.721, 0.593, 0.344)},
-}
-ROW_TOLERANCE = {4: 0.005, 5: 0.01, 6: 0.01}
+# The acceptance suite's reference visibility threshold p_3 for GHZ n=4,
+# m=4, the one threshold_table cell it has a value for, and its tolerance.
+REFERENCE_THRESHOLDS = {("ghz", 4, 4): (0.822, 0.005)}
 
 
 # ---------------------------------------------------------------------------
@@ -38,19 +32,18 @@ ROW_TOLERANCE = {4: 0.005, 5: 0.01, 6: 0.01}
 
 
 @lru_cache(maxsize=None)
-def hierarchy_terms(n: int, m: int, k_prime: int = 1) -> tuple[tuple[int, str, str], ...]:
+def hierarchy_terms(n: int, m: int) -> tuple[tuple[int, str, str], ...]:
     """(coefficient, settings, outcomes) of every term, party 1 first.
 
     +P(0..0|a..a), then -P(0..0|b at party k, a elsewhere) for each k, then
-    -P(1 on S, 0 elsewhere | b on S, a elsewhere) for S = {k'} plus each
+    -P(1 on S, 0 elsewhere | b on S, a elsewhere) for S = {1} plus each
     (m-1)-subset of the other parties.
     """
     terms = [(1, "a" * n, "0" * n)]
     for k in range(n):
         terms.append((-1, "a" * k + "b" + "a" * (n - k - 1), "0" * n))
-    others = [k for k in range(1, n + 1) if k != k_prime]
-    for subset in combinations(others, m - 1):
-        chosen = {k_prime, *subset}
+    for subset in combinations(range(2, n + 1), m - 1):
+        chosen = {1, *subset}
         mark = "".join("1" if j in chosen else "0" for j in range(1, n + 1))
         terms.append((-1, mark.replace("1", "b").replace("0", "a"), mark))
     return tuple(terms)
@@ -172,9 +165,10 @@ def check_threshold(case: dict, output: str) -> list[tuple[str, str]]:
     closed = c / (c - q_star) if q_star > 0 else math.nan
     if not abs(p_star - closed) <= 5e-4:
         fails.append(("affine", f"p_threshold {p_star} vs C/(C-Q*) = {closed}"))
-    ref = REFERENCE_THRESHOLDS.get(family, {}).get(n)
-    if ref is not None and abs(p_star - ref[m - 2]) > ROW_TOLERANCE[n]:
-        fails.append(("reference", f"p_threshold {p_star} vs reference {ref[m - 2]} (tol {ROW_TOLERANCE[n]})"))
+    if (family, n, m) in REFERENCE_THRESHOLDS:
+        ref, tol = REFERENCE_THRESHOLDS[family, n, m]
+        if abs(p_star - ref) > tol:
+            fails.append(("reference", f"p_threshold {p_star} vs reference {ref} (tol {tol})"))
     return fails
 
 

@@ -3,15 +3,18 @@
     python3 perfbench/run.py --workload threshold_table --seed 1 --seconds 24 --trace 0
 
 Run from the root of a checkout; the package is imported from ./src.
-Set-up is timed in fresh processes (at least MIN_PROBES of them, more
-while they have taken less than PROBE_SECONDS) plus the measuring process,
-and reported as their median.  The measuring process then runs whole passes
-over the workload's inputs for --seconds seconds.  Every output is checked
-against checks.py, which does not use the package.  The last line of
-standard output is one JSON object: correct, attempted, failed and the
-end-to-end metrics (--trace 0) or the per-layer metrics (--trace 1).  A
-traced run also prints its end-to-end metrics on standard error, so that
-the tracing overhead can be read off, and writes its spans to perfbench/out/.
+Set-up is timed in fresh processes, half of them before the measuring
+process and half after it, and in the measuring process itself; setup_s is
+the median of all of them.  Each half holds at least MIN_PROBES processes,
+more while they have taken less than PROBE_SECONDS.  The measuring process
+runs whole passes over the workload's inputs for --seconds seconds.  Every
+output, also that of an operation that failed, is checked against
+checks.py, which does not use the package; correct is false if an output
+fails a check or an operation fails.  The last line of standard output is
+one JSON object: correct, attempted, failed and the end-to-end metrics
+(--trace 0) or the per-layer metrics (--trace 1).  A traced run also prints
+its end-to-end metrics on standard error, so that the tracing overhead can
+be read off, and writes its spans to perfbench/out/.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-MIN_PROBES, MAX_PROBES, PROBE_SECONDS = 2, 15, 2.0
+MIN_PROBES, MAX_PROBES, PROBE_SECONDS = 2, 15, 2.0  # per half
 CHILD_TIMEOUT_S = 150
 
 # One BLAS thread: the grid kernel otherwise keeps a second core busy for
@@ -66,20 +69,20 @@ def measure(workload: str, seed: int, seconds: float, trace_path: str | None, ti
     base = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     if tiny:
         base.append("--tiny")
-    setups: list[float] = []
-    while len(setups) < MIN_PROBES or (sum(setups) < PROBE_SECONDS and len(setups) < MAX_PROBES):
-        setups.append(run_child(base + ["--probe"])["setup_s"])
+    before: list[float] = []
+    while len(before) < MIN_PROBES or (sum(before) < PROBE_SECONDS and len(before) < MAX_PROBES):
+        before.append(run_child(base + ["--probe"])["setup_s"])
     result = run_child(base + (["--trace", trace_path] if trace_path else []))
-    setups.append(result["setup_s"])
-    return setups, result
+    after = [run_child(base + ["--probe"])["setup_s"] for _ in before]
+    return before + [result["setup_s"]] + after, result
 
 
 def end_to_end(setups: list[float], result: dict) -> dict:
-    done = [op for op in result["ops"] if op[2]]
+    ops = result["ops"]
     return {
         "setup_s": {"value": statistics.median(setups), "unit": "s"},
-        "ops_per_s": {"value": len(done) / result["elapsed_s"], "unit": "1/s"},
-        "op_ms_p50": {"value": statistics.median(op[1] for op in done) if done else 0.0, "unit": "ms"},
+        "ops_per_s": {"value": len(ops) / result["elapsed_s"], "unit": "1/s"},
+        "op_ms_p50": {"value": statistics.median(op[1] for op in ops), "unit": "ms"},
         "peak_rss_mb": {"value": result["peak_rss_mb"], "unit": "MB"},
     }
 
@@ -89,13 +92,16 @@ def check_outputs(workload: str, cases: list[dict], ops: list) -> list[str]:
     seen: dict[tuple[int, str], list] = {}
     problems = []
     for index, _, ok, output in ops:
+        label = f"{workload} {cases[index].get('argv') or cases[index]}"
         if not ok:
+            problems.append(f"{label}: failed")
+        if output is None:
             continue
         key = (index, output)
         if key not in seen:
             seen[key] = check(cases[index], output)
         for name, message in seen[key]:
-            problems.append(f"{workload} {cases[index].get('argv') or cases[index]}: {name}: {message}")
+            problems.append(f"{label}: {name}: {message}")
     return problems
 
 

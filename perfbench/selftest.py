@@ -103,6 +103,11 @@ def main() -> int:
                 print(f"FAIL {label}: correct output rejected: {found}")
                 continue
             print(f"ok   {label}: output passes every check")
+            if run.check_outputs(workload, cases, [[index, 0.0, False, output]]):
+                print(f"ok   {label}: the same output from a failed operation is reported")
+            else:
+                failures += 1
+                print(f"FAIL {label}: a failed operation passed the checks")
             for name, edit in perturbations(workload, case):
                 caught = [n for n, _ in check(case, edit(output))]
                 if name in caught:
