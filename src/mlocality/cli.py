@@ -7,7 +7,9 @@ success, 1 for findings (a certification failure or no violation at p=1),
 A flat key=value config file (--config) supplies defaults; explicit flags
 override it.  MLOCALITY_SEED and MLOCALITY_WORKERS environment variables
 override built-in defaults for the seed and worker count (flags still win);
-every randomized command logs the seed it used.
+every randomized command logs the seed it used.  threshold and table also
+take --seed, but their search is deterministic: the seed is only recorded
+in the output and does not change the results.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         "n": int, "m": int, "k_prime": int, "samples": int, "seed": int,
         "workers": int, "grid_resolution": int, "restarts": int,
         "refinement_rounds": int, "p": float, "local_tolerance": float,
-        "bisection_tolerance": float, "family": str, "format": str,
+        "family": str, "format": str,
         "output": str, "angles": str, "n_list": str,
     }
     for key, raw in _load_config_file(args.config).items():
@@ -111,13 +113,14 @@ def _resolve_workers(args: argparse.Namespace) -> int:
 
 
 def _optimizer_config(args: argparse.Namespace, seed: int) -> OptimizerConfig:
-    return OptimizerConfig(
-        grid_resolution=args.grid_resolution if args.grid_resolution is not None else 24,
-        refinement_rounds=args.refinement_rounds if args.refinement_rounds is not None else 200,
-        local_tolerance=args.local_tolerance if args.local_tolerance is not None else 1e-5,
-        restarts=args.restarts if args.restarts is not None else 8,
-        rng_seed=seed,
-    )
+    """OptimizerConfig from the given flags; the defaults live in OptimizerConfig."""
+    keys = ("grid_resolution", "refinement_rounds", "local_tolerance", "restarts")
+    given = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    return OptimizerConfig(rng_seed=seed, **given)
+
+
+def _expression(args: argparse.Namespace):
+    return build_hierarchy_inequality(args.n, args.m, args.k_prime if args.k_prime is not None else 1)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -156,14 +159,14 @@ def _parse_angles(args: argparse.Namespace, n: int) -> MeasurementAngles:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    expr = build_hierarchy_inequality(args.n, args.m, args.k_prime if args.k_prime is not None else 1)
+    expr = _expression(args)
     fmt = args.format or "text"
     _write_output(serialize_expression(expr, fmt).decode(), args.output)
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    expr = build_hierarchy_inequality(args.n, args.m, args.k_prime if args.k_prime is not None else 1)
+    expr = _expression(args)
     psi = state_for_family(args.family, args.n)
     state = NoisyState(psi, args.p if args.p is not None else 1.0)
     angles = _parse_angles(args, args.n)
@@ -176,7 +179,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     workers = _resolve_workers(args)
     samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
-    expr = build_hierarchy_inequality(args.n, args.m, args.k_prime if args.k_prime is not None else 1)
+    expr = _expression(args)
     lines = [f"# certify n={args.n} m={args.m} samples={samples} seed={seed}"]
     deterministic_max = max_strategy_lhs(expr)
     lines.append(f"deterministic_max = {deterministic_max}")
@@ -197,8 +200,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     config = _optimizer_config(args, seed)
-    tol = args.bisection_tolerance if args.bisection_tolerance is not None else 5e-4
-    result = find_threshold(args.n, args.m, args.family, config, tol)
+    result = find_threshold(args.n, args.m, args.family, config)
     _emit_threshold_results([result], args, seed)
     return EXIT_OK
 
@@ -207,11 +209,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     workers = _resolve_workers(args)
     config = _optimizer_config(args, seed)
-    tol = args.bisection_tolerance if args.bisection_tolerance is not None else 5e-4
     n_list = [int(x) for x in args.n_list.split(",")]
     if any(not 2 <= n for n in n_list):
         raise ParameterDomainError(f"party counts must be >= 2, got {n_list}")
-    results = reproduce_table(args.family, n_list, config, tol, workers=workers)
+    results = reproduce_table(args.family, n_list, config, workers=workers)
     _emit_threshold_results(results, args, seed)
     return EXIT_OK
 
@@ -306,12 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated party counts")
             p.add_argument("--workers", type=int)
         p.add_argument("--family", required=True, help="ghz or w")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, help="only recorded; the search is deterministic")
         p.add_argument("--grid-resolution", dest="grid_resolution", type=int)
         p.add_argument("--restarts", type=int)
         p.add_argument("--refinement-rounds", dest="refinement_rounds", type=int)
         p.add_argument("--local-tolerance", dest="local_tolerance", type=float)
-        p.add_argument("--bisection-tolerance", dest="bisection_tolerance", type=float)
         p.add_argument("--format", choices=["csv", "structured", "text"])
         _add_common(p)
         p.set_defaults(func=cmd_threshold if name == "threshold" else cmd_table)

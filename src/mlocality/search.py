@@ -7,9 +7,11 @@ settings, so on a product grid the LHS splits as Sa[x, a, b] + Sb[y, a, b]
 with x, y the two party-1 angles; the maximum over (x, y) is separable,
 which keeps even very fine exhaustive grids affordable.
 
-For fixed angles the LHS is affine in the visibility p with an
-angle-independent value at p=0, so the threshold where the optimized LHS
-changes sign is located by plain bisection on p.
+For fixed angles the LHS is affine in the visibility p,
+LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
+depend on theta.  The angles that maximize Q therefore maximize the LHS at
+every p > 0, and the threshold where the optimized LHS changes sign is
+p* = C/(C - Q*), with Q* the optimum at p=1: one optimization per cell.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .inequality import (
     DimensionMismatchError,
     build_hierarchy_inequality,
 )
-from .quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state, w_state
+from .quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, mixed_state_lhs
+from .quantum import ghz_state, w_state
 
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -66,6 +69,13 @@ class SymmetricAngles:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Budget of maximize_violation.
+
+    rng_seed seeds only the random restarts of the non-symmetric search;
+    the symmetric search behind find_threshold and the threshold and table
+    commands never reads it, so those commands only record the seed.
+    """
+
     grid_resolution: int = 24
     refinement_rounds: int = 200
     local_tolerance: float = 1e-5
@@ -357,17 +367,17 @@ def find_threshold(
     m: int,
     state_family: str,
     config: OptimizerConfig | None = None,
-    bisection_tolerance: float = 5e-4,
 ) -> ThresholdResult:
-    """Bisection on the visibility p for the smallest violating noise level.
+    """Smallest violating visibility p_{m-1}, in closed form.
 
-    The predicate is "optimized LHS > tolerance"; for fixed angles the LHS
-    is affine in p and strictly negative at p=0, so the optimized LHS has a
-    single sign change and bisection brackets it.  Raises NoViolationError
-    when even p=1 shows no violation.
+    For fixed angles LHS(p) = p*Q + (1-p)*C with C = mixed_state_lhs(n, m)
+    the same for all angles, so for p > 0 the maximum over angles is
+    p*Q* + (1-p)*C with Q* the optimum at p=1: the argmax does not move with
+    p.  That line crosses 0 exactly at p* = C/(C - Q*), which lies in (0, 1)
+    since C < 0 < Q*.  A Q* short of the true optimum gives a p* above the
+    true threshold.  Raises NoViolationError when even p=1 shows no
+    violation.
     """
-    if not bisection_tolerance > 0:
-        raise ValueError("bisection_tolerance must be positive")
     config = config or OptimizerConfig()
     family = state_family.strip().lower()
     expr = build_hierarchy_inequality(n, m, 1)
@@ -378,37 +388,25 @@ def find_threshold(
         raise NoViolationError(
             f"no violation at p=1 for (n={n}, m={m}, family={family}); threshold undefined"
         )
-    lo, hi = 0.0, 1.0
-    warm = angles_p1
-    while hi - lo > bisection_tolerance:
-        mid = 0.5 * (lo + hi)
-        value, angles = maximize_violation(
-            expr, NoisyState(psi, mid), config, symmetric=True, extra_starts=(warm,)
-        )
-        if value > VIOLATION_TOL:
-            hi, warm = mid, angles
-        else:
-            lo = mid
+    mixed = mixed_state_lhs(n, m)
     return ThresholdResult(
         n=n,
         m=m,
         state_family=family,
-        p_threshold=0.5 * (lo + hi),
+        p_threshold=mixed / (mixed - value_p1),
         best_angles=angles_p1,
         max_lhs_at_p1=value_p1,
     )
 
 
 def _threshold_cell(args) -> ThresholdResult:
-    n, m, family, config, tol = args
-    return find_threshold(n, m, family, config, tol)
+    return find_threshold(*args)
 
 
 def reproduce_table(
     state_family: str,
     n_list: Sequence[int],
     config: OptimizerConfig | None = None,
-    bisection_tolerance: float = 5e-4,
     workers: int = 1,
 ) -> list[ThresholdResult]:
     """Thresholds p_i for every requested n, i = m-1 running over 1..n-1.
@@ -417,7 +415,7 @@ def reproduce_table(
     process pool and reduced in fixed cell order, so the output does not
     depend on the worker count.
     """
-    cells = [(n, m, state_family, config, bisection_tolerance) for n in n_list for m in range(2, n + 1)]
+    cells = [(n, m, state_family, config) for n in n_list for m in range(2, n + 1)]
     if workers <= 1:
         return [_threshold_cell(c) for c in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -137,7 +137,7 @@ class TestThresholdAndTable:
 
     def test_table_csv_and_reproducibility(self, capsys, tmp_path):
         args = ["table", "--family", "ghz", "--n-list", "4", "--grid-resolution", "12",
-                "--restarts", "4", "--bisection-tolerance", "2e-3", "--seed", "77",
+                "--restarts", "4", "--seed", "77",
                 "--format", "csv"]
         code1, out1, _ = run(capsys, args)
         code2, out2, _ = run(capsys, args)
@@ -172,6 +172,25 @@ class TestThresholdAndTable:
         assert doc["results"][0]["n"] == 2
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".mlocality-")]
         assert not leftovers
+
+    @pytest.mark.parametrize(
+        "command",
+        [["threshold", "--n", "2", "--m", "2"], ["table", "--n-list", "2"]],
+        ids=["threshold", "table"],
+    )
+    def test_bisection_tolerance_flag_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--family", "ghz", "--bisection-tolerance", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bisection_tolerance_config_key_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bisection_tolerance = 1e-3\n")
+        code, _, err = run(capsys, ["threshold", "--family", "ghz", "--n", "2", "--m", "2",
+                                    "--config", str(cfg)])
+        assert code == 2
+        assert "unknown config key" in err
 
     def test_no_violation_maps_to_exit_1(self, capsys, monkeypatch):
         import mlocality.search as search_mod
@@ -213,6 +232,16 @@ class TestConfigAndEnvironment:
                                     "--config", str(cfg)])
         assert code == 2
         assert "unknown config key" in err
+
+    def test_config_file_reaches_optimizer_config(self, capsys, tmp_path):
+        # restarts = 0 is rejected by OptimizerConfig, so exit 2 shows the
+        # config value, not a built-in default, reached it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("restarts = 0\n")
+        code, _, err = run(capsys, ["threshold", "--family", "ghz", "--n", "2", "--m", "2",
+                                    "--config", str(cfg)])
+        assert code == 2
+        assert "restarts" in err
 
     def test_env_seed_is_used_and_logged(self, capsys, monkeypatch):
         monkeypatch.setenv("MLOCALITY_SEED", "4242")

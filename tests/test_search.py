@@ -1,4 +1,10 @@
-"""Tests for the angle optimizer and threshold bisection."""
+"""Tests for the angle optimizer and the closed-form visibility threshold.
+
+The threshold p* = C/(C - Q*) is checked three ways: the LHS at the
+reported angles changes sign exactly at p*, a bisection oracle that
+re-optimizes the angles at every p agrees with it, and it costs a single
+optimization.
+"""
 
 import math
 
@@ -9,6 +15,7 @@ import mlocality.search as search
 from mlocality.inequality import build_hierarchy_inequality
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state
 from mlocality.search import (
+    VIOLATION_TOL,
     NoViolationError,
     OptimizerConfig,
     SymmetricAngles,
@@ -41,6 +48,24 @@ def brute_force_symmetric_max(expr, state, resolution):
                     val = evaluate_lhs(expr, state, SymmetricAngles(x, y, a, b).expand(n))
                     best = max(best, val)
     return best
+
+
+def bisection_threshold(expr, psi, config, tolerance):
+    """Oracle: bisection on p, re-optimizing the angles at every visibility.
+
+    Each midpoint is warm-started from the angles of the last violating one.
+    """
+    value, warm = maximize_violation(expr, NoisyState(psi, 1.0), config)
+    assert value > VIOLATION_TOL
+    lo, hi = 0.0, 1.0
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        value, angles = maximize_violation(expr, NoisyState(psi, mid), config, extra_starts=(warm,))
+        if value > VIOLATION_TOL:
+            hi, warm = mid, angles
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 class TestSymmetricAngles:
@@ -170,10 +195,38 @@ class TestThresholds:
         result = find_threshold(2, 2, "ghz")
         assert abs(result.p_threshold - 1 / math.sqrt(2)) < 1e-3
 
-    def test_bracket_respects_tolerance(self):
-        coarse = find_threshold(2, 2, "ghz", bisection_tolerance=2e-2)
-        fine = find_threshold(2, 2, "ghz", bisection_tolerance=5e-4)
-        assert abs(coarse.p_threshold - fine.p_threshold) <= 2e-2
+    @pytest.mark.parametrize("family,n,m", [("ghz", 2, 2), ("ghz", 4, 4), ("w", 3, 3)])
+    def test_lhs_changes_sign_at_threshold(self, family, n, m):
+        result = find_threshold(n, m, family, QUICK)
+        expr = build_hierarchy_inequality(n, m, 1)
+        psi = state_for_family(family, n)
+        angles = result.best_angles.expand(n)
+
+        def lhs(p):
+            return evaluate_lhs(expr, NoisyState(psi, p), angles)
+
+        assert lhs(result.p_threshold) == pytest.approx(0.0, abs=1e-12)
+        assert lhs(result.p_threshold - 1e-3) < 0
+        assert lhs(result.p_threshold + 1e-3) > 0
+
+    @pytest.mark.parametrize("family,n,m", [("ghz", 2, 2), ("w", 3, 3)])
+    def test_closed_form_matches_bisection_oracle(self, family, n, m):
+        expr = build_hierarchy_inequality(n, m, 1)
+        psi = state_for_family(family, n)
+        oracle = bisection_threshold(expr, psi, QUICK, tolerance=5e-4)
+        assert find_threshold(n, m, family, QUICK).p_threshold == pytest.approx(oracle, abs=5e-4)
+
+    def test_one_optimization_per_threshold(self, monkeypatch):
+        calls = []
+        original = search.maximize_violation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search, "maximize_violation", counting)
+        find_threshold(4, 3, "ghz", QUICK)
+        assert len(calls) == 1
 
     def test_no_violation_raises(self, monkeypatch):
         def no_violation(expr, state, config=None, symmetric=True, extra_starts=()):
@@ -191,14 +244,10 @@ class TestThresholds:
         with pytest.raises(ValueError):
             state_for_family("cluster", 4)
 
-    def test_bisection_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            find_threshold(4, 2, "ghz", bisection_tolerance=0.0)
-
 
 class TestTable:
     def test_structure_and_rough_values(self):
-        results = reproduce_table("ghz", [4], config=QUICK, bisection_tolerance=2e-3)
+        results = reproduce_table("ghz", [4], config=QUICK)
         assert [(r.n, r.m) for r in results] == [(4, 2), (4, 3), (4, 4)]
         for r, expected in zip(results, (0.948, 0.914, 0.822)):
             assert abs(r.p_threshold - expected) < 0.02
