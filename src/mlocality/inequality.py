@@ -24,8 +24,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from ._bits import bit_matrix, outcomes_to_index, settings_to_index
 
 SETTING_A = "a"
 SETTING_B = "b"
@@ -83,6 +88,31 @@ class Term:
         return f"{sign}P({self.outcomes}|{self.settings})"
 
 
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """Terms as arrays: one row per term, one column per party.
+
+    ``settings[t, k]`` is 1 where term t measures party k+1 with setting
+    ``b``.  ``slots[t, k]`` is ``2*(n*s + k) + o`` for that party's setting
+    bit s and outcome bit o: the row of its measurement vector in a
+    (setting, party, outcome)-ordered stack of vectors, so that every factor
+    of every term is read with one gather.
+    """
+
+    settings: np.ndarray
+    coefficients: np.ndarray
+    slots: np.ndarray
+
+
+def tabulate_terms(terms: Sequence[Term]) -> TermTable:
+    """The TermTable of a nonempty sequence of terms over the same parties."""
+    n = terms[0].n
+    settings = bit_matrix([settings_to_index(t.settings) for t in terms], n)
+    outcomes = bit_matrix([outcomes_to_index(t.outcomes) for t in terms], n)
+    coefficients = np.array([float(t.coefficient) for t in terms])
+    return TermTable(settings, coefficients, 2 * (n * settings + np.arange(n)) + outcomes)
+
+
 @dataclass(frozen=True)
 class BellExpression:
     """A complete inequality expression; ``sum(term) <= 0`` is the claimed bound."""
@@ -131,6 +161,11 @@ class BellExpression:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def table(self) -> TermTable:
+        """The terms as arrays, derived once per expression."""
+        return tabulate_terms(self.terms)
 
     def coefficient_sum(self) -> int:
         return sum(t.coefficient for t in self.terms)

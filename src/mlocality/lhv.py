@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._bits import outcomes_to_index, settings_to_index
+from ._bits import bit_extract_map, index_to_bits, insert_bit, outcomes_to_index, settings_to_index
 from .inequality import (
     SETTING_A,
     SETTING_B,
@@ -260,14 +260,6 @@ def check_nonsignaling(dist: ConditionalDistribution, tol: float = NS_TOL) -> tu
 # Nonsignaling polytope sampling
 
 
-def _insert_bit(index: int, pos: int, bit: int, width: int) -> int:
-    # insert `bit` at string position pos (0 = most significant) of an
-    # (width-1)-bit index, producing a width-bit index
-    shift = width - 1 - pos
-    high, low = divmod(index, 1 << shift)
-    return ((high << 1 | bit) << shift) | low
-
-
 @lru_cache(maxsize=None)
 def nonsignaling_constraints(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Equality system (A, b) cutting out the nonsignaling polytope.
@@ -287,12 +279,12 @@ def nonsignaling_constraints(size: int) -> tuple[np.ndarray, np.ndarray]:
         rhs.append(1.0)
     for j in range(size):
         for m_rest in range(1 << (size - 1)):
-            m0 = _insert_bit(m_rest, j, 0, size)
-            m1 = _insert_bit(m_rest, j, 1, size)
+            m0 = insert_bit(m_rest, j, 0, size)
+            m1 = insert_bit(m_rest, j, 1, size)
             for r_rest in range(1 << (size - 1)):
                 row = np.zeros(n_vars)
                 for r_j in (0, 1):
-                    r = _insert_bit(r_rest, j, r_j, size)
+                    r = insert_bit(r_rest, j, r_j, size)
                     row[m0 * dim + r] += 1.0
                     row[m1 * dim + r] -= 1.0
                 rows.append(row)
@@ -353,22 +345,11 @@ def _chunk_sizes(size: int) -> list[int]:
     return sizes
 
 
-@lru_cache(maxsize=None)
-def _bit_extract_map(positions: tuple[int, ...], width: int) -> np.ndarray:
-    """Map each width-bit index to the sub-index read off at `positions`."""
-    idx = np.arange(1 << width)
-    out = np.zeros_like(idx)
-    for j, pos in enumerate(positions):
-        bit = (idx >> (width - 1 - pos)) & 1
-        out |= bit << (len(positions) - 1 - j)
-    return out
-
-
 def _product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarray], width: int) -> np.ndarray:
     dim = 1 << width
     full = np.ones((dim, dim))
     for positions, t in zip(groups, tables):
-        sub = _bit_extract_map(tuple(positions), width)
+        sub = bit_extract_map(tuple(positions), width)
         full *= t[np.ix_(sub, sub)]
     return full
 
@@ -457,9 +438,8 @@ def strategy_distribution(strategy: DeterministicStrategy) -> ConditionalDistrib
     table = np.zeros((dim, dim))
     for m_idx in range(dim):
         r_idx = 0
-        for k in range(n):
-            setting = SETTING_A if ((m_idx >> (n - 1 - k)) & 1) == 0 else SETTING_B
-            r_idx = (r_idx << 1) | strategy.outcome(k, setting)
+        for k, bit in enumerate(index_to_bits(m_idx, n)):
+            r_idx = (r_idx << 1) | strategy.outcome(k, SETTING_B if bit else SETTING_A)
         table[m_idx, r_idx] = 1.0
     return ConditionalDistribution(tuple(range(1, n + 1)), table)
 

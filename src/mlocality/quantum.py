@@ -11,17 +11,30 @@ Conventions
 - Noisy states are pure states mixed with white noise at visibility p; term
   probabilities decompose as p*<psi|Pi|psi> + (1-p)/2^n, the noise part
   being exact because every local projector has unit trace.
+
+Evaluation
+----------
+Every value rests on the amplitude <v_t|psi> of each term t, v_t being the
+product of one vector per party.  One kernel, `_term_amplitudes`, computes
+it for every term of a table at a batch of angle points of any leading
+shape: it gathers each party's vector component at each nonzero amplitude
+of the state (its support), multiplies across parties and sums over the
+support.  A dense state is a support of size 2^n.  `evaluate_lhs`,
+`term_probability` and the angle grids of the search module all call it;
+`dense_density_oracle` and `quantum_behavior` stay independent of it as
+test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._bits import index_to_bits
+from ._bits import bit_matrix, index_to_bits
 from .inequality import (
     SETTING_A,
     SETTING_B,
@@ -29,6 +42,8 @@ from .inequality import (
     DimensionMismatchError,
     ParameterDomainError,
     Term,
+    TermTable,
+    tabulate_terms,
 )
 from .lhv import ConditionalDistribution
 
@@ -38,7 +53,11 @@ DENSE_ORACLE_MAX_PARTIES = 8
 
 @dataclass
 class StateVector:
-    """Pure n-qubit state; amplitudes indexed party-1-first (see module docs)."""
+    """Pure n-qubit state; amplitudes indexed party-1-first (see module docs).
+
+    The amplitudes are not to be changed after construction: `support` is
+    derived from them once.
+    """
 
     n: int
     amplitudes: np.ndarray
@@ -52,6 +71,18 @@ class StateVector:
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {norm!r}")
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bits (one row per basis state, party 1 first) and amplitudes of the nonzero entries.
+
+        The amplitudes are real when no entry has an imaginary part.
+        """
+        nonzero = np.flatnonzero(self.amplitudes)
+        amplitudes = self.amplitudes[nonzero]
+        if not amplitudes.imag.any():
+            amplitudes = amplitudes.real
+        return bit_matrix(nonzero, self.n), amplitudes
 
 
 @dataclass
@@ -127,56 +158,42 @@ def orthogonal_vector(theta: float) -> np.ndarray:
     return np.array([-math.sin(theta / 2.0), math.cos(theta / 2.0)])
 
 
-def _party_vector(setting: str, outcome: str, theta_a: float, theta_b: float) -> np.ndarray:
-    theta = theta_a if setting == SETTING_A else theta_b
-    return setting_vector(theta) if outcome == "0" else orthogonal_vector(theta)
+# A party's vector for outcome 0 is (c, s) and for outcome 1 is (-s, c),
+# with (c, s) = (cos(theta/2), sin(theta/2)): both are linear in (c, s).
+_OUTCOME_VECTORS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])
 
 
-_SPARSE_AMPLITUDE_LIMIT = 16
+def _half_angle_pairs(theta) -> np.ndarray:
+    """(cos(theta/2), sin(theta/2)) along a new last axis, for angles of any shape."""
+    half = np.asarray(theta, dtype=float) * 0.5
+    pairs = np.empty(half.shape + (2,))
+    np.cos(half, out=pairs[..., 0])
+    np.sin(half, out=pairs[..., 1])
+    return pairs
 
 
-def _component_cache(angles: MeasurementAngles) -> list[dict[tuple[str, str], tuple[float, float]]]:
-    # per party: (setting, outcome) -> the two real components of the
-    # projected basis vector
-    comps = []
-    for k in range(angles.n):
-        ha = angles.theta_a[k] / 2.0
-        hb = angles.theta_b[k] / 2.0
-        ca, sa = math.cos(ha), math.sin(ha)
-        cb, sb = math.cos(hb), math.sin(hb)
-        comps.append(
-            {
-                (SETTING_A, "0"): (ca, sa),
-                (SETTING_A, "1"): (-sa, ca),
-                (SETTING_B, "0"): (cb, sb),
-                (SETTING_B, "1"): (-sb, cb),
-            }
-        )
-    return comps
+def _term_amplitudes(table: TermTable, psi: StateVector, pairs: np.ndarray) -> np.ndarray:
+    """Amplitude <v_t|psi> of every term t at a batch of angle points.
+
+    pairs has shape (..., 2, n, 2): the (c, s) pair of every setting (a,
+    then b) of every party at every point.  The factor of term t at basis
+    state z is the component, picked by the party's bit of z, of the
+    party's vector for its setting and outcome in t.  The factors are
+    gathered over the support of psi, multiplied across parties and summed
+    against the amplitudes.  Returns shape (..., T).
+    """
+    bits, amplitudes = psi.support
+    vectors = (pairs @ _OUTCOME_VECTORS).reshape(pairs.shape[:-3] + (-1, 2))
+    factors = vectors[..., table.slots[:, None, :], bits]
+    return factors.prod(axis=-1) @ amplitudes
 
 
-def _sparse_amplitudes(psi: np.ndarray, n: int) -> list[tuple[tuple[int, ...], complex]] | None:
-    nz = np.flatnonzero(psi)
-    if nz.size > _SPARSE_AMPLITUDE_LIMIT:
-        return None
-    return [(index_to_bits(int(z), n), complex(psi[z])) for z in nz]
-
-
-def _pure_term_probability(state, term, angles, comps, sparse) -> float:
-    n = state.n
-    if sparse is not None:
-        amp = 0j
-        for bits, coeff in sparse:
-            prod = coeff
-            for k in range(n):
-                prod *= comps[k][(term.settings[k], term.outcomes[k])][bits[k]]
-            amp += prod
-        return abs(amp) ** 2
-    tensor = state.psi.amplitudes.reshape((2,) * n)
-    for k in range(n):
-        v = _party_vector(term.settings[k], term.outcomes[k], angles.theta_a[k], angles.theta_b[k])
-        tensor = np.tensordot(v, tensor, axes=(0, 0))
-    return abs(complex(tensor)) ** 2
+def _lhs_values(expr: BellExpression, state: NoisyState, theta: np.ndarray) -> np.ndarray:
+    """LHS at a batch of angle points; theta has shape (..., 2, n), rows theta_a and theta_b."""
+    table = expr.table
+    amp = _term_amplitudes(table, state.psi, _half_angle_pairs(theta))
+    pure = np.abs(amp) ** 2 @ table.coefficients
+    return state.p * pure + expr.coefficient_sum() * (1.0 - state.p) / 2**expr.n
 
 
 def term_probability(state: NoisyState, term: Term, angles: MeasurementAngles) -> float:
@@ -186,10 +203,9 @@ def term_probability(state: NoisyState, term: Term, angles: MeasurementAngles) -
         raise DimensionMismatchError(
             f"term/angles cover {term.n}/{angles.n} parties, state has {n}"
         )
-    comps = _component_cache(angles)
-    sparse = _sparse_amplitudes(state.psi.amplitudes, n)
-    pure = _pure_term_probability(state, term, angles, comps, sparse)
-    return state.p * pure + (1.0 - state.p) / 2**n
+    pairs = _half_angle_pairs((angles.theta_a, angles.theta_b))
+    (amp,) = _term_amplitudes(tabulate_terms((term,)), state.psi, pairs)
+    return float(state.p * abs(amp) ** 2 + (1.0 - state.p) / 2**n)
 
 
 def evaluate_lhs(expr: BellExpression, state: NoisyState, angles: MeasurementAngles) -> float:
@@ -198,13 +214,7 @@ def evaluate_lhs(expr: BellExpression, state: NoisyState, angles: MeasurementAng
         raise DimensionMismatchError(f"expression has n={expr.n}, state has n={state.n}")
     if angles.n != expr.n:
         raise DimensionMismatchError(f"angles cover {angles.n} parties, expression has {expr.n}")
-    comps = _component_cache(angles)
-    sparse = _sparse_amplitudes(state.psi.amplitudes, expr.n)
-    pure = sum(
-        t.coefficient * _pure_term_probability(state, t, angles, comps, sparse)
-        for t in expr.terms
-    )
-    return state.p * pure + expr.coefficient_sum() * (1.0 - state.p) / 2**expr.n
+    return float(_lhs_values(expr, state, (angles.theta_a, angles.theta_b)))
 
 
 def mixed_state_lhs(n: int, m: int) -> float:

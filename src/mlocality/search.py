@@ -4,8 +4,12 @@ The search space follows the symmetry of the inequality family: party 1
 keeps its own pair of X-Z angles while parties 2..n share one pair, giving
 four free angles.  Every term measures party 1 with exactly one of its two
 settings, so on a product grid the LHS splits as Sa[x, a, b] + Sb[y, a, b]
-with x, y the two party-1 angles; the maximum over (x, y) is separable,
-which keeps even very fine exhaustive grids affordable.
+with x, y the two party-1 angles, and the maximum over (x, y) is separable.
+Each half is a quadratic form in (cos(x/2), sin(x/2)) whose coefficients
+come from the term amplitudes with party 1 left open, so the grid costs one
+kernel call per chunk of (a, b) points plus one small matrix product over
+all x.  The coarse grid of the non-symmetric search and every refinement
+step evaluate the LHS through the same kernel in the quantum module.
 
 For fixed angles the LHS is affine in the visibility p,
 LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
@@ -23,20 +27,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .inequality import (
-    SETTING_A,
-    SETTING_B,
-    BellExpression,
-    DimensionMismatchError,
-    build_hierarchy_inequality,
-)
+from .inequality import BellExpression, DimensionMismatchError, build_hierarchy_inequality
 from .quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, mixed_state_lhs
-from .quantum import ghz_state, w_state
+from .quantum import _half_angle_pairs, _lhs_values, _term_amplitudes, ghz_state, w_state
 
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
-_AX_P1, _AX_A, _AX_B = 30, 31, 32  # einsum grid-axis labels, clear of party axes
+_BATCH_ELEMENTS = 1 << 20  # array entries per grid chunk, about 8 MB of float64
 
 
 class NoViolationError(RuntimeError):
@@ -71,9 +69,10 @@ class SymmetricAngles:
 class OptimizerConfig:
     """Budget of maximize_violation.
 
-    rng_seed seeds only the random restarts of the non-symmetric search;
-    the symmetric search behind find_threshold and the threshold and table
-    commands never reads it, so those commands only record the seed.
+    rng_seed (any nonnegative integer, as numpy takes) seeds only the
+    random restarts of the non-symmetric search; the symmetric search
+    behind find_threshold and the threshold and table commands never reads
+    it, so those commands only record the seed.
     """
 
     grid_resolution: int = 24
@@ -85,8 +84,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
-        if self.refinement_rounds < 1 or self.restarts < 1 or self.rng_seed < 1:
-            raise ValueError("refinement_rounds, restarts and rng_seed must be positive")
+        if self.refinement_rounds < 1 or self.restarts < 1:
+            raise ValueError("refinement_rounds and restarts must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
         if not self.local_tolerance > 0:
             raise ValueError("local_tolerance must be positive")
 
@@ -115,69 +116,17 @@ def state_for_family(family: str, n: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation on symmetric-angle grids
-
-
-def _component_matrix(thetas: np.ndarray, outcome: str) -> np.ndarray:
-    half = np.asarray(thetas, dtype=float) / 2.0
-    if outcome == "0":
-        return np.stack([np.cos(half), np.sin(half)])
-    return np.stack([-np.sin(half), np.cos(half)])
-
-
-def _state_tensor(state: NoisyState) -> np.ndarray:
-    psi = state.psi.amplitudes
-    if np.abs(psi.imag).max() < 1e-15:
-        psi = psi.real
-    return psi.reshape((2,) * state.n)
-
-
-def _half_grid_table(
-    expr: BellExpression,
-    state: NoisyState,
-    party1_setting: str,
-    p1_grid: np.ndarray,
-    rest_a: np.ndarray,
-    rest_b: np.ndarray,
-) -> np.ndarray:
-    """Sum of signed term probabilities for terms with the given party-1 setting.
-
-    Returns an array over (party-1 angle, shared a angle, shared b angle).
-    The full LHS on the product grid is the broadcast sum of the two halves.
-    """
-    n = expr.n
-    psi_t = _state_tensor(state)
-    mixed = (1.0 - state.p) / 2**n
-    p1_grid = np.asarray(p1_grid, dtype=float)
-    rest_a = np.asarray(rest_a, dtype=float)
-    rest_b = np.asarray(rest_b, dtype=float)
-    acc = np.zeros((p1_grid.size, rest_a.size, rest_b.size))
-    for term in expr.terms:
-        if term.settings[0] != party1_setting:
-            continue
-        operands: list = [psi_t, list(range(n))]
-        used = {_AX_P1}
-        operands += [_component_matrix(p1_grid, term.outcomes[0]), [0, _AX_P1]]
-        for k in range(1, n):
-            if term.settings[k] == SETTING_A:
-                axis, grid = _AX_A, rest_a
-            else:
-                axis, grid = _AX_B, rest_b
-            operands += [_component_matrix(grid, term.outcomes[k]), [k, axis]]
-            used.add(axis)
-        out_axes = [ax for ax in (_AX_P1, _AX_A, _AX_B) if ax in used]
-        amp = np.einsum(*operands, out_axes, optimize=True)
-        prob = state.p * np.abs(amp) ** 2 + mixed
-        if _AX_A not in used:
-            prob = np.expand_dims(prob, 1)
-        if _AX_B not in used:
-            prob = np.expand_dims(prob, 2)
-        acc += term.coefficient * prob
-    return acc
+# Angle grids
 
 
 def _grid_axis(resolution: int) -> np.ndarray:
     return np.arange(resolution) * (TWO_PI / resolution)
+
+
+def _chunks(total: int, width: int):
+    """Slices of at most _BATCH_ELEMENTS // width rows covering range(total)."""
+    step = max(1, _BATCH_ELEMENTS // max(1, width))
+    return (slice(start, start + step) for start in range(0, total, step))
 
 
 def _best_candidates(
@@ -185,40 +134,45 @@ def _best_candidates(
     state: NoisyState,
     resolution: int,
     top_k: int,
-    p1_chunk: int | None = None,
 ) -> tuple[float, list[SymmetricAngles]]:
-    """Coarse-grid maximum and the top-k grid cells as refinement starts."""
+    """Coarse-grid maximum and the top-k grid cells as refinement starts.
+
+    For each point (alpha, beta) of the shared angles the kernel runs with
+    party 1's (cos, sin) pair set to (1, 0) and to (0, 1), which gives every
+    term's amplitude with party 1 left open: A_t(x) = u(x).M_t with
+    u(x) = (cos(x/2), sin(x/2)), since party 1's vectors are linear in u.
+    The terms measuring party 1 with one setting then sum to the quadratic
+    form u(x)^T Q u(x), Q = p*sum_t c_t Re(M_t M_t^*), so the LHS half of
+    each party-1 setting over all x is one product of the (x, 4) table of
+    u(x) u(x)^T with the 4 entries of Q.
+    """
+    n = expr.n
+    table = expr.table
     axis = _grid_axis(resolution)
-    if p1_chunk is None:
-        p1_chunk = max(1, 6_000_000 // max(1, resolution * resolution))
-    maxima = {}
-    argmax = {}
-    for which in (SETTING_A, SETTING_B):
-        best = np.full((resolution, resolution), -np.inf)
-        arg = np.zeros((resolution, resolution), dtype=np.int64)
-        for start in range(0, resolution, p1_chunk):
-            part = _half_grid_table(expr, state, which, axis[start : start + p1_chunk], axis, axis)
-            local_max = part.max(axis=0)
-            local_arg = part.argmax(axis=0) + start
-            update = local_max > best
-            best[update] = local_max[update]
-            arg[update] = local_arg[update]
-        maxima[which] = best
-        argmax[which] = arg
-    total = maxima[SETTING_A] + maxima[SETTING_B]
-    order = np.argsort(total.ravel(), kind="stable")[::-1][:top_k]
-    candidates = []
-    for flat in order:
-        ia, ib = np.unravel_index(int(flat), total.shape)
-        candidates.append(
-            SymmetricAngles(
-                float(axis[argmax[SETTING_A][ia, ib]]),
-                float(axis[argmax[SETTING_B][ia, ib]]),
-                float(axis[ia]),
-                float(axis[ib]),
-            )
-        )
-    return float(total.max()), candidates
+    u = _half_angle_pairs(axis)
+    features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
+    # weights[t, h] = p*c_t when term t measures party 1 with setting h
+    weights = state.p * table.coefficients[:, None] * (table.settings[:, :1] == [0, 1])
+    alpha_beta = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    rest = _half_angle_pairs(alpha_beta)  # (point, setting, pair)
+    best = np.empty((len(rest), 2))
+    arg = np.empty((len(rest), 2), dtype=np.int64)
+    width = max(2 * resolution, 2 * table.slots.size * len(state.psi.support[1]))
+    for part in _chunks(len(rest), width):
+        # batch axes: (alpha, beta) point, then the basis vector party 1 gets
+        pairs = np.empty((len(rest[part]), 2, 2, n, 2))
+        pairs[..., 1:, :] = rest[part][:, None, :, None, :]
+        pairs[..., 0, :] = np.eye(2)[:, None, :]
+        amp = _term_amplitudes(table, state.psi, pairs).swapaxes(1, 2)  # (point, term, 2)
+        outer = (amp[..., :, None] * amp[..., None, :].conj()).real
+        forms = weights.T @ outer.reshape(outer.shape[:2] + (4,))  # (point, half, 4)
+        values = forms @ features.T  # (point, half, x)
+        arg[part] = values.argmax(axis=-1)
+        best[part] = np.take_along_axis(values, arg[part][..., None], axis=-1)[..., 0]
+    total = best.sum(axis=1) + expr.coefficient_sum() * (1.0 - state.p) / 2**n
+    order = np.argsort(total, kind="stable")[::-1][:top_k]
+    candidates = [SymmetricAngles(*axis[arg[i]].tolist(), *alpha_beta[i].tolist()) for i in order]
+    return float(total[order[0]]), candidates
 
 
 def exhaustive_symmetric_max(
@@ -264,32 +218,16 @@ def compass_search(fn, start: Sequence[float], step: float, tol: float, max_roun
     return x, fx
 
 
-def _full_grid_points(resolution: int, dims: int) -> np.ndarray:
-    grid = np.indices((resolution,) * dims).reshape(dims, -1).T
-    return grid * (TWO_PI / resolution)
-
-
-def _batch_lhs(
-    expr: BellExpression, state: NoisyState, theta_a: np.ndarray, theta_b: np.ndarray
-) -> np.ndarray:
-    """LHS at a batch of full angle assignments; rows are grid points."""
-    n = expr.n
-    psi_t = _state_tensor(state)
-    comps = []
-    for k in range(n):
-        per_setting = {}
-        for setting, column in ((SETTING_A, theta_a[:, k]), (SETTING_B, theta_b[:, k])):
-            per_setting[setting] = {o: _component_matrix(column, o) for o in ("0", "1")}
-        comps.append(per_setting)
-    total = np.zeros(theta_a.shape[0])
-    for term in expr.terms:
-        amp = np.tensordot(psi_t, comps[0][term.settings[0]][term.outcomes[0]], axes=([0], [0]))
-        for k in range(1, n):
-            w = comps[k][term.settings[k]][term.outcomes[k]]
-            amp = np.einsum("i...p,ip->...p", amp, w)
-        total += term.coefficient * state.p * np.abs(amp) ** 2
-    total += expr.coefficient_sum() * (1.0 - state.p) / 2**n
-    return total
+def _full_grid(
+    expr: BellExpression, state: NoisyState, resolution: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every point of the product grid over all 2n angles, theta_a then theta_b, and the LHS there."""
+    dims = 2 * expr.n
+    points = np.indices((resolution,) * dims).reshape(dims, -1).T * (TWO_PI / resolution)
+    theta = points.reshape(-1, 2, expr.n)
+    width = expr.table.slots.size * len(state.psi.support[1])
+    parts = _chunks(len(points), width)
+    return points, np.concatenate([_lhs_values(expr, state, theta[part]) for part in parts])
 
 
 def maximize_violation(
@@ -316,46 +254,42 @@ def maximize_violation(
         grid_best, candidates = _best_candidates(
             expr, state, config.grid_resolution, config.restarts
         )
-        starts = [np.array(c.as_tuple()) for c in candidates]
-        starts += [np.array(s.as_tuple()) for s in extra_starts]
+        starts = [c.as_tuple() for c in candidates] + [s.as_tuple() for s in extra_starts]
+        step0 = TWO_PI / config.grid_resolution
+
+        def to_angles(vec: np.ndarray):
+            return SymmetricAngles(*vec)
 
         def objective(vec: np.ndarray) -> float:
-            return evaluate_lhs(expr, state, SymmetricAngles(*vec).expand(n))
+            return evaluate_lhs(expr, state, to_angles(vec).expand(n))
 
-        step0 = TWO_PI / config.grid_resolution
-        best_val, best_vec = -np.inf, None
-        for s in starts:
-            x, fx = compass_search(objective, s, step0, config.local_tolerance, config.refinement_rounds)
-            key = tuple(x)
-            if fx > best_val or (fx == best_val and key < tuple(best_vec)):
-                best_val, best_vec = fx, x
-        return max(best_val, grid_best), SymmetricAngles(*best_vec)
+    else:
+        dims = 2 * n
+        budget = min(config.grid_resolution**4, 250_000)
+        resolution = max(2, int(budget ** (1.0 / dims)))
+        points, values = _full_grid(expr, state, resolution)
+        grid_best = float(values.max())
+        order = np.argsort(values, kind="stable")[::-1][: config.restarts]
+        rng = np.random.default_rng(config.rng_seed)
+        starts = [points[int(i)] for i in order]
+        starts += [rng.uniform(0.0, TWO_PI, dims) for _ in range(config.restarts)]
+        for s in extra_starts:
+            angles = s.expand(n) if isinstance(s, SymmetricAngles) else s
+            starts.append(angles.theta_a + angles.theta_b)
+        step0 = TWO_PI / resolution
 
-    dims = 2 * n
-    budget = min(config.grid_resolution**4, 250_000)
-    resolution = max(2, int(budget ** (1.0 / dims)))
-    points = _full_grid_points(resolution, dims)
-    values = _batch_lhs(expr, state, points[:, :n], points[:, n:])
-    order = np.argsort(values, kind="stable")[::-1][: config.restarts]
-    rng = np.random.default_rng(config.rng_seed)
-    starts = [points[int(i)] for i in order]
-    starts += [rng.uniform(0.0, TWO_PI, dims) for _ in range(config.restarts)]
-    for s in extra_starts:
-        angles = s.expand(n) if isinstance(s, SymmetricAngles) else s
-        starts.append(np.array(angles.theta_a + angles.theta_b))
+        def to_angles(vec: np.ndarray):
+            return MeasurementAngles(tuple(vec[:n]), tuple(vec[n:]))
 
-    def objective_full(vec: np.ndarray) -> float:
-        return evaluate_lhs(expr, state, MeasurementAngles(tuple(vec[:n]), tuple(vec[n:])))
+        def objective(vec: np.ndarray) -> float:
+            return evaluate_lhs(expr, state, to_angles(vec))
 
-    grid_best = float(values.max())
-    step0 = TWO_PI / resolution
     best_val, best_vec = -np.inf, None
     for s in starts:
-        x, fx = compass_search(objective_full, s, step0, config.local_tolerance, config.refinement_rounds)
-        key = tuple(x)
-        if fx > best_val or (fx == best_val and key < tuple(best_vec)):
+        x, fx = compass_search(objective, s, step0, config.local_tolerance, config.refinement_rounds)
+        if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
             best_val, best_vec = fx, x
-    return max(best_val, grid_best), MeasurementAngles(tuple(best_vec[:n]), tuple(best_vec[n:]))
+    return max(best_val, grid_best), to_angles(best_vec)
 
 
 # ---------------------------------------------------------------------------

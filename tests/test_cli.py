@@ -173,6 +173,16 @@ class TestThresholdAndTable:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".mlocality-")]
         assert not leftovers
 
+    def test_seed_zero_is_accepted_and_only_recorded(self, capsys):
+        base = ["threshold", "--family", "ghz", "--n", "2", "--m", "2",
+                "--grid-resolution", "12", "--restarts", "4", "--format", "csv"]
+        code0, out0, _ = run(capsys, base + ["--seed", "0"])
+        code1, out1, _ = run(capsys, base + ["--seed", "1"])
+        assert code0 == code1 == 0
+        row0, row1 = out0.strip().split("\n")[1], out1.strip().split("\n")[1]
+        assert row0.endswith(",0") and row1.endswith(",1")
+        assert row0[: -len(",0")] == row1[: -len(",1")]
+
     @pytest.mark.parametrize(
         "command",
         [["threshold", "--n", "2", "--m", "2"], ["table", "--n-list", "2"]],

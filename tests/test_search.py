@@ -6,6 +6,7 @@ re-optimizes the angles at every p agrees with it, and it costs a single
 optimization.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -80,16 +81,27 @@ class TestSymmetricAngles:
 
 
 class TestGridEvaluation:
-    def test_separable_grid_max_equals_brute_force(self):
-        # dense random complex state exercises the generic einsum path
-        rng = np.random.default_rng(51)
-        expr = build_hierarchy_inequality(3, 2, 1)
-        state = NoisyState(random_state(3, rng), 0.8)
+    @pytest.mark.parametrize(
+        "n,m,family,p,seed",
+        [(3, 2, "random", 0.8, 51), (4, 2, "w", 1.0, None), (4, 3, "random", 0.6, 53)],
+        ids=["random-n3", "w-n4", "random-n4"],
+    )
+    def test_separable_grid_max_equals_brute_force(self, n, m, family, p, seed):
+        # a random complex state has all 2^n amplitudes nonzero, so the
+        # kernel runs over a full support with complex arithmetic; W over n
+        # real amplitudes.  At seed 53 the two party-1 angles of the maximum
+        # differ, so the angle check also sees which half each came from.
+        if family == "random":
+            psi = random_state(n, np.random.default_rng(seed))
+        else:
+            psi = state_for_family(family, n)
+        expr = build_hierarchy_inequality(n, m, 1)
+        state = NoisyState(psi, p)
         brute = brute_force_symmetric_max(expr, state, 6)
         fast, angles = exhaustive_symmetric_max(expr, state, 6)
         assert fast == pytest.approx(brute, abs=1e-12)
         # the reported angle tuple reproduces the reported value
-        assert evaluate_lhs(expr, state, angles.expand(3)) == pytest.approx(fast, abs=1e-12)
+        assert evaluate_lhs(expr, state, angles.expand(n)) == pytest.approx(fast, abs=1e-12)
 
     def test_separable_grid_max_ghz(self):
         expr = build_hierarchy_inequality(4, 4, 1)
@@ -97,6 +109,24 @@ class TestGridEvaluation:
         brute = brute_force_symmetric_max(expr, state, 7)
         fast, _ = exhaustive_symmetric_max(expr, state, 7)
         assert fast == pytest.approx(brute, abs=1e-12)
+
+    def test_full_grid_equals_brute_force(self):
+        # the coarse grid of the non-symmetric search: all 4^4 points of the
+        # product grid over the 2n = 4 angles, in itertools.product order
+        rng = np.random.default_rng(53)
+        expr = build_hierarchy_inequality(2, 2, 1)
+        state = NoisyState(random_state(2, rng), 0.7)
+        axis = np.arange(4) * 2 * np.pi / 4
+        brute_points = list(itertools.product(axis, repeat=4))
+        brute = [
+            evaluate_lhs(expr, state, MeasurementAngles(x[:2], x[2:])) for x in brute_points
+        ]
+        points, values = search._full_grid(expr, state, 4)
+        np.testing.assert_array_equal(points, brute_points)
+        np.testing.assert_allclose(values, brute, rtol=0, atol=1e-14)
+        config = OptimizerConfig(grid_resolution=4, restarts=1, refinement_rounds=1)
+        value, _ = maximize_violation(expr, state, config, symmetric=False)
+        assert value >= max(brute) - 1e-15
 
 
 class TestCompassSearch:
@@ -270,3 +300,7 @@ class TestOptimizerConfig:
             OptimizerConfig(local_tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(rng_seed=-1)
+        # numpy takes any nonnegative seed
+        assert OptimizerConfig(rng_seed=0).rng_seed == 0
