@@ -18,17 +18,14 @@ from .inequality import (
 from .lhv import (
     CertificationError,
     ConditionalDistribution,
-    DeterministicStrategy,
     Partition,
     certify_m_local_bound,
     check_nonsignaling,
     distribution_lhs,
     enumerate_partitions,
-    enumerate_strategies,
     max_strategy_lhs,
     product_distribution,
     sample_nonsignaling_block,
-    strategy_lhs,
 )
 from .quantum import (
     MeasurementAngles,
@@ -58,7 +55,6 @@ __all__ = [
     "BellExpression",
     "CertificationError",
     "ConditionalDistribution",
-    "DeterministicStrategy",
     "DimensionMismatchError",
     "MeasurementAngles",
     "NoViolationError",
@@ -76,7 +72,6 @@ __all__ = [
     "dense_density_oracle",
     "distribution_lhs",
     "enumerate_partitions",
-    "enumerate_strategies",
     "evaluate_lhs",
     "exhaustive_symmetric_max",
     "find_threshold",
@@ -89,7 +84,6 @@ __all__ = [
     "reproduce_table",
     "sample_nonsignaling_block",
     "serialize_expression",
-    "strategy_lhs",
     "term_count",
     "term_probability",
     "w_state",

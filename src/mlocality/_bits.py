@@ -48,10 +48,3 @@ def settings_to_index(settings: str) -> int:
 def outcomes_to_index(outcomes: str) -> int:
     return bits_to_index(outcomes)
 
-
-def index_to_settings(index: int, width: int) -> str:
-    return "".join("ab"[b] for b in index_to_bits(index, width))
-
-
-def index_to_outcomes(index: int, width: int) -> str:
-    return "".join("01"[b] for b in index_to_bits(index, width))

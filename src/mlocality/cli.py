@@ -27,6 +27,7 @@ from .inequality import (
     serialize_expression,
 )
 from .lhv import (
+    CERT_TOL,
     CertificationError,
     certify_m_local_bound,
     max_strategy_lhs,
@@ -51,14 +52,20 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
+def _flag_or_env(args: argparse.Namespace, name: str, default: int) -> int:
+    """The --name flag, else the MLOCALITY_<NAME> environment variable (logged), else default."""
+    if getattr(args, name, None) is not None:
+        return getattr(args, name)
+    variable = f"MLOCALITY_{name.upper()}"
+    raw = os.environ.get(variable)
     if raw is None:
-        return None
+        return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise SystemExit(f"error: environment variable {name} must be an integer, got {raw!r}")
+        raise ValueError(f"environment variable {variable} must be an integer, got {raw!r}") from None
+    print(f"# {name} from {variable} = {value}", file=sys.stderr)
+    return value
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -90,26 +97,6 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise ValueError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, casts[key](raw))
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = _env_int("MLOCALITY_SEED")
-    if env is not None:
-        print(f"# seed from MLOCALITY_SEED = {env}", file=sys.stderr)
-        return env
-    return DEFAULT_SEED
-
-
-def _resolve_workers(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    env = _env_int("MLOCALITY_WORKERS")
-    if env is not None:
-        print(f"# workers from MLOCALITY_WORKERS = {env}", file=sys.stderr)
-        return env
-    return 1
 
 
 def _optimizer_config(args: argparse.Namespace, seed: int) -> OptimizerConfig:
@@ -176,8 +163,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    workers = _resolve_workers(args)
+    seed = _flag_or_env(args, "seed", DEFAULT_SEED)
+    workers = _flag_or_env(args, "workers", 1)
     samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
     expr = _expression(args)
     lines = [f"# certify n={args.n} m={args.m} samples={samples} seed={seed}"]
@@ -191,14 +178,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(json.dumps(exc.report, indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_FINDING
     lines.append(f"sampled_max = {sampled_max:.12g}")
-    verdict = deterministic_max <= 0 and sampled_max <= 1e-9
+    verdict = deterministic_max <= 0 and sampled_max <= CERT_TOL
     lines.append(f"bound_satisfied = {str(verdict).lower()}")
     _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK if verdict else EXIT_FINDING
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = _flag_or_env(args, "seed", DEFAULT_SEED)
     config = _optimizer_config(args, seed)
     result = find_threshold(args.n, args.m, args.family, config)
     _emit_threshold_results([result], args, seed)
@@ -206,8 +193,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    workers = _resolve_workers(args)
+    seed = _flag_or_env(args, "seed", DEFAULT_SEED)
+    workers = _flag_or_env(args, "workers", 1)
     config = _optimizer_config(args, seed)
     n_list = [int(x) for x in args.n_list.split(",")]
     if any(not 2 <= n for n in n_list):

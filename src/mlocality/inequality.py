@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,7 +116,11 @@ def tabulate_terms(terms: Sequence[Term]) -> TermTable:
 
 @dataclass(frozen=True)
 class BellExpression:
-    """A complete inequality expression; ``sum(term) <= 0`` is the claimed bound."""
+    """A complete inequality expression; ``sum(term) <= 0`` is the claimed bound.
+
+    The terms must be those of ``_canonical_terms(n, m, k_prime)`` in any
+    order, each exactly once.
+    """
 
     n: int
     m: int
@@ -125,39 +130,13 @@ class BellExpression:
     def __post_init__(self) -> None:
         _check_domain(self.n, self.m, self.k_prime)
         object.__setattr__(self, "terms", tuple(self.terms))
-        if any(t.n != self.n for t in self.terms):
-            raise DimensionMismatchError("every term must cover all n parties")
-        if len(set(self.terms)) != len(self.terms):
-            raise ValueError("duplicate terms in expression")
-        if len(self.terms) != term_count(self.n, self.m):
-            raise ValueError(
-                f"expected {term_count(self.n, self.m)} terms for (n={self.n}, m={self.m}), "
-                f"got {len(self.terms)}"
-            )
-
-        all_zero = "0" * self.n
-        positive = [t for t in self.terms if t.coefficient == +1]
-        if positive != [Term(+1, SETTING_A * self.n, all_zero)]:
-            raise ValueError("expression must contain exactly one +P(0...0|a...a) term")
-
-        single_b = [t for t in self.terms if t.coefficient == -1 and len(t.b_parties()) == 1]
-        if sorted(t.b_parties()[0] for t in single_b) != list(range(1, self.n + 1)) or any(
-            t.outcomes != all_zero for t in single_b
-        ):
-            raise ValueError("expression must contain one all-zero single-b term per party")
-
-        rest = [t for t in self.terms if t not in positive and t not in single_b]
-        subsets = set()
-        for t in rest:
-            b_set = set(t.b_parties())
-            if self.k_prime not in b_set or len(b_set) != self.m:
-                raise ValueError(f"unexpected b-setting pattern in term {t}")
-            expected = "".join("1" if k + 1 in b_set else "0" for k in range(self.n))
-            if t.outcomes != expected:
-                raise ValueError(f"outcomes of term {t} do not mark its b-set")
-            subsets.add(frozenset(b_set - {self.k_prime}))
-        if len(subsets) != math.comb(self.n - 1, self.m - 1):
-            raise ValueError("second-sum terms must enumerate all (m-1)-subsets exactly once")
+        canonical = Counter(_canonical_terms(self.n, self.m, self.k_prime))
+        given = Counter(self.terms)
+        if given != canonical:
+            missing = canonical - given
+            what = "missing" if missing else "unexpected"
+            term = next(iter(missing or given - canonical))
+            raise ValueError(f"(n={self.n}, m={self.m}, k'={self.k_prime}) expression: {what} term {term}")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -177,13 +156,9 @@ def term_count(n: int, m: int) -> int:
     return 1 + n + math.comb(n - 1, m - 1)
 
 
-def build_hierarchy_inequality(n: int, m: int, k_prime: int = 1) -> BellExpression:
-    """Construct the inequality for ``n`` parties at locality depth ``m``.
-
-    Term order is fixed: the positive term, then single-``b`` terms by party,
-    then the second-sum terms in lexicographic order of their subset of
-    ``I \\ {k'}``.  The order is part of the serialization contract.
-    """
+@lru_cache(maxsize=128)
+def _canonical_terms(n: int, m: int, k_prime: int) -> tuple[Term, ...]:
+    """The terms of the (n, m, k') expression in their serialization order."""
     _check_domain(n, m, k_prime)
     all_zero = "0" * n
     terms = [Term(+1, SETTING_A * n, all_zero)]
@@ -196,7 +171,17 @@ def build_hierarchy_inequality(n: int, m: int, k_prime: int = 1) -> BellExpressi
         settings = "".join(SETTING_B if j in b_set else SETTING_A for j in range(1, n + 1))
         outcomes = "".join("1" if j in b_set else "0" for j in range(1, n + 1))
         terms.append(Term(-1, settings, outcomes))
-    return BellExpression(n=n, m=m, k_prime=k_prime, terms=tuple(terms))
+    return tuple(terms)
+
+
+def build_hierarchy_inequality(n: int, m: int, k_prime: int = 1) -> BellExpression:
+    """Construct the inequality for ``n`` parties at locality depth ``m``.
+
+    Term order is fixed: the positive term, then single-``b`` terms by party,
+    then the second-sum terms in lexicographic order of their subset of
+    ``I \\ {k'}``.  The order is part of the serialization contract.
+    """
+    return BellExpression(n=n, m=m, k_prime=k_prime, terms=_canonical_terms(n, m, k_prime))
 
 
 def serialize_expression(expr: BellExpression, format: str = "structured") -> bytes:
@@ -212,7 +197,7 @@ def serialize_expression(expr: BellExpression, format: str = "structured") -> by
             ],
         }
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    if format in ("text", "human-text"):
+    if format == "text":
         lines = [f"# Bell-type inequality: n={expr.n}, m={expr.m}, k'={expr.k_prime}"]
         lines.extend(str(t) for t in expr.terms)
         lines.append("<= 0")

@@ -1,6 +1,13 @@
-"""Classical side of the hierarchy: deterministic strategies, set partitions,
+"""Classical side of the hierarchy: the deterministic bound, set partitions,
 nonsignaling block distributions, and numerical certification of the m-local
 bound.
+
+The deterministic bound is found by counting response types.  Whether a
+term fires under a deterministic strategy depends only on the response
+pair (out_a, out_b) of the distinguished party k' and on how many of the
+other parties hold each of the four pairs, so the maximum over the 4^n
+strategies is a maximum over the O(n^3) vectors of those counts (see
+`max_strategy_lhs`).
 
 A conditional distribution over a block of parties is stored as a dense
 table P(r|M) with one row per setting combination and one column per outcome
@@ -14,7 +21,6 @@ internal seed, so all sampling is reproducible given the caller's seed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,10 +29,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._bits import bit_extract_map, index_to_bits, insert_bit, outcomes_to_index, settings_to_index
+from ._bits import bit_extract_map, insert_bit, outcomes_to_index, settings_to_index
 from .inequality import (
-    SETTING_A,
-    SETTING_B,
     BellExpression,
     DimensionMismatchError,
     ParameterDomainError,
@@ -38,7 +42,7 @@ from .simplex import solve_lp_max
 NS_TOL = 1e-9
 CLAMP_TOL = -1e-12
 CERT_TOL = 1e-9
-STRATEGY_MAX_PARTIES = 12
+CERTIFY_MAX_PARTIES = 12
 VERTEX_MAX_BLOCK = 3
 
 _POOL_SEED = 331190
@@ -62,79 +66,56 @@ class CertificationError(RuntimeError):
 # Deterministic strategies
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Per-party response table: (outcome under a, outcome under b)."""
+def max_strategy_lhs(expr: BellExpression) -> int:
+    """Exact maximum of the LHS over all 4^n deterministic strategies.
 
-    responses: tuple[tuple[int, int], ...]
-
-    def outcome(self, position: int, setting: str) -> int:
-        pair = self.responses[position]
-        return pair[0] if setting == SETTING_A else pair[1]
-
-    @property
-    def n(self) -> int:
-        return len(self.responses)
-
-
-def enumerate_strategies(n: int) -> Iterator[DeterministicStrategy]:
-    """All 4^n deterministic local strategies, guarded at n <= 12."""
-    if not 1 <= n <= STRATEGY_MAX_PARTIES:
-        raise ParameterDomainError(
-            f"strategy enumeration supports 1 <= n <= {STRATEGY_MAX_PARTIES}, got n={n}"
-        )
-    for combo in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n):
-        yield DeterministicStrategy(combo)
-
-
-def strategy_lhs(expr: BellExpression, strategy: DeterministicStrategy) -> int:
-    """LHS under a deterministic strategy; every term probability is 0 or 1."""
-    n = expr.n
-    if strategy.n != n:
-        raise DimensionMismatchError(f"strategy has {strategy.n} parties, expression {n}")
-    total = 0
-    for t in expr.terms:
-        if all(strategy.outcome(k, t.settings[k]) == int(t.outcomes[k]) for k in range(n)):
-            total += t.coefficient
-    return total
-
-
-def max_strategy_lhs(expr: BellExpression, chunk: int = 1 << 18) -> int:
-    """Exact max of strategy_lhs over all 4^n strategies (vectorized sweep).
-
-    Strategies are encoded as base-4 digit strings, one digit (2*out_a +
-    out_b) per party; the sweep is chunked to bound memory at large n.
+    A deterministic strategy gives every party a response pair (out_a,
+    out_b), and whether a term fires depends only on the pair of k' and on
+    how many of the other parties hold each pair (see `_response_type_lhs`).
+    The maximum thus runs over k''s 4 pairs and the O(n^3) vectors of those
+    counts instead of the 4^n strategies, for any n.  The count is exact for
+    every expression, since `BellExpression` accepts only the canonical terms
+    of its (n, m, k').
     """
-    n = expr.n
-    if n > STRATEGY_MAX_PARTIES:
-        raise ParameterDomainError(
-            f"strategy enumeration supports n <= {STRATEGY_MAX_PARTIES}, got n={n}"
-        )
-    digit_ok = []
-    for t in expr.terms:
-        per_party = []
-        for k in range(n):
-            o = int(t.outcomes[k])
-            if t.settings[k] == SETTING_A:
-                per_party.append(np.array([(d >> 1) == o for d in range(4)]))
-            else:
-                per_party.append(np.array([(d & 1) == o for d in range(4)]))
-        digit_ok.append(per_party)
+    return _response_count_max(expr.n, expr.m)
 
-    best = None
-    total = 4**n
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = [(idx // 4 ** (n - 1 - k)) % 4 for k in range(n)]
-        acc = np.zeros(idx.size, dtype=np.int32)
-        for t, per_party in zip(expr.terms, digit_ok):
-            match = per_party[0][digits[0]].copy()
-            for k in range(1, n):
-                match &= per_party[k][digits[k]]
-            acc += t.coefficient * match
-        top = int(acc.max())
-        best = top if best is None else max(best, top)
-    return best
+
+def _response_count_max(n: int, m: int) -> int:
+    """max_strategy_lhs from (n, m) alone, also where the terms are too many to build."""
+    others = n - 1
+    return max(
+        _response_type_lhs(m, alpha, beta, others - c01 - c10 - c11, c01, c10, c11)
+        for c10 in range(others + 1)
+        for c11 in range(others - c10 + 1)
+        for c01 in range(others - c10 - c11 + 1)
+        for alpha in (0, 1)
+        for beta in (0, 1)
+    )
+
+
+def _response_type_lhs(m: int, alpha: int, beta: int, c00: int, c01: int, c10: int, c11: int) -> int:
+    """LHS of a deterministic strategy in which k' answers (alpha, beta) and
+    c_xy of the other parties answer x under a and y under b.
+
+    * ``+P(0...0|a...a)`` fires iff alpha = 0 and c10 + c11 = 0;
+    * the single-b term of k' fires iff beta = 0 and c10 + c11 = 0;
+    * when alpha = 0 and c11 = 0, the single-b terms of the other parties
+      fire c00 times if c10 = 0, once if c10 = 1 and never if c10 >= 2;
+    * when beta = 1, c10 = 0 and c11 <= m-1, the second-sum terms fire
+      whose subset holds every (1, 1) party and m-1-c11 of the (0, 1)
+      parties: C(c01, m-1-c11) of them.
+    """
+    a_all_zero = int(c10 + c11 == 0)
+    value = 0
+    if alpha == 0:
+        value += a_all_zero
+        if c11 == 0:
+            value -= c00 if c10 == 0 else int(c10 == 1)
+    if beta == 0:
+        value -= a_all_zero
+    elif c10 == 0 and c11 <= m - 1:
+        value -= math.comb(c01, m - 1 - c11)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +220,7 @@ class ConditionalDistribution:
         return ConditionalDistribution(tuple(parties), self.table)
 
 
-def check_nonsignaling(dist: ConditionalDistribution, tol: float = NS_TOL) -> tuple[bool, float]:
+def check_nonsignaling(dist: ConditionalDistribution) -> tuple[bool, float]:
     """Whether each party's removal leaves marginals independent of its setting.
 
     Returns (verdict, worst marginal deviation); vacuously true for one party.
@@ -253,7 +234,7 @@ def check_nonsignaling(dist: ConditionalDistribution, tol: float = NS_TOL) -> tu
         marg = t.sum(axis=s + j)
         diff = np.abs(np.take(marg, 0, axis=j) - np.take(marg, 1, axis=j))
         worst = max(worst, float(diff.max()))
-    return worst <= tol, worst
+    return worst <= NS_TOL, worst
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +351,18 @@ def _draw_table(size: int, rng) -> np.ndarray:
     return _product_table(groups, tables, size)
 
 
-def sample_nonsignaling_block(size: int, rng, mixture: bool = True) -> ConditionalDistribution:
+def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
     """Random nonsignaling distribution on `size` parties (labeled 1..size).
 
     Draws polytope vertices for blocks up to size 3; larger blocks are
     products of sub-block vertices (nonsignaling is closed under products).
-    With `mixture`, convex combinations of up to three draws are emitted so
-    the interior of the polytope is exercised too.
+    Convex combinations of up to three draws are emitted so the interior of
+    the polytope is exercised too.
     """
     if size < 1:
         raise ParameterDomainError(f"block size must be positive, got {size}")
     rng = np.random.default_rng(rng)
-    k = int(rng.integers(1, 4)) if mixture else 1
+    k = int(rng.integers(1, 4))
     table = _draw_table(size, rng)
     if k > 1:
         weights = rng.dirichlet(np.ones(k))
@@ -429,19 +410,6 @@ def distribution_lhs(expr: BellExpression, dist: ConditionalDistribution) -> flo
         m_idx, r_idx = _term_index(t)
         total += t.coefficient * table[m_idx, r_idx]
     return total
-
-
-def strategy_distribution(strategy: DeterministicStrategy) -> ConditionalDistribution:
-    """Indicator behavior of a deterministic strategy (full n-party table)."""
-    n = strategy.n
-    dim = 1 << n
-    table = np.zeros((dim, dim))
-    for m_idx in range(dim):
-        r_idx = 0
-        for k, bit in enumerate(index_to_bits(m_idx, n)):
-            r_idx = (r_idx << 1) | strategy.outcome(k, SETTING_B if bit else SETTING_A)
-        table[m_idx, r_idx] = 1.0
-    return ConditionalDistribution(tuple(range(1, n + 1)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +474,11 @@ def certify_m_local_bound(
     pool when workers > 1, with a fixed reduction order, so the outcome is
     reproducible regardless of worker count.
     """
+    if expr.n > CERTIFY_MAX_PARTIES:
+        raise ParameterDomainError(
+            f"sampled certification builds 2^n x 2^n tables, so it supports "
+            f"n <= {CERTIFY_MAX_PARTIES}, got n={expr.n}"
+        )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if workers <= 1:

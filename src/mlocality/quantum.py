@@ -50,6 +50,8 @@ from .lhv import ConditionalDistribution
 NORM_TOL = 1e-12
 DENSE_ORACLE_MAX_PARTIES = 8
 
+_BATCH_ELEMENTS = 1 << 20  # array entries per chunk of gathered factors, about 8 MB of float64
+
 
 @dataclass
 class StateVector:
@@ -180,12 +182,19 @@ def _term_amplitudes(table: TermTable, psi: StateVector, pairs: np.ndarray) -> n
     state z is the component, picked by the party's bit of z, of the
     party's vector for its setting and outcome in t.  The factors are
     gathered over the support of psi, multiplied across parties and summed
-    against the amplitudes.  Returns shape (..., T).
+    against the amplitudes.  The terms are taken in chunks that keep the
+    gathered factors within _BATCH_ELEMENTS entries.  Returns shape (..., T).
     """
     bits, amplitudes = psi.support
     vectors = (pairs @ _OUTCOME_VECTORS).reshape(pairs.shape[:-3] + (-1, 2))
-    factors = vectors[..., table.slots[:, None, :], bits]
-    return factors.prod(axis=-1) @ amplitudes
+    slots = table.slots[:, None, :]
+    per_term = bits.size * pairs.size // (4 * psi.n)  # factor entries per term; pairs holds 4n a point
+    if per_term * len(slots) <= _BATCH_ELEMENTS:
+        return vectors[..., slots, bits].prod(axis=-1) @ amplitudes
+    step = max(1, _BATCH_ELEMENTS // per_term)
+    parts = [vectors[..., slots[i : i + step], bits].prod(axis=-1) @ amplitudes
+             for i in range(0, len(slots), step)]
+    return np.concatenate(parts, axis=-1)
 
 
 def _lhs_values(expr: BellExpression, state: NoisyState, theta: np.ndarray) -> np.ndarray:

@@ -29,12 +29,10 @@ import numpy as np
 
 from .inequality import BellExpression, DimensionMismatchError, build_hierarchy_inequality
 from .quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, mixed_state_lhs
-from .quantum import _half_angle_pairs, _lhs_values, _term_amplitudes, ghz_state, w_state
+from .quantum import _BATCH_ELEMENTS, _half_angle_pairs, _lhs_values, _term_amplitudes, ghz_state, w_state
 
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
-
-_BATCH_ELEMENTS = 1 << 20  # array entries per grid chunk, about 8 MB of float64
 
 
 class NoViolationError(RuntimeError):

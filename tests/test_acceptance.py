@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from mlocality.inequality import build_hierarchy_inequality, term_count
-from mlocality.lhv import (
-    certify_m_local_bound,
-    distribution_lhs,
-    enumerate_strategies,
-    max_strategy_lhs,
-    strategy_lhs,
-)
+from mlocality.lhv import certify_m_local_bound, distribution_lhs, max_strategy_lhs
 from mlocality.quantum import (
     MeasurementAngles,
     NoisyState,
@@ -31,6 +25,7 @@ from mlocality.quantum import (
     w_state,
 )
 from mlocality.search import exhaustive_symmetric_max, find_threshold, maximize_violation
+from oracles import enumerate_strategies, strategy_lhs
 
 # Reference visibility thresholds for the noisy GHZ and W families
 # (independently reproduced numerical-search values).

@@ -266,3 +266,10 @@ class TestConfigAndEnvironment:
                                     "--seed", "5"])
         assert code == 0
         assert "seed=5" in out
+
+    @pytest.mark.parametrize("variable", ["MLOCALITY_SEED", "MLOCALITY_WORKERS"])
+    def test_malformed_env_integer_is_a_usage_error(self, capsys, monkeypatch, variable):
+        monkeypatch.setenv(variable, "four")
+        code, _, err = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "10"])
+        assert code == 2
+        assert variable in err

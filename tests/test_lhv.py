@@ -1,4 +1,4 @@
-"""Tests for strategies, partitions, nonsignaling sampling, and certification."""
+"""Tests for the deterministic bound, partitions, nonsignaling sampling, and certification."""
 
 import json
 import math
@@ -11,21 +11,24 @@ from mlocality.inequality import ParameterDomainError, build_hierarchy_inequalit
 from mlocality.lhv import (
     CertificationError,
     ConditionalDistribution,
-    DeterministicStrategy,
     Partition,
     PartitionMismatchError,
     certify_m_local_bound,
     check_nonsignaling,
     distribution_lhs,
     enumerate_partitions,
-    enumerate_strategies,
     max_strategy_lhs,
     nonsignaling_vertex_pool,
     product_distribution,
     sample_nonsignaling_block,
     sample_nonsignaling_vertex,
+)
+from oracles import (
+    DeterministicStrategy,
+    enumerate_strategies,
     strategy_distribution,
     strategy_lhs,
+    sweep_max_strategy_lhs,
 )
 
 
@@ -89,6 +92,30 @@ class TestStrategies:
             expr = build_hierarchy_inequality(n, m, 1)
             loop_max = max(strategy_lhs(expr, s) for s in enumerate_strategies(n))
             assert max_strategy_lhs(expr) == loop_max
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_count_equals_sweep_oracle(self, n):
+        for m in range(2, n + 1):
+            for k_prime in {1, n}:
+                expr = build_hierarchy_inequality(n, m, k_prime)
+                assert max_strategy_lhs(expr) == sweep_max_strategy_lhs(expr), (n, m, k_prime)
+
+    @pytest.mark.parametrize("n,k_prime", [(n, k) for n in range(2, 7) for k in sorted({1, n})])
+    def test_response_type_lhs_equals_each_strategy(self, n, k_prime):
+        exprs = [build_hierarchy_inequality(n, m, k_prime) for m in range(2, n + 1)]
+        for s in enumerate_strategies(n):
+            others = s.responses[: k_prime - 1] + s.responses[k_prime:]
+            counts = [others.count(pair) for pair in ((0, 0), (0, 1), (1, 0), (1, 1))]
+            for expr in exprs:
+                got = lhv._response_type_lhs(expr.m, *s.responses[k_prime - 1], *counts)
+                assert got == strategy_lhs(expr, s), (s, expr.m)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_count_is_zero_at_large_n(self, n):
+        for m in (2, n):
+            assert max_strategy_lhs(build_hierarchy_inequality(n, m, 1)) == 0
+        # m = n//2 has 10^13 terms or more, too many to build; the count needs only (n, m)
+        assert lhv._response_count_max(n, n // 2) == 0
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_indicator_distribution_matches_strategy_exhaustively(self, n):
@@ -310,7 +337,7 @@ class TestCertification:
     def test_violating_sampler_triggers_failure_dump(self, monkeypatch):
         # signaling block: outputs all ones as soon as any of its parties
         # measures b, otherwise all zeros
-        def rigged(size, rng, mixture=True):
+        def rigged(size, rng):
             dim = 2**size
             t = np.zeros((dim, dim))
             for m_idx in range(dim):
@@ -328,6 +355,13 @@ class TestCertification:
         assert {p for b in report["partition"] for p in b} == {1, 2, 3, 4}
         assert len(report["blocks"]) == 2
         json.dumps(report)  # must be serializable as-is
+
+    def test_size_guard(self, monkeypatch):
+        # the sampler builds 2^n x 2^n tables, so the guard fires before sampling starts
+        monkeypatch.setattr(lhv, "_certify_range", lambda *args: pytest.fail("sampling started"))
+        expr = build_hierarchy_inequality(13, 2, 1)
+        with pytest.raises(ParameterDomainError):
+            certify_m_local_bound(expr, 1, rng_seed=1)
 
     def test_sample_count_validation(self):
         expr = build_hierarchy_inequality(3, 2, 1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlocality.inequality import (
+    BellExpression,
     Term,
     build_hierarchy_inequality,
     parse_expression,
@@ -98,3 +99,52 @@ def test_serialize_parse_round_trip(case):
     again = parse_expression(data)
     assert again == expr
     assert serialize_expression(again) == data
+
+
+def _flip(text, position, alphabet):
+    """text with the character at position replaced by the other letter of alphabet."""
+    return text[:position] + alphabet[1 - alphabet.index(text[position])] + text[position + 1 :]
+
+
+@st.composite
+def broken_term_tuples(draw):
+    """Canonical terms with one term dropped, duplicated, sign-flipped or
+    with one settings or outcomes character flipped, in a random order."""
+    n, m, k_prime = draw(hierarchy_parameters())
+    terms = list(build_hierarchy_inequality(n, m, k_prime).terms)
+    i = draw(st.integers(0, len(terms) - 1))
+    k = draw(st.integers(0, n - 1))
+    t = terms[i]
+    kind = draw(st.sampled_from(["drop", "duplicate", "sign", "setting", "outcome"]))
+    if kind == "drop":
+        del terms[i]
+    elif kind == "duplicate":
+        terms.append(t)
+    elif kind == "sign":
+        terms[i] = Term(-t.coefficient, t.settings, t.outcomes)
+    elif kind == "setting":
+        terms[i] = Term(t.coefficient, _flip(t.settings, k, "ab"), t.outcomes)
+    else:
+        terms[i] = Term(t.coefficient, t.settings, _flip(t.outcomes, k, "01"))
+    return n, m, k_prime, draw(st.permutations(terms))
+
+
+@st.composite
+def shuffled_canonical_terms(draw):
+    n, m, k_prime = draw(hierarchy_parameters())
+    return n, m, k_prime, draw(st.permutations(build_hierarchy_inequality(n, m, k_prime).terms))
+
+
+@settings(deadline=None, max_examples=100)
+@given(shuffled_canonical_terms())
+def test_any_order_of_the_canonical_terms_is_accepted(case):
+    n, m, k_prime, terms = case
+    assert BellExpression(n, m, k_prime, terms).terms == tuple(terms)
+
+
+@settings(deadline=None, max_examples=300)
+@given(broken_term_tuples())
+def test_one_broken_term_is_rejected(case):
+    n, m, k_prime, terms = case
+    with pytest.raises(ValueError, match="(missing|unexpected) term"):
+        BellExpression(n, m, k_prime, terms)

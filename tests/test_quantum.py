@@ -11,6 +11,7 @@ from mlocality.inequality import (
     Term,
     build_hierarchy_inequality,
 )
+import mlocality.quantum as quantum
 from mlocality.lhv import check_nonsignaling, distribution_lhs
 from mlocality.quantum import (
     MeasurementAngles,
@@ -28,6 +29,7 @@ from mlocality.quantum import (
     term_probability,
     w_state,
 )
+from mlocality.search import exhaustive_symmetric_max
 
 
 def random_state(n, rng):
@@ -189,6 +191,21 @@ class TestEvaluateLhs:
             p_expr = type(expr)(n, m, new_k, p_terms)
             value = evaluate_lhs(p_expr, NoisyState(p_psi, 0.9), p_angles)
             assert value == pytest.approx(reference, abs=1e-12)
+
+    def test_term_chunks_equal_one_gather(self, monkeypatch):
+        # a cap of a few entries puts every term in a chunk of its own
+        rng = np.random.default_rng(59)
+        n = 5
+        state = NoisyState(random_state(n, rng), 0.8)
+        angles = random_angles(n, rng)
+        exprs = [build_hierarchy_inequality(n, m, 1) for m in range(2, n + 1)]
+        whole = [evaluate_lhs(expr, state, angles) for expr in exprs]
+        grid_whole, _ = exhaustive_symmetric_max(exprs[1], state, 6)
+        monkeypatch.setattr(quantum, "_BATCH_ELEMENTS", 7)
+        chunked = [evaluate_lhs(expr, state, angles) for expr in exprs]
+        grid_chunked, _ = exhaustive_symmetric_max(exprs[1], state, 6)
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+        assert grid_chunked == pytest.approx(grid_whole, abs=1e-12)
 
 
 class TestDenseOracle:
