@@ -6,10 +6,11 @@ success, 1 for findings (a certification failure or no violation at p=1),
 
 A flat key=value config file (--config) supplies defaults; explicit flags
 override it.  MLOCALITY_SEED and MLOCALITY_WORKERS environment variables
-override built-in defaults for the seed and worker count (flags still win);
-every randomized command logs the seed it used.  threshold and table also
-take --seed, but their search is deterministic: the seed is only recorded
-in the output and does not change the results.
+override built-in defaults for the seed and for certify's worker count
+(flags still win); every randomized command logs the seed it used.
+threshold and table also take --seed, but their search is deterministic:
+the seed is only recorded in the output and does not change the results.
+table computes its cells one after another in one process.
 """
 
 from __future__ import annotations
@@ -194,12 +195,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     seed = _flag_or_env(args, "seed", DEFAULT_SEED)
-    workers = _flag_or_env(args, "workers", 1)
     config = _optimizer_config(args, seed)
     n_list = [int(x) for x in args.n_list.split(",")]
     if any(not 2 <= n for n in n_list):
         raise ParameterDomainError(f"party counts must be >= 2, got {n_list}")
-    results = reproduce_table(args.family, n_list, config, workers=workers)
+    results = reproduce_table(args.family, n_list, config)
     _emit_threshold_results(results, args, seed)
     return EXIT_OK
 
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, required=True)
         else:
             p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated party counts")
-            p.add_argument("--workers", type=int)
         p.add_argument("--family", required=True, help="ghz or w")
         p.add_argument("--seed", type=int, help="only recorded; the search is deterministic")
         p.add_argument("--grid-resolution", dest="grid_resolution", type=int)

@@ -38,6 +38,10 @@ SETTING_B = "b"
 SETTINGS = (SETTING_A, SETTING_B)
 OUTCOMES = ("0", "1")
 
+# Most terms an expression is built with.  n=20, m=10 (92,399 terms) fits;
+# n=60, m=30 (5.9e16 terms) would exhaust memory and is refused up front.
+MAX_TERMS = 100_000
+
 
 class ParameterDomainError(ValueError):
     """Parameters (n, m, k') outside the valid domain, or a size guard hit."""
@@ -158,8 +162,17 @@ def term_count(n: int, m: int) -> int:
 
 @lru_cache(maxsize=128)
 def _canonical_terms(n: int, m: int, k_prime: int) -> tuple[Term, ...]:
-    """The terms of the (n, m, k') expression in their serialization order."""
+    """The terms of the (n, m, k') expression in their serialization order.
+
+    Raises ParameterDomainError, before any term is made, when there would
+    be more than MAX_TERMS of them.
+    """
     _check_domain(n, m, k_prime)
+    count = term_count(n, m)
+    if count > MAX_TERMS:
+        raise ParameterDomainError(
+            f"the (n={n}, m={m}) expression has {count} terms, more than the {MAX_TERMS} that are built"
+        )
     all_zero = "0" * n
     terms = [Term(+1, SETTING_A * n, all_zero)]
     for k in range(1, n + 1):

@@ -73,24 +73,37 @@ def max_strategy_lhs(expr: BellExpression) -> int:
     out_b), and whether a term fires depends only on the pair of k' and on
     how many of the other parties hold each pair (see `_response_type_lhs`).
     The maximum thus runs over k''s 4 pairs and the O(n^3) vectors of those
-    counts instead of the 4^n strategies, for any n.  The count is exact for
-    every expression, since `BellExpression` accepts only the canonical terms
-    of its (n, m, k').
+    counts instead of the 4^n strategies, for any n; all but O(n^2) of the
+    vectors are known to give 0 (see `_response_count_max`).  The count is
+    exact for every expression, since `BellExpression` accepts only the
+    canonical terms of its (n, m, k').
     """
     return _response_count_max(expr.n, expr.m)
 
 
 def _response_count_max(n: int, m: int) -> int:
-    """max_strategy_lhs from (n, m) alone, also where the terms are too many to build."""
+    """max_strategy_lhs from (n, m) alone, also where the terms are too many to build.
+
+    alpha and beta enter separate rules of `_response_type_lhs`, so the LHS
+    is a part that reads alpha plus a part that reads beta, and each is
+    maximized on its own for every count vector.  No term fires when
+    c10 >= 2, so every such vector gives exactly 0 and only c10 <= 1 is run
+    through the rules.
+    """
     others = n - 1
-    return max(
-        _response_type_lhs(m, alpha, beta, others - c01 - c10 - c11, c01, c10, c11)
-        for c10 in range(others + 1)
-        for c11 in range(others - c10 + 1)
-        for c01 in range(others - c10 - c11 + 1)
-        for alpha in (0, 1)
-        for beta in (0, 1)
-    )
+    best = 0 if others >= 2 else -math.inf  # the vectors with c10 >= 2, if any
+    for c10 in range(min(others, 1) + 1):
+        for c11 in range(others - c10 + 1):
+            for c01 in range(others - c10 - c11 + 1):
+                counts = (others - c01 - c10 - c11, c01, c10, c11)
+                base = _response_type_lhs(m, 0, 0, *counts)
+                best = max(
+                    best,
+                    max(base, _response_type_lhs(m, 1, 0, *counts))
+                    + max(base, _response_type_lhs(m, 0, 1, *counts))
+                    - base,
+                )
+    return best
 
 
 def _response_type_lhs(m: int, alpha: int, beta: int, c00: int, c01: int, c10: int, c11: int) -> int:

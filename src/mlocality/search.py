@@ -8,8 +8,14 @@ with x, y the two party-1 angles, and the maximum over (x, y) is separable.
 Each half is a quadratic form in (cos(x/2), sin(x/2)) whose coefficients
 come from the term amplitudes with party 1 left open, so the grid costs one
 kernel call per chunk of (a, b) points plus one small matrix product over
-all x.  The coarse grid of the non-symmetric search and every refinement
-step evaluate the LHS through the same kernel in the quantum module.
+all x.
+
+The best grid cells are then refined by a compass search run on all
+restarts in lockstep: each round gathers the +/-step polls of every restart
+still refining and evaluates them in one batched call of the quantum
+module's kernel, taken in chunks of points that bound its memory.  The
+symmetric search maps its 4 angles, the non-symmetric one its 2n angles,
+onto the kernel's (points, 2, n) angle array, so both take the same path.
 
 For fixed angles the LHS is affine in the visibility p,
 LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
@@ -21,14 +27,13 @@ p* = C/(C - Q*), with Q* the optimum at p=1: one optimization per cell.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .inequality import BellExpression, DimensionMismatchError, build_hierarchy_inequality
-from .quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, mixed_state_lhs
+from .quantum import MeasurementAngles, NoisyState, StateVector, mixed_state_lhs
 from .quantum import _BATCH_ELEMENTS, _half_angle_pairs, _lhs_values, _term_amplitudes, ghz_state, w_state
 
 VIOLATION_TOL = 1e-9
@@ -189,31 +194,47 @@ def exhaustive_symmetric_max(
 # Derivative-free refinement
 
 
-def compass_search(fn, start: Sequence[float], step: float, tol: float, max_rounds: int):
-    """Coordinate pattern search maximizing fn over angles (wrapped mod 2*pi).
+def compass_search(fn, starts, step: float, tol: float, max_rounds: int):
+    """Coordinate pattern search maximizing fn from many starts in lockstep (angles wrapped mod 2*pi).
 
-    Each round polls +/-step along every coordinate and moves to the best
-    improving point; a round with no improvement halves the step.  Stops
-    when the step drops below tol or the round budget is exhausted.
+    fn maps a (points, d) array to the (points,) values there; starts has
+    shape (restarts, d).  Each round polls +/-step along every coordinate of
+    every restart still refining, all in one fn call, and moves each
+    restart to its best poll if that improves on it (the first best poll,
+    coordinate by coordinate and + before -, wins a tie); a restart with no
+    improving poll halves its step.  A restart stops when its step drops
+    below tol, and all stop after max_rounds rounds: every restart still
+    refining has taken part in every round, so that is its own round count
+    too.  Returns the end points and their values.
     """
-    x = np.asarray(start, dtype=float) % TWO_PI
+    x = np.array(starts, dtype=float) % TWO_PI
     fx = fn(x)
-    rounds = 0
-    while step >= tol and rounds < max_rounds:
-        rounds += 1
-        best_f, best_x = fx, None
-        for d in range(x.size):
-            for sign in (1.0, -1.0):
-                y = x.copy()
-                y[d] = (y[d] + sign * step) % TWO_PI
-                fy = fn(y)
-                if fy > best_f:
-                    best_f, best_x = fy, y
-        if best_x is None:
-            step *= 0.5
-        else:
-            x, fx = best_x, best_f
+    dims = x.shape[1]
+    steps = np.full(len(x), float(step))
+    polls = np.arange(2 * dims)
+    coord, sign = polls // 2, np.where(polls % 2 == 0, 1.0, -1.0)
+    for _ in range(max_rounds):
+        live = np.flatnonzero(steps >= tol)
+        if not live.size:
+            break
+        # only the polled coordinate is moved and wrapped, the others are copied
+        y = np.repeat(x[live, None, :], 2 * dims, axis=1)
+        y[:, polls, coord] = (x[live][:, coord] + sign * steps[live, None]) % TWO_PI
+        fy = fn(y.reshape(-1, dims)).reshape(len(live), 2 * dims)
+        best = fy.argmax(axis=1)
+        best_f = fy[np.arange(len(live)), best]
+        moved = best_f > fx[live]
+        x[live[moved]] = y[moved, best[moved]]
+        fx[live[moved]] = best_f[moved]
+        steps[live[~moved]] *= 0.5
     return x, fx
+
+
+def _lhs_batch(expr: BellExpression, state: NoisyState, theta: np.ndarray) -> np.ndarray:
+    """LHS at a (points, 2, n) angle array, in chunks of points that keep the gathered factors small."""
+    width = expr.table.slots.size * len(state.psi.support[1])
+    parts = _chunks(len(theta), width)
+    return np.concatenate([_lhs_values(expr, state, theta[part]) for part in parts])
 
 
 def _full_grid(
@@ -222,10 +243,7 @@ def _full_grid(
     """Every point of the product grid over all 2n angles, theta_a then theta_b, and the LHS there."""
     dims = 2 * expr.n
     points = np.indices((resolution,) * dims).reshape(dims, -1).T * (TWO_PI / resolution)
-    theta = points.reshape(-1, 2, expr.n)
-    width = expr.table.slots.size * len(state.psi.support[1])
-    parts = _chunks(len(points), width)
-    return points, np.concatenate([_lhs_values(expr, state, theta[part]) for part in parts])
+    return points, _lhs_batch(expr, state, points.reshape(-1, 2, expr.n))
 
 
 def maximize_violation(
@@ -239,9 +257,13 @@ def maximize_violation(
 
     Returns (max LHS, angles); angles are SymmetricAngles when symmetric,
     otherwise MeasurementAngles over all 2n per-party angles.  Deterministic
-    given the configuration.  Coarse grid first, then compass refinement
-    from the best `restarts` grid cells (plus any extra starts); refinement
-    never returns less than the best coarse-grid point.
+    given the configuration.  Coarse grid first, then one lockstep compass
+    search refining the best `restarts` grid cells (plus any extra starts)
+    together.  A search point is the 4 symmetric angles or the 2n per-party
+    angles; `layout` places its coordinates in the kernel's (2, n) angle
+    array, so every round of polls is one batched evaluation.  The best end
+    point wins, ties going to the smaller angle tuple, and refinement never
+    returns less than the best coarse-grid point.
     """
     config = config or OptimizerConfig()
     if expr.n != state.n:
@@ -254,12 +276,11 @@ def maximize_violation(
         )
         starts = [c.as_tuple() for c in candidates] + [s.as_tuple() for s in extra_starts]
         step0 = TWO_PI / config.grid_resolution
+        # (theta_a1, theta_b1, theta_a_rest, theta_b_rest) -> rows theta_a, theta_b
+        layout = np.array([[0] + [2] * (n - 1), [1] + [3] * (n - 1)])
 
         def to_angles(vec: np.ndarray):
-            return SymmetricAngles(*vec)
-
-        def objective(vec: np.ndarray) -> float:
-            return evaluate_lhs(expr, state, to_angles(vec).expand(n))
+            return SymmetricAngles(*vec.tolist())
 
     else:
         dims = 2 * n
@@ -275,16 +296,17 @@ def maximize_violation(
             angles = s.expand(n) if isinstance(s, SymmetricAngles) else s
             starts.append(angles.theta_a + angles.theta_b)
         step0 = TWO_PI / resolution
+        layout = np.arange(dims).reshape(2, n)
 
         def to_angles(vec: np.ndarray):
             return MeasurementAngles(tuple(vec[:n]), tuple(vec[n:]))
 
-        def objective(vec: np.ndarray) -> float:
-            return evaluate_lhs(expr, state, to_angles(vec))
-
+    ends, values = compass_search(
+        lambda vecs: _lhs_batch(expr, state, vecs[:, layout]),
+        starts, step0, config.local_tolerance, config.refinement_rounds,
+    )
     best_val, best_vec = -np.inf, None
-    for s in starts:
-        x, fx = compass_search(objective, s, step0, config.local_tolerance, config.refinement_rounds)
+    for x, fx in zip(ends, values.tolist()):
         if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
             best_val, best_vec = fx, x
     return max(best_val, grid_best), to_angles(best_vec)
@@ -331,27 +353,13 @@ def find_threshold(
     )
 
 
-def _threshold_cell(args) -> ThresholdResult:
-    return find_threshold(*args)
-
-
 def reproduce_table(
     state_family: str,
     n_list: Sequence[int],
     config: OptimizerConfig | None = None,
-    workers: int = 1,
 ) -> list[ThresholdResult]:
-    """Thresholds p_i for every requested n, i = m-1 running over 1..n-1.
-
-    Cells are independent; with workers > 1 they are distributed over a
-    process pool and reduced in fixed cell order, so the output does not
-    depend on the worker count.
-    """
-    cells = [(n, m, state_family, config) for n in n_list for m in range(2, n + 1)]
-    if workers <= 1:
-        return [_threshold_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_threshold_cell, cells))
+    """Thresholds p_i for every requested n, i = m-1 running over 1..n-1."""
+    return [find_threshold(n, m, state_family, config) for n in n_list for m in range(2, n + 1)]
 
 
 def thresholds_to_csv(results: Sequence[ThresholdResult], seed: int) -> str:

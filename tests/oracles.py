@@ -1,13 +1,18 @@
-"""Test oracles for the classical bound: explicit deterministic strategies.
+"""Test oracles: explicit deterministic strategies and a one-start compass search.
 
-These enumerate the 4^n strategies one by one (or as one vectorized sweep)
-and so stay independent of the response-type count in
+The strategy oracles enumerate the 4^n strategies one by one (or as one
+vectorized sweep) and so stay independent of the response-type count in
 `mlocality.lhv.max_strategy_lhs`.  Enumeration is guarded at n <= 12.
+
+`sequential_compass_search` refines one start at a time, one poll per
+objective call, and so stays independent of the lockstep rounds of
+`mlocality.search.compass_search`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,6 +29,7 @@ from mlocality.inequality import (
 from mlocality.lhv import ConditionalDistribution
 
 STRATEGY_MAX_PARTIES = 12
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -112,3 +118,31 @@ def strategy_distribution(strategy: DeterministicStrategy) -> ConditionalDistrib
             r_idx = (r_idx << 1) | strategy.outcome(k, SETTING_B if bit else SETTING_A)
         table[m_idx, r_idx] = 1.0
     return ConditionalDistribution(tuple(range(1, n + 1)), table)
+
+
+def sequential_compass_search(fn, start, step: float, tol: float, max_rounds: int):
+    """Coordinate pattern search maximizing a scalar fn from one start (angles wrapped mod 2*pi).
+
+    Each round polls +/-step along every coordinate, one fn call per poll,
+    and moves to the best improving point; a round with no improvement
+    halves the step.  Stops when the step drops below tol or the round
+    budget is exhausted.
+    """
+    x = np.asarray(start, dtype=float) % TWO_PI
+    fx = fn(x)
+    rounds = 0
+    while step >= tol and rounds < max_rounds:
+        rounds += 1
+        best_f, best_x = fx, None
+        for d in range(x.size):
+            for sign in (1.0, -1.0):
+                y = x.copy()
+                y[d] = (y[d] + sign * step) % TWO_PI
+                fy = fn(y)
+                if fy > best_f:
+                    best_f, best_x = fy, y
+        if best_x is None:
+            step *= 0.5
+        else:
+            x, fx = best_x, best_f
+    return x, fx

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ class TestBuild:
         code, _, err = run(capsys, ["build", "--n", "1", "--m", "2"])
         assert code == 2
         assert "error" in err
+
+    def test_oversized_expression_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["build", "--n", "60", "--m", "30"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "terms" in err
 
     def test_m_larger_than_n(self, capsys):
         code, _, _ = run(capsys, ["threshold", "--family", "ghz", "--n", "4", "--m", "5"])
@@ -191,6 +200,13 @@ class TestThresholdAndTable:
     def test_bisection_tolerance_flag_is_rejected(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             cli.main(command + ["--family", "ghz", "--bisection-tolerance", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_table_workers_flag_is_rejected(self, capsys):
+        # table computes its cells in one process; only certify has workers
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--n-list", "2", "--family", "ghz", "--workers", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

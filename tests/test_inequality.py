@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import mlocality.inequality as inequality
 from mlocality.inequality import (
     OUTCOMES,
     SETTINGS,
@@ -44,6 +45,28 @@ class TestTermCount:
     def test_domain_errors(self, n, m):
         with pytest.raises(ParameterDomainError):
             term_count(n, m)
+
+
+class TestSizeGuard:
+    def test_oversized_expression_is_refused_before_building(self):
+        # C(59, 29) = 5.9e16 terms; building even a fraction would not finish
+        assert term_count(60, 30) > 5e16
+        with pytest.raises(ParameterDomainError, match="more than the 100000"):
+            build_hierarchy_inequality(60, 30, 1)
+        with pytest.raises(ParameterDomainError):
+            BellExpression(60, 30, 1, terms=())
+
+    def test_limit_counts_terms(self, monkeypatch):
+        monkeypatch.setattr(inequality, "MAX_TERMS", term_count(5, 3))
+        inequality._canonical_terms.cache_clear()
+        assert len(build_hierarchy_inequality(5, 3, 2)) == 12
+        with pytest.raises(ParameterDomainError):
+            build_hierarchy_inequality(6, 3, 2)  # 17 terms
+        inequality._canonical_terms.cache_clear()
+
+    def test_sizes_in_use_are_below_the_limit(self):
+        assert term_count(200, 2) == 400
+        assert term_count(20, 10) <= inequality.MAX_TERMS
 
 
 class TestBuildExpression:

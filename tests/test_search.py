@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mlocality.search as search
+from oracles import sequential_compass_search
 from mlocality.inequality import build_hierarchy_inequality
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state
 from mlocality.search import (
@@ -134,22 +135,229 @@ class TestCompassSearch:
         target = np.array([1.0, 2.5])
 
         def fn(x):
-            return -np.sum((x - target) ** 2)
+            return -np.sum((x - target) ** 2, axis=-1)
 
-        x, fx = compass_search(fn, [0.5, 2.0], step=0.5, tol=1e-8, max_rounds=500)
-        assert np.allclose(x, target, atol=1e-6)
-        assert fx == pytest.approx(0.0, abs=1e-10)
+        x, fx = compass_search(fn, [[0.5, 2.0]], step=0.5, tol=1e-8, max_rounds=500)
+        assert np.allclose(x[0], target, atol=1e-6)
+        assert fx[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_never_worse_than_start(self):
         rng = np.random.default_rng(3)
 
         def fn(x):
-            return float(np.cos(x).sum())
+            return np.cos(x).sum(axis=-1)
 
-        for _ in range(10):
-            start = rng.uniform(0, 2 * np.pi, 3)
-            _, fx = compass_search(fn, start, step=0.3, tol=1e-4, max_rounds=100)
-            assert fx >= fn(start % (2 * np.pi)) - 1e-15
+        starts = rng.uniform(0, 2 * np.pi, (10, 3))
+        _, fx = compass_search(fn, starts, step=0.3, tol=1e-4, max_rounds=100)
+        assert np.all(fx >= fn(starts % (2 * np.pi)) - 1e-15)
+
+
+def smooth_objective(seed, dims):
+    """A random trigonometric objective on (..., dims) points, the same row by row."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, (3, dims))
+    phases = rng.uniform(0, 2 * np.pi, (3, dims))
+
+    def fn(x):
+        x = np.asarray(x)[..., None, :]
+        return (weights * np.cos(np.arange(1, 4)[:, None] * x - phases)).sum(axis=(-2, -1))
+
+    return fn
+
+
+def oracle_runs(fn, starts, step, tol, max_rounds):
+    """End points and values of the sequential oracle, one start after another."""
+    runs = [sequential_compass_search(lambda v: float(fn(v)), s, step, tol, max_rounds) for s in starts]
+    return np.array([x for x, _ in runs]), np.array([fx for _, fx in runs])
+
+
+class TestLockstepEqualsOracle:
+    """The lockstep search refines every start exactly as the one-start oracle does."""
+
+    @pytest.mark.parametrize("max_rounds", [200, 1], ids=["converged", "budget-1"])
+    def test_smooth_random_objective(self, max_rounds):
+        fn = smooth_objective(61, 3)
+        starts = np.random.default_rng(62).uniform(-1.0, 8.0, (6, 3))  # some outside [0, 2*pi)
+        x, fx = compass_search(fn, starts, step=0.5, tol=1e-6, max_rounds=max_rounds)
+        ox, ofx = oracle_runs(fn, starts, 0.5, 1e-6, max_rounds)
+        np.testing.assert_array_equal(x, ox)
+        np.testing.assert_array_equal(fx, ofx)
+
+    def test_starts_stop_on_their_own(self):
+        # starts converge after different round counts, so some stop while
+        # others refine on; each round is one objective call for all of them
+        fn = smooth_objective(63, 2)
+        starts = np.random.default_rng(64).uniform(0, 2 * np.pi, (5, 2))
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return fn(points)
+
+        x, fx = compass_search(counting, starts, step=0.4, tol=1e-3, max_rounds=25)
+        ox, ofx = oracle_runs(fn, starts, 0.4, 1e-3, 25)
+        np.testing.assert_array_equal(x, ox)
+        np.testing.assert_array_equal(fx, ofx)
+        assert calls[0] == len(starts)
+        assert all(c % 4 == 0 for c in calls[1:])  # 2 polls per coordinate per live start
+        assert len(set(calls[1:])) > 1  # starts stopped in different rounds
+        assert len(calls) <= 1 + 25
+
+    def test_first_best_poll_wins_a_tie(self):
+        # polls +x0 and +x1 both reach the plateau value 1: the first wins
+        def fn(x):
+            return (np.asarray(x) > 1.0).sum(axis=-1).astype(float)
+
+        starts = [[0.8, 0.8], [0.8, 3.0], [0.2, 0.2]]
+        x, fx = compass_search(fn, starts, step=0.5, tol=0.1, max_rounds=1)
+        np.testing.assert_array_equal(x[0], [1.3, 0.8])
+        ox, ofx = oracle_runs(fn, starts, 0.5, 0.1, 1)
+        np.testing.assert_array_equal(x, ox)
+        np.testing.assert_array_equal(fx, ofx)
+        # on a plateau no poll improves: no start moves, every step halves
+        x, fx = compass_search(lambda p: np.zeros(len(p)), starts, step=0.5, tol=0.1, max_rounds=50)
+        ox, ofx = oracle_runs(lambda p: np.zeros(np.shape(p)[:-1]), starts, 0.5, 0.1, 50)
+        np.testing.assert_array_equal(x, np.array(starts) % (2 * np.pi))
+        np.testing.assert_array_equal(x, ox)
+
+    def test_step_below_tolerance_runs_no_round(self):
+        fn = smooth_objective(65, 2)
+        starts = [[7.0, 1.0], [2.0, -0.5]]
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return fn(points)
+
+        x, fx = compass_search(counting, starts, step=1e-7, tol=1e-6, max_rounds=10)
+        ox, ofx = oracle_runs(fn, starts, 1e-7, 1e-6, 10)
+        np.testing.assert_array_equal(x, np.array(starts) % (2 * np.pi))
+        np.testing.assert_array_equal(x, ox)
+        np.testing.assert_array_equal(fx, ofx)
+        assert calls == [2]
+
+
+def oracle_objective(expr, state, symmetric):
+    n = expr.n
+    if symmetric:
+        return lambda v: evaluate_lhs(expr, state, SymmetricAngles(*v).expand(n))
+    return lambda v: evaluate_lhs(expr, state, MeasurementAngles(tuple(v[:n]), tuple(v[n:])))
+
+
+def per_point_lhs(expr, state, theta):
+    """search._lhs_values as one evaluate_lhs call per point: the oracle's own arithmetic."""
+    return np.array([evaluate_lhs(expr, state, MeasurementAngles(a, b)) for a, b in theta])
+
+
+def optimize_with_oracle(monkeypatch, expr, state, config, symmetric):
+    """maximize_violation, and the oracle's answer from the same starts.
+
+    Returns the lockstep search's (value, angle vector, per-start end points
+    and values) and the same for the oracle: each start refined on its own
+    by the sequential search on evaluate_lhs, then the best end point taken
+    by the same rule (larger value, then smaller angle tuple, never below
+    the coarse grid).
+    """
+    seen = []
+    lockstep = search.compass_search
+
+    def recording(fn, starts, step, tol, max_rounds):
+        result = lockstep(fn, starts, step, tol, max_rounds)
+        seen.append((np.array(starts, dtype=float), step, tol, max_rounds, result))
+        return result
+
+    monkeypatch.setattr(search, "compass_search", recording)
+    value, angles = maximize_violation(expr, state, config, symmetric=symmetric)
+    monkeypatch.setattr(search, "compass_search", lockstep)
+    ((starts, step, tol, max_rounds, ends),) = seen
+    vec = angles.as_tuple() if symmetric else angles.theta_a + angles.theta_b
+
+    fn = oracle_objective(expr, state, symmetric)
+    runs = [sequential_compass_search(fn, s, step, tol, max_rounds) for s in starts]
+    best_val, best_vec = -np.inf, None
+    for x, fx in runs:
+        if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
+            best_val, best_vec = fx, x
+    if symmetric:
+        grid_best = search._best_candidates(expr, state, config.grid_resolution, config.restarts)[0]
+    else:
+        dims = 2 * expr.n
+        resolution = max(2, int(min(config.grid_resolution**4, 250_000) ** (1.0 / dims)))
+        grid_best = search._full_grid(expr, state, resolution)[1].max()
+    oracle_ends = (np.array([x for x, _ in runs]), np.array([fx for _, fx in runs]))
+    return (value, vec, ends), (max(best_val, grid_best), tuple(best_vec), oracle_ends)
+
+
+ORACLE_CASES = [
+    ("ghz-n3", lambda: NoisyState(ghz_state(3), 1.0), 3),
+    ("w-n4", lambda: NoisyState(state_for_family("w", 4), 1.0), 2),
+    ("random-n3", lambda: NoisyState(random_state(3, np.random.default_rng(67)), 0.9), 2),
+]
+ORACLE_IDS = [c[0] for c in ORACLE_CASES]
+
+
+class TestMaximizeViolationEqualsOracle:
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+    @pytest.mark.parametrize("case,make_state,m", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_same_search_as_oracle_on_the_same_values(self, monkeypatch, case, make_state, m, symmetric):
+        # with the polls evaluated point by point, both searches see the same
+        # value at every point, so they must take the same steps exactly
+        monkeypatch.setattr(search, "_lhs_values", per_point_lhs)
+        state = make_state()
+        expr = build_hierarchy_inequality(state.n, m, 1)
+        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, QUICK, symmetric)
+        np.testing.assert_array_equal(lock[2][0], oracle[2][0])
+        np.testing.assert_array_equal(lock[2][1], oracle[2][1])
+        assert lock[:2] == oracle[:2]
+
+    @pytest.mark.parametrize("case,make_state,m", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_batched_symmetric_search_matches_oracle(self, monkeypatch, case, make_state, m):
+        # the batched kernel rounds differently in the last place, so only
+        # the values are compared; the reported angles reach the value
+        state = make_state()
+        expr = build_hierarchy_inequality(state.n, m, 1)
+        (value, vec, _), (oracle_value, _, _) = optimize_with_oracle(
+            monkeypatch, expr, state, QUICK, True
+        )
+        assert value == pytest.approx(oracle_value, abs=1e-12)
+        assert oracle_objective(expr, state, True)(np.array(vec)) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+    def test_point_chunks_keep_the_order(self, monkeypatch, symmetric):
+        # a cap of a few entries puts every poll in a chunk of its own
+        monkeypatch.setattr(search, "_lhs_values", per_point_lhs)
+        monkeypatch.setattr(search, "_BATCH_ELEMENTS", 7)
+        state = NoisyState(random_state(3, np.random.default_rng(69)), 0.9)
+        expr = build_hierarchy_inequality(3, 2, 1)
+        config = OptimizerConfig(grid_resolution=8, restarts=3, refinement_rounds=60)
+        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, config, symmetric)
+        np.testing.assert_array_equal(lock[2][0], oracle[2][0])
+        assert lock[:2] == oracle[:2]
+
+    def test_point_chunks_equal_one_batch(self, monkeypatch):
+        state = NoisyState(random_state(3, np.random.default_rng(69)), 0.9)
+        expr = build_hierarchy_inequality(3, 2, 1)
+        points = np.random.default_rng(71).uniform(0, 2 * np.pi, (50, 2, 3))
+        whole = search._lhs_batch(expr, state, points)
+        monkeypatch.setattr(search, "_BATCH_ELEMENTS", 7)
+        np.testing.assert_allclose(search._lhs_batch(expr, state, points), whole, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(per_point_lhs(expr, state, points), whole, rtol=0, atol=1e-15)
+
+    def test_one_kernel_call_per_round(self, monkeypatch):
+        # the symmetric grid does not go through _lhs_values, so every call
+        # seen is a lockstep round (or the first evaluation of the starts)
+        calls = []
+        original = search._lhs_values
+
+        def counting(expr, state, theta):
+            calls.append(theta.shape)
+            return original(expr, state, theta)
+
+        monkeypatch.setattr(search, "_lhs_values", counting)
+        expr = build_hierarchy_inequality(4, 3, 1)
+        maximize_violation(expr, NoisyState(ghz_state(4), 1.0), QUICK)
+        assert 1 < len(calls) <= 1 + QUICK.refinement_rounds
+        assert all(shape[1:] == (2, 4) for shape in calls)
 
 
 class TestMaximizeViolation:
