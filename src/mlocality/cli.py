@@ -5,9 +5,10 @@ success, 1 for findings (a certification failure or no violation at p=1),
 2 for usage or parameter-domain errors.
 
 A flat key=value config file (--config) supplies defaults; explicit flags
-override it.  MLOCALITY_SEED and MLOCALITY_WORKERS environment variables
-override built-in defaults for the seed and for certify's worker count
-(flags still win); every randomized command logs the seed it used.
+override it, and a key that the command has no option for is an error.
+MLOCALITY_SEED and MLOCALITY_WORKERS environment variables override
+built-in defaults for the seed and for certify's worker count (flags
+still win); every randomized command logs the seed it used.
 threshold and table also take --seed, but their search is deterministic:
 the seed is only recorded in the output and does not change the results.
 table computes its cells one after another in one process.
@@ -94,8 +95,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         "output": str, "angles": str, "n_list": str,
     }
     for key, raw in _load_config_file(args.config).items():
-        if key not in casts:
-            raise ValueError(f"unknown config key {key!r}")
+        # vars(args) holds exactly the options of the chosen command
+        if key not in casts or key not in vars(args):
+            raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, casts[key](raw))
 

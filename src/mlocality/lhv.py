@@ -17,6 +17,15 @@ nonsignaling polytope, obtained by maximizing random linear objectives with
 the dense simplex solver, plus convex mixtures of such vertices to cover the
 interior.  Vertex pools are enumerated once per block size from a fixed
 internal seed, so all sampling is reproducible given the caller's seed.
+
+Certification reads only the entries the terms touch.  A block sample is
+a mixture sum_j w_j of products of pool vertices, one per atom (a run of
+at most 3 consecutive parties of the block), and a term reads the product
+model at one entry.  So its value is
+``coefficients . prod_blocks sum_j w_j prod_atoms touched_atom[vertex_j]``,
+where ``touched_atom`` is the (V, T) matrix of the entries the T terms read
+from the V vertices of the atom's pool (`_TermReader`).  No 2^n x 2^n
+table is built unless a sample exceeds the bound and is reported.
 """
 
 from __future__ import annotations
@@ -329,14 +338,9 @@ def nonsignaling_vertex_pool(size: int) -> tuple[np.ndarray, ...]:
     return tuple(seen.values())
 
 
-def _chunk_sizes(size: int) -> list[int]:
-    sizes = []
-    left = size
-    while left > VERTEX_MAX_BLOCK:
-        sizes.append(VERTEX_MAX_BLOCK)
-        left -= VERTEX_MAX_BLOCK
-    sizes.append(left)
-    return sizes
+def _atoms(parties: Sequence[int]) -> list[Sequence[int]]:
+    """A block's parties in consecutive runs of VERTEX_MAX_BLOCK, the last one shorter."""
+    return [parties[i : i + VERTEX_MAX_BLOCK] for i in range(0, len(parties), VERTEX_MAX_BLOCK)]
 
 
 def _product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarray], width: int) -> np.ndarray:
@@ -348,20 +352,36 @@ def _product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarra
     return full
 
 
-def _draw_table(size: int, rng) -> np.ndarray:
-    if size <= VERTEX_MAX_BLOCK:
-        pool = nonsignaling_vertex_pool(size)
-        return pool[int(rng.integers(len(pool)))]
-    chunks = _chunk_sizes(size)
-    groups = []
-    tables = []
-    start = 0
-    for c in chunks:
-        groups.append(tuple(range(start, start + c)))
-        pool = nonsignaling_vertex_pool(c)
-        tables.append(pool[int(rng.integers(len(pool)))])
-        start += c
-    return _product_table(groups, tables, size)
+def _draw_block(size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture weights and pool vertex ids of one block sample.
+
+    Draws the mixture size k in 1..3, then k times one vertex of each
+    atom's pool (see `_atoms`), with the Dirichlet weights drawn after the
+    first of them when k > 1.  Returns the (k,) weights and the
+    (k, atoms) vertex ids.
+    """
+    pools = [len(nonsignaling_vertex_pool(len(a))) for a in _atoms(range(size))]
+    k = int(rng.integers(1, 4))
+    weights = np.ones(1)
+    ids = np.empty((k, len(pools)), dtype=np.intp)
+    for j in range(k):
+        ids[j] = [int(rng.integers(p)) for p in pools]
+        if j == 0 and k > 1:
+            weights = rng.dirichlet(np.ones(k))
+    return weights, ids
+
+
+def _block_sample(size: int, weights: np.ndarray, ids: np.ndarray) -> ConditionalDistribution:
+    """The distribution on parties 1..size of a draw of `_draw_block`."""
+    groups = _atoms(range(size))
+    tables = [
+        _product_table(groups, [nonsignaling_vertex_pool(len(g))[v] for g, v in zip(groups, row)], size)
+        for row in ids
+    ]
+    table = weights[0] * tables[0]
+    for w, t in zip(weights[1:], tables[1:]):
+        table = table + w * t
+    return ConditionalDistribution(tuple(range(1, size + 1)), table)
 
 
 def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
@@ -375,14 +395,7 @@ def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
     if size < 1:
         raise ParameterDomainError(f"block size must be positive, got {size}")
     rng = np.random.default_rng(rng)
-    k = int(rng.integers(1, 4))
-    table = _draw_table(size, rng)
-    if k > 1:
-        weights = rng.dirichlet(np.ones(k))
-        table = weights[0] * table
-        for w in weights[1:]:
-            table = table + w * _draw_table(size, rng)
-    return ConditionalDistribution(tuple(range(1, size + 1)), table)
+    return _block_sample(size, *_draw_block(size, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +463,89 @@ def certification_failure_report(
     }
 
 
-def _certify_range(expr: BellExpression, samples: int, rng_seed, start: int, stop: int):
-    """Run sample indices [start, stop); returns (max LHS, failure or None)."""
+class _TermReader:
+    """The entries that the terms of one expression read from product models.
+
+    Term t reads the n-party table at its settings and outcomes.  In a
+    product of block samples that entry is, block by block, the mixture over
+    the draws of the product over the block's atoms of each vertex's entry
+    at t's settings and outcomes on the atom.  `_atom(parties)` is the (V, T)
+    matrix of those entries for the V vertices of the pool of the atom's
+    size, read from the pool stacked and normalised as
+    `ConditionalDistribution` normalises.  Atoms are shared by partitions,
+    so at most sum_{s<=3} C(n, s) of them are gathered; a partition's list
+    of them is built when a sample first draws it.
+    """
+
+    def __init__(self, expr: BellExpression):
+        table = expr.table
+        self._coefficients = table.coefficients
+        self._settings = table.settings
+        self._outcomes = table.slots & 1
+        self._partitions = _partitions_tuple(expr.n, expr.m)
+        self._pools: dict[int, np.ndarray] = {}
+        self._touched: dict[tuple[int, ...], np.ndarray] = {}
+        self._blocks: dict[int, list[list[np.ndarray]]] = {}
+
+    def _pool(self, size: int) -> np.ndarray:
+        if size not in self._pools:
+            stacked = np.clip(np.stack(nonsignaling_vertex_pool(size)), 0.0, None)
+            self._pools[size] = stacked / stacked.sum(axis=2, keepdims=True)
+        return self._pools[size]
+
+    def _atom(self, parties: tuple[int, ...]) -> np.ndarray:
+        if parties not in self._touched:
+            cols = [p - 1 for p in parties]
+            place = 1 << np.arange(len(cols) - 1, -1, -1)
+            rows = self._settings[:, cols] @ place
+            outcomes = self._outcomes[:, cols] @ place
+            self._touched[parties] = self._pool(len(parties))[:, rows, outcomes]
+        return self._touched[parties]
+
+    def value(self, index: int, draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
+        """LHS of the product of the draws of `_draw_block` on partition `index`."""
+        if index not in self._blocks:
+            self._blocks[index] = [
+                [self._atom(a) for a in _atoms(b)] for b in self._partitions[index].blocks
+            ]
+        reads = 1.0
+        for atoms, (weights, ids) in zip(self._blocks[index], draws):
+            block = atoms[0][ids[:, 0]]
+            for a in range(1, len(atoms)):
+                block = block * atoms[a][ids[:, a]]
+            # the weights sum to 1 only up to rounding; ConditionalDistribution
+            # divides a block's mixture by its row sums, and this by their sum
+            reads = reads * ((weights @ block) / weights.sum())
+        return float(self._coefficients @ reads)
+
+
+def _sampled_models(expr: BellExpression, samples: int, rng_seed, start: int, stop: int):
+    """Yield (partition, draws, LHS) for sample indices [start, stop).
+
+    Sample i draws from its own spawned seed the partition (uniform over the
+    enumerated list), then one `_draw_block` per block in block order.
+    """
+    reader = _TermReader(expr)
     partitions = _partitions_tuple(expr.n, expr.m)
-    seeds = np.random.SeedSequence(rng_seed).spawn(samples)[start:stop]
-    worst = -math.inf
-    for offset, child in enumerate(seeds):
+    for child in np.random.SeedSequence(rng_seed).spawn(samples)[start:stop]:
         rng = np.random.default_rng(child)
-        part = partitions[int(rng.integers(len(partitions)))]
-        blocks = [sample_nonsignaling_block(len(b), rng).relabel(b) for b in part.blocks]
-        dist = product_distribution(part, blocks)
-        value = distribution_lhs(expr, dist)
+        index = int(rng.integers(len(partitions)))
+        part = partitions[index]
+        draws = [_draw_block(len(b), rng) for b in part.blocks]
+        yield part, draws, reader.value(index, draws)
+
+
+def _certify_range(expr: BellExpression, samples: int, rng_seed, start: int, stop: int):
+    """Run sample indices [start, stop); returns (max LHS, failure or None).
+
+    A sample above the tolerance is rebuilt as block tables and their
+    product, which give the reported LHS.
+    """
+    worst = -math.inf
+    for offset, (part, draws, value) in enumerate(_sampled_models(expr, samples, rng_seed, start, stop)):
         if value > CERT_TOL:
+            blocks = [_block_sample(len(b), *d).relabel(b) for b, d in zip(part.blocks, draws)]
+            value = distribution_lhs(expr, product_distribution(part, blocks))
             report = certification_failure_report(
                 expr, part, blocks, value, rng_seed, start + offset
             )
@@ -481,16 +565,20 @@ def certify_m_local_bound(
 
     Each sample draws a partition of the parties into m blocks (uniform over
     the enumerated list), independent nonsignaling distributions per block,
-    and evaluates the product.  Returns the maximum observed LHS; any value
-    above the tolerance raises CertificationError with a full dump.  Samples
-    are seeded independently (spawned seeds) and distributed over a process
-    pool when workers > 1, with a fixed reduction order, so the outcome is
-    reproducible regardless of worker count.
+    and evaluates the product from the T entries its terms read (see
+    `_TermReader`), without building the product table.  Returns the
+    maximum observed LHS; any value above the tolerance raises
+    CertificationError with a full dump, whose block tables and LHS are
+    rebuilt as `sample_nonsignaling_block` and `product_distribution` would
+    give them.  Samples are seeded independently (spawned seeds) and
+    distributed over a process pool when workers > 1, with a fixed
+    reduction order, so the outcome is reproducible regardless of worker
+    count.
     """
     if expr.n > CERTIFY_MAX_PARTIES:
         raise ParameterDomainError(
-            f"sampled certification builds 2^n x 2^n tables, so it supports "
-            f"n <= {CERTIFY_MAX_PARTIES}, got n={expr.n}"
+            f"a failing sample is reported with its block tables and their 2^n x 2^n "
+            f"product, so sampled certification supports n <= {CERTIFY_MAX_PARTIES}, got n={expr.n}"
         )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")

@@ -259,6 +259,31 @@ class TestConfigAndEnvironment:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["threshold", "--family", "ghz", "--n", "3", "--m", "3"],
+            ["build", "--n", "3", "--m", "2"],
+            ["table", "--n-list", "3", "--family", "ghz"],
+        ],
+    )
+    def test_workers_config_key_is_rejected_where_unused(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        code, out, err = run(capsys, command + ["--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "unknown config key 'workers'" in err
+        assert repr(command[0]) in err
+
+    def test_certify_takes_workers_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        code, out, _ = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "20",
+                                    "--config", str(cfg)])
+        assert code == 0
+        assert "bound_satisfied = true" in out
+
     def test_config_file_reaches_optimizer_config(self, capsys, tmp_path):
         # restarts = 0 is rejected by OptimizerConfig, so exit 2 shows the
         # config value, not a built-in default, reached it

@@ -335,16 +335,17 @@ class TestCertification:
         assert serial == parallel
 
     def test_violating_sampler_triggers_failure_dump(self, monkeypatch):
-        # signaling block: outputs all ones as soon as any of its parties
-        # measures b, otherwise all zeros
-        def rigged(size, rng):
+        # signaling pool: a block outputs all ones as soon as any of its
+        # parties measures b, otherwise all zeros.  Certification reads the
+        # pools, not sample_nonsignaling_block, so the rig sits there.
+        def rigged(size):
             dim = 2**size
             t = np.zeros((dim, dim))
             for m_idx in range(dim):
                 t[m_idx, dim - 1 if m_idx else 0] = 1.0
-            return ConditionalDistribution(tuple(range(1, size + 1)), t)
+            return (t,)
 
-        monkeypatch.setattr(lhv, "sample_nonsignaling_block", rigged)
+        monkeypatch.setattr(lhv, "nonsignaling_vertex_pool", rigged)
         expr = build_hierarchy_inequality(4, 2, 1)
         with pytest.raises(CertificationError) as err:
             certify_m_local_bound(expr, 50, rng_seed=1)
@@ -356,8 +357,19 @@ class TestCertification:
         assert len(report["blocks"]) == 2
         json.dumps(report)  # must be serializable as-is
 
+        # the materialised path fails first at the same sample, with the same tables
+        index, blocks, value = next(
+            (i, blocks, value)
+            for i, (_, blocks, value) in enumerate(materialised_samples(expr, 50, 1))
+            if value > lhv.CERT_TOL
+        )
+        assert report["sample_index"] == index
+        assert report["observed_lhs"] == value
+        assert report["blocks"] == [{"parties": list(d.parties), "table": d.table.tolist()} for d in blocks]
+
     def test_size_guard(self, monkeypatch):
-        # the sampler builds 2^n x 2^n tables, so the guard fires before sampling starts
+        # a failing sample is reported with its 2^n x 2^n product table, so
+        # the guard fires before sampling starts
         monkeypatch.setattr(lhv, "_certify_range", lambda *args: pytest.fail("sampling started"))
         expr = build_hierarchy_inequality(13, 2, 1)
         with pytest.raises(ParameterDomainError):
@@ -367,3 +379,37 @@ class TestCertification:
         expr = build_hierarchy_inequality(3, 2, 1)
         with pytest.raises(ValueError):
             certify_m_local_bound(expr, 0, 1)
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(n, m) for n in range(3, 7) for m in range(2, n + 1)] + [(7, 2), (7, 4), (8, 2), (8, 5)],
+    )
+    def test_each_sample_equals_materialised_product(self, n, m):
+        expr = build_hierarchy_inequality(n, m, 1)
+        fast = lhv._sampled_models(expr, 40, 19, 0, 40)
+        largest = 0
+        for (part, _, value), (want_part, _, want) in zip(fast, materialised_samples(expr, 40, 19)):
+            assert part == want_part
+            assert value == pytest.approx(want, abs=1e-12)
+            largest = max(largest, max(len(b) for b in part.blocks))
+        if n - m >= 3:
+            assert largest >= 4  # products of several pool vertices were read too
+
+    def test_passing_run_builds_no_tables(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("a table was built on the success path")
+
+        monkeypatch.setattr(lhv, "_product_table", refuse)
+        monkeypatch.setattr(lhv, "ConditionalDistribution", refuse)
+        for n, m in [(4, 2), (6, 3), (8, 2)]:
+            assert certify_m_local_bound(build_hierarchy_inequality(n, m, 1), 100, 23) <= 1e-9
+
+
+def materialised_samples(expr, samples, seed):
+    """Yield (partition, block distributions, LHS) of each sample, built as full tables."""
+    partitions = list(enumerate_partitions(expr.n, expr.m))
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        part = partitions[int(rng.integers(len(partitions)))]
+        blocks = [sample_nonsignaling_block(len(b), rng).relabel(b) for b in part.blocks]
+        yield part, blocks, distribution_lhs(expr, product_distribution(part, blocks))

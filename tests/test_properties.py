@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlocality.lhv as lhv
 from mlocality.inequality import (
     BellExpression,
     Term,
@@ -14,6 +15,7 @@ from mlocality.inequality import (
     parse_expression,
     serialize_expression,
 )
+from mlocality.lhv import Partition, check_nonsignaling, nonsignaling_vertex_pool, product_distribution
 from mlocality.quantum import (
     MeasurementAngles,
     NoisyState,
@@ -148,3 +150,32 @@ def test_one_broken_term_is_rejected(case):
     n, m, k_prime, terms = case
     with pytest.raises(ValueError, match="(missing|unexpected) term"):
         BellExpression(n, m, k_prime, terms)
+
+
+@st.composite
+def block_models(draw):
+    """A random partition of 2..6 parties and a mixture of pool-vertex products per block."""
+    n = draw(st.integers(2, 6))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups: dict[int, list[int]] = {}
+    for party, label in enumerate(labels, 1):
+        groups.setdefault(label, []).append(party)
+    part = Partition(tuple(tuple(g) for g in groups.values()))
+    blocks = []
+    for b in part.blocks:
+        pools = [len(nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(b)]
+        k = draw(st.integers(1, 3))
+        ids = np.array([[draw(st.integers(0, p - 1)) for p in pools] for _ in range(k)])
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        blocks.append(lhv._block_sample(len(b), weights / weights.sum(), ids).relabel(b))
+    return part, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_models())
+def test_products_of_nonsignaling_blocks_are_nonsignaling(model):
+    # the multilinear evaluation of sampled m-local models rests on this closure
+    part, blocks = model
+    assert all(check_nonsignaling(d)[0] for d in blocks)
+    ok, worst = check_nonsignaling(product_distribution(part, blocks))
+    assert ok, worst
