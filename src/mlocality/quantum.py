@@ -20,9 +20,10 @@ it for every term of a table at a batch of angle points of any leading
 shape: it gathers each party's vector component at each nonzero amplitude
 of the state (its support), multiplies across parties and sums over the
 support.  A dense state is a support of size 2^n.  `evaluate_lhs`,
-`term_probability` and the angle grids of the search module all call it;
-`dense_density_oracle` and `quantum_behavior` stay independent of it as
-test oracles.
+`term_probability`, the refinement and the non-symmetric angle grid of the
+search module all call it; the symmetric grid factors the same amplitudes
+over its two shared angles instead.  `dense_density_oracle` and
+`quantum_behavior` stay independent of it as test oracles.
 """
 
 from __future__ import annotations

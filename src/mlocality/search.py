@@ -6,9 +6,14 @@ four free angles.  Every term measures party 1 with exactly one of its two
 settings, so on a product grid the LHS splits as Sa[x, a, b] + Sb[y, a, b]
 with x, y the two party-1 angles, and the maximum over (x, y) is separable.
 Each half is a quadratic form in (cos(x/2), sin(x/2)) whose coefficients
-come from the term amplitudes with party 1 left open, so the grid costs one
-kernel call per chunk of (a, b) points plus one small matrix product over
-all x.
+come from the term amplitudes with party 1 left open.  Those amplitudes
+factor over (a, b): at each basis state of the support a term's factor is a
+product of the a-measured parties' components at a, the b-measured ones' at
+b and party 1's, so over all (a, b) they are one matrix product per term,
+O(T*S*R^2) for T terms, support size S and R points per angle.  Each form is
+a sinusoid in x whose grid maximum lies at one of the two grid points
+bracketing its peak, so no scan over x is needed.  The non-symmetric search
+covers its 2n angles with the quantum module's kernel instead.
 
 The best grid cells are then refined by a compass search run on all
 restarts in lockstep: each round gathers the +/-step polls of every restart
@@ -34,7 +39,7 @@ import numpy as np
 
 from .inequality import BellExpression, DimensionMismatchError, build_hierarchy_inequality
 from .quantum import MeasurementAngles, NoisyState, StateVector, mixed_state_lhs
-from .quantum import _BATCH_ELEMENTS, _half_angle_pairs, _lhs_values, _term_amplitudes, ghz_state, w_state
+from .quantum import _BATCH_ELEMENTS, _OUTCOME_VECTORS, _half_angle_pairs, _lhs_values, ghz_state, w_state
 
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -132,6 +137,31 @@ def _chunks(total: int, width: int):
     return (slice(start, start + step) for start in range(0, total, step))
 
 
+def _party1_maxima(
+    q00: np.ndarray, q01: np.ndarray, q11: np.ndarray, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid maximum over party 1's angle x of u(x)^T Q u(x), Q = [[q00, q01], [q01, q11]].
+
+    features holds the rows (c^2, cs, sc, s^2) of u = (c, s) at the grid
+    angles.  The value is (q00+q11)/2 + (q00-q11)/2*cos x + q01*sin x, a
+    sinusoid peaking at atan2(2*q01, q00-q11), so its grid maximum lies at
+    one of the two grid points bracketing that peak.  Both are evaluated
+    with their features rows, and a tie goes to the smaller index, as it
+    does in argmax.  Returns the indices and the values there, in the
+    shape of the q arrays.
+    """
+    resolution = len(features)
+    twice = q01 + q01
+    peak = np.arctan2(twice, q00 - q11) % TWO_PI
+    low = np.floor(peak * (resolution / TWO_PI)).astype(np.int64) % resolution
+    high = (low + 1) % resolution
+    cc, cs, _, ss = features.T
+    at_low = q00 * cc[low] + twice * cs[low] + q11 * ss[low]
+    at_high = q00 * cc[high] + twice * cs[high] + q11 * ss[high]
+    up = (at_high > at_low) | ((at_high == at_low) & (high < low))
+    return np.where(up, high, low), np.where(up, at_high, at_low)
+
+
 def _best_candidates(
     expr: BellExpression,
     state: NoisyState,
@@ -140,41 +170,63 @@ def _best_candidates(
 ) -> tuple[float, list[SymmetricAngles]]:
     """Coarse-grid maximum and the top-k grid cells as refinement starts.
 
-    For each point (alpha, beta) of the shared angles the kernel runs with
-    party 1's (cos, sin) pair set to (1, 0) and to (0, 1), which gives every
-    term's amplitude with party 1 left open: A_t(x) = u(x).M_t with
-    u(x) = (cos(x/2), sin(x/2)), since party 1's vectors are linear in u.
-    The terms measuring party 1 with one setting then sum to the quadratic
-    form u(x)^T Q u(x), Q = p*sum_t c_t Re(M_t M_t^*), so the LHS half of
-    each party-1 setting over all x is one product of the (x, 4) table of
-    u(x) u(x)^T with the 4 entries of Q.
+    Party 1's vectors are linear in u(x) = (cos(x/2), sin(x/2)), so with
+    party 1 opened on basis vector h every term's amplitude is a component
+    M_{t,h}, and A_t(x) = u(x).M_t.  Parties 2..n share alpha under setting a
+    and beta under setting b, so at support state z the factor of term t
+    splits as psi_z * P1_{t,h,z} * A_{t,z}(alpha) * B_{t,z}(beta), with A
+    (B) the product of the components of the a- (b-) measured parties and
+    P1 party 1's component.  A and B come from one gather of the grid's
+    component table plus a ones column (a 1 for each party measured with
+    the other setting), and M_{t,h} over all (alpha, beta) is one matrix
+    product (alpha x z) . diag(psi_z P1_{t,h,z}) . (z x beta), batched over
+    (t, h); the real and imaginary parts of psi enter as separate rows.  The terms measuring party 1 with one setting then sum
+    to the form Q = p*sum_t c_t Re(M_t M_t^*), and the LHS half of that
+    setting, u(x)^T Q u(x), peaks over the grid at one of the two grid
+    points bracketing its peak (`_party1_maxima`).  alpha is taken in
+    chunks of rows that keep every temporary within _BATCH_ELEMENTS entries.
     """
     n = expr.n
     table = expr.table
+    bits, psi = state.psi.support
     axis = _grid_axis(resolution)
     u = _half_angle_pairs(axis)
     features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
-    # weights[t, h] = p*c_t when term t measures party 1 with setting h
+    # components[r, 2*o + bit]: the vector for outcome o at axis[r], then a 1
+    components = np.ones((resolution, 5))
+    components[:, :4] = u @ _OUTCOME_VECTORS
+    outcomes = table.slots % 2
+    # parties 2..n read their component under their own setting and a 1 under the other
+    column = 2 * outcomes[:, None, 1:] + bits[:, 1:]
+    index = np.stack([np.where(table.settings[:, None, 1:] == s, column, 4) for s in (0, 1)])
+    factors = np.empty((resolution,) + index.shape[:-1])  # (angle, setting, term, z)
+    for part in _chunks(resolution, index.size):
+        factors[part] = components[part][:, index].prod(axis=-1)
+    a_rows = factors[:, 0].transpose(1, 0, 2)  # (term, alpha, z)
+    b_cols = np.ascontiguousarray(factors[:, 1].transpose(1, 2, 0))  # (term, z, beta)
+    # scale[t, k, h, z]: part k (real, imaginary) of psi_z times party 1's component on vector h
+    party1 = _OUTCOME_VECTORS[:, 2 * outcomes[:, :1] + bits[:, 0]].swapaxes(0, 1)
+    parts = (psi.real, psi.imag) if np.iscomplexobj(psi) else (psi,)
+    scale = np.stack([part * party1 for part in parts], axis=1)
+    # weights[t, half] = p*c_t when term t measures party 1 with setting half
     weights = state.p * table.coefficients[:, None] * (table.settings[:, :1] == [0, 1])
-    alpha_beta = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    rest = _half_angle_pairs(alpha_beta)  # (point, setting, pair)
-    best = np.empty((len(rest), 2))
-    arg = np.empty((len(rest), 2), dtype=np.int64)
-    width = max(2 * resolution, 2 * table.slots.size * len(state.psi.support[1]))
-    for part in _chunks(len(rest), width):
-        # batch axes: (alpha, beta) point, then the basis vector party 1 gets
-        pairs = np.empty((len(rest[part]), 2, 2, n, 2))
-        pairs[..., 1:, :] = rest[part][:, None, :, None, :]
-        pairs[..., 0, :] = np.eye(2)[:, None, :]
-        amp = _term_amplitudes(table, state.psi, pairs).swapaxes(1, 2)  # (point, term, 2)
-        outer = (amp[..., :, None] * amp[..., None, :].conj()).real
-        forms = weights.T @ outer.reshape(outer.shape[:2] + (4,))  # (point, half, 4)
-        values = forms @ features.T  # (point, half, x)
-        arg[part] = values.argmax(axis=-1)
-        best[part] = np.take_along_axis(values, arg[part][..., None], axis=-1)[..., 0]
-    total = best.sum(axis=1) + expr.coefficient_sum() * (1.0 - state.p) / 2**n
+    weights = np.repeat(weights, len(parts), axis=0).T
+    rows = weights.shape[1]
+    best = np.empty((2, resolution, resolution))
+    arg = np.empty((2, resolution, resolution), dtype=np.int64)
+    for part in _chunks(resolution, 2 * rows * max(resolution, len(psi))):
+        amp = (a_rows[:, None, None, part] * scale[..., None, :]) @ b_cols[:, None, None]
+        amp = amp.reshape((rows, 2, -1))  # (term and part, h, alpha and beta)
+        m0, m1 = amp[:, 0], amp[:, 1]
+        q00, q01, q11 = weights @ (m0 * m0), weights @ (m0 * m1), weights @ (m1 * m1)
+        arg_part, best_part = _party1_maxima(q00, q01, q11, features)
+        arg[:, part] = arg_part.reshape(2, -1, resolution)
+        best[:, part] = best_part.reshape(2, -1, resolution)
+    total = best.sum(axis=0).reshape(-1) + expr.coefficient_sum() * (1.0 - state.p) / 2**n
+    arg = arg.reshape(2, -1)
     order = np.argsort(total, kind="stable")[::-1][:top_k]
-    candidates = [SymmetricAngles(*axis[arg[i]].tolist(), *alpha_beta[i].tolist()) for i in order]
+    alpha_beta = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    candidates = [SymmetricAngles(*axis[arg[:, i]].tolist(), *alpha_beta[i].tolist()) for i in order]
     return float(total[order[0]]), candidates
 
 

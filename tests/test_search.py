@@ -39,17 +39,22 @@ def random_state(n, rng):
     return StateVector(n, amp / np.linalg.norm(amp))
 
 
-def brute_force_symmetric_max(expr, state, resolution):
+def brute_force_symmetric_values(expr, state, resolution):
+    """evaluate_lhs at every point of the symmetric 4-angle product grid, axes in SymmetricAngles order."""
     axis = np.arange(resolution) * 2 * np.pi / resolution
-    best = -np.inf
     n = expr.n
-    for x in axis:
-        for y in axis:
-            for a in axis:
-                for b in axis:
-                    val = evaluate_lhs(expr, state, SymmetricAngles(x, y, a, b).expand(n))
-                    best = max(best, val)
-    return best
+    return np.array([
+        evaluate_lhs(expr, state, SymmetricAngles(*point).expand(n))
+        for point in itertools.product(axis, repeat=4)
+    ]).reshape((resolution,) * 4)
+
+
+def w_with_phases(n, rng):
+    """W with a random phase on every amplitude: a sparse complex state."""
+    amp = np.zeros(2**n, dtype=complex)
+    for k in range(n):
+        amp[1 << k] = np.exp(1j * rng.uniform(0, 2 * np.pi)) / math.sqrt(n)
+    return StateVector(n, amp)
 
 
 def bisection_threshold(expr, psi, config, tolerance):
@@ -83,33 +88,91 @@ class TestSymmetricAngles:
 
 class TestGridEvaluation:
     @pytest.mark.parametrize(
-        "n,m,family,p,seed",
-        [(3, 2, "random", 0.8, 51), (4, 2, "w", 1.0, None), (4, 3, "random", 0.6, 53)],
-        ids=["random-n3", "w-n4", "random-n4"],
+        "n,m,k_prime,family,p,seed",
+        [
+            (3, 2, 1, "random", 0.8, 51),
+            (4, 2, 1, "w", 1.0, None),
+            (4, 3, 1, "random", 0.6, 53),
+            (4, 3, 3, "w", 1.0, None),
+            (4, 3, 1, "w-phases", 0.9, 55),
+        ],
+        ids=["random-n3", "w-n4", "random-n4", "w-n4-k3", "w-phases-n4"],
     )
-    def test_separable_grid_max_equals_brute_force(self, n, m, family, p, seed):
+    def test_separable_grid_max_equals_brute_force(self, n, m, k_prime, family, p, seed):
         # a random complex state has all 2^n amplitudes nonzero, so the
-        # kernel runs over a full support with complex arithmetic; W over n
-        # real amplitudes.  At seed 53 the two party-1 angles of the maximum
-        # differ, so the angle check also sees which half each came from.
+        # grid runs over a full support with complex arithmetic; W over n
+        # real amplitudes, and W with random phases over n complex ones.
+        # At seed 53 the two party-1 angles of the maximum differ, so the
+        # angle check also sees which half each came from.  With k' = 3
+        # the expression is not symmetric in parties 2..n.
         if family == "random":
             psi = random_state(n, np.random.default_rng(seed))
+        elif family == "w-phases":
+            psi = w_with_phases(n, np.random.default_rng(seed))
         else:
             psi = state_for_family(family, n)
-        expr = build_hierarchy_inequality(n, m, 1)
+        expr = build_hierarchy_inequality(n, m, k_prime)
         state = NoisyState(psi, p)
-        brute = brute_force_symmetric_max(expr, state, 6)
+        brute = brute_force_symmetric_values(expr, state, 6)
         fast, angles = exhaustive_symmetric_max(expr, state, 6)
-        assert fast == pytest.approx(brute, abs=1e-12)
+        assert fast == pytest.approx(brute.max(), abs=1e-12)
         # the reported angle tuple reproduces the reported value
         assert evaluate_lhs(expr, state, angles.expand(n)) == pytest.approx(fast, abs=1e-12)
+        # every top-k (alpha, beta) cell, at its best party-1 angles,
+        # reproduces its grid value, best first
+        cell_best = np.sort(brute.max(axis=(0, 1)), axis=None)[::-1]
+        top_k = 10
+        grid_best, candidates = search._best_candidates(expr, state, 6, top_k)
+        values = [evaluate_lhs(expr, state, c.expand(n)) for c in candidates]
+        assert len(candidates) == top_k
+        assert values[0] == pytest.approx(grid_best, abs=1e-12)
+        np.testing.assert_allclose(values, cell_best[:top_k], rtol=0, atol=1e-12)
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
 
     def test_separable_grid_max_ghz(self):
         expr = build_hierarchy_inequality(4, 4, 1)
         state = NoisyState(ghz_state(4), 1.0)
-        brute = brute_force_symmetric_max(expr, state, 7)
+        brute = brute_force_symmetric_values(expr, state, 7).max()
         fast, _ = exhaustive_symmetric_max(expr, state, 7)
         assert fast == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 6, 7, 24, 360])
+    def test_party1_maximum_equals_full_scan(self, resolution):
+        # the closed form evaluates only the two grid points bracketing the
+        # peak; the scan evaluates u(x)^T Q u(x) at every grid angle
+        rng = np.random.default_rng(resolution)
+        step = 2 * np.pi / resolution
+        forms = [rng.uniform(-1, 1, (2, 2)) for _ in range(200)]
+        forms = [(q + q.T) / 2 for q in forms] + [np.zeros((2, 2))]
+        for r in range(resolution):
+            for peak in (r * step, (r + 0.5) * step):
+                # a sinusoid whose maximum is exactly on, or halfway between, grid points
+                amplitude, mean = rng.uniform(0.1, 1), rng.uniform(-1, 1)
+                q00 = mean + amplitude * math.cos(peak)
+                q11 = mean - amplitude * math.cos(peak)
+                q01 = amplitude * math.sin(peak)
+                forms.append(np.array([[q00, q01], [q01, q11]]))
+        forms = np.array(forms)
+        axis = search._grid_axis(resolution)
+        u = np.stack([np.cos(axis / 2), np.sin(axis / 2)], axis=-1)
+        features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
+        scan = forms.reshape(-1, 4) @ features.T
+        index, value = search._party1_maxima(forms[:, 0, 0], forms[:, 0, 1], forms[:, 1, 1], features)
+        np.testing.assert_allclose(value, scan.max(axis=1), rtol=0, atol=1e-15)
+        top_two = np.sort(scan, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-12
+        np.testing.assert_array_equal(index[clear], scan.argmax(axis=1)[clear])
+        assert clear.sum() > len(forms) // 2
+        # all-zero form: every grid value ties at 0, so the first index wins
+        assert (index[200], value[200]) == (0, 0.0)
+
+    def test_party1_tie_across_the_wrap_goes_to_index_0(self):
+        # at 2 points the peak of this form (3*pi/2) lies between index 1
+        # and index 0, where both values are exactly 1: argmax keeps 0
+        features = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        q01 = np.array([-1e-300])
+        index, value = search._party1_maxima(np.ones(1), q01, np.ones(1), features)
+        assert (index[0], value[0]) == (0, 1.0)
 
     def test_full_grid_equals_brute_force(self):
         # the coarse grid of the non-symmetric search: all 4^4 points of the
