@@ -6,9 +6,9 @@ success, 1 for findings (a certification failure or no violation at p=1),
 
 A flat key=value config file (--config) supplies defaults; explicit flags
 override it, and a key that the command has no option for is an error.
-MLOCALITY_SEED and MLOCALITY_WORKERS environment variables override
-built-in defaults for the seed and for certify's worker count (flags
-still win); every randomized command logs the seed it used.
+The MLOCALITY_SEED environment variable overrides the built-in default
+seed (--seed still wins); every randomized command logs the seed it used.
+certify runs its samples one after another in one process.
 threshold and table also take --seed, but their search is deterministic:
 the seed is only recorded in the output and does not change the results.
 table computes its cells one after another in one process.
@@ -54,19 +54,18 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 
-def _flag_or_env(args: argparse.Namespace, name: str, default: int) -> int:
-    """The --name flag, else the MLOCALITY_<NAME> environment variable (logged), else default."""
-    if getattr(args, name, None) is not None:
-        return getattr(args, name)
-    variable = f"MLOCALITY_{name.upper()}"
-    raw = os.environ.get(variable)
+def _seed(args: argparse.Namespace) -> int:
+    """The --seed flag, else the MLOCALITY_SEED environment variable (logged), else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("MLOCALITY_SEED")
     if raw is None:
-        return default
+        return DEFAULT_SEED
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"environment variable {variable} must be an integer, got {raw!r}") from None
-    print(f"# {name} from {variable} = {value}", file=sys.stderr)
+        raise ValueError(f"environment variable MLOCALITY_SEED must be an integer, got {raw!r}") from None
+    print(f"# seed from MLOCALITY_SEED = {value}", file=sys.stderr)
     return value
 
 
@@ -89,7 +88,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         return
     casts = {
         "n": int, "m": int, "k_prime": int, "samples": int, "seed": int,
-        "workers": int, "grid_resolution": int, "restarts": int,
+        "grid_resolution": int, "restarts": int,
         "refinement_rounds": int, "p": float, "local_tolerance": float,
         "family": str, "format": str,
         "output": str, "angles": str, "n_list": str,
@@ -166,21 +165,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    seed = _flag_or_env(args, "seed", DEFAULT_SEED)
-    workers = _flag_or_env(args, "workers", 1)
+    seed = _seed(args)
     samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
     expr = _expression(args)
     lines = [f"# certify n={args.n} m={args.m} samples={samples} seed={seed}"]
     deterministic_max = max_strategy_lhs(expr)
     lines.append(f"deterministic_max = {deterministic_max}")
     try:
-        sampled_max = certify_m_local_bound(expr, samples, seed, workers=workers)
+        sampled_max = certify_m_local_bound(expr, samples, seed)
     except CertificationError as exc:
         lines.append("sampled_certification = FAIL")
         _write_output("\n".join(lines) + "\n", args.output)
         print(json.dumps(exc.report, indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_FINDING
-    lines.append(f"sampled_max = {sampled_max:.12g}")
+    # summation noise around an exact 0 (and -0.0) prints as 0; other values print unrounded
+    shown = 0.0 if round(sampled_max, 12) == 0 else sampled_max
+    lines.append(f"sampled_max = {shown:.12g}")
     verdict = deterministic_max <= 0 and sampled_max <= CERT_TOL
     lines.append(f"bound_satisfied = {str(verdict).lower()}")
     _write_output("\n".join(lines) + "\n", args.output)
@@ -188,7 +188,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    seed = _flag_or_env(args, "seed", DEFAULT_SEED)
+    seed = _seed(args)
     config = _optimizer_config(args, seed)
     result = find_threshold(args.n, args.m, args.family, config)
     _emit_threshold_results([result], args, seed)
@@ -196,7 +196,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    seed = _flag_or_env(args, "seed", DEFAULT_SEED)
+    seed = _seed(args)
     config = _optimizer_config(args, seed)
     n_list = [int(x) for x in args.n_list.split(",")]
     if any(not 2 <= n for n in n_list):
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-prime", dest="k_prime", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_certify)
 

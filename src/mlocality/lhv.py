@@ -519,15 +519,16 @@ class _TermReader:
         return float(self._coefficients @ reads)
 
 
-def _sampled_models(expr: BellExpression, samples: int, rng_seed, start: int, stop: int):
-    """Yield (partition, draws, LHS) for sample indices [start, stop).
+def _sampled_models(expr: BellExpression, samples: int, rng_seed):
+    """Yield (partition, draws, LHS) for each of `samples` samples.
 
-    Sample i draws from its own spawned seed the partition (uniform over the
-    enumerated list), then one `_draw_block` per block in block order.
+    Sample i draws from the i-th seed spawned from rng_seed the partition
+    (uniform over the enumerated list), then one `_draw_block` per block in
+    block order, so any sample can be replayed from (rng_seed, i).
     """
     reader = _TermReader(expr)
     partitions = _partitions_tuple(expr.n, expr.m)
-    for child in np.random.SeedSequence(rng_seed).spawn(samples)[start:stop]:
+    for child in np.random.SeedSequence(rng_seed).spawn(samples):
         rng = np.random.default_rng(child)
         index = int(rng.integers(len(partitions)))
         part = partitions[index]
@@ -535,45 +536,18 @@ def _sampled_models(expr: BellExpression, samples: int, rng_seed, start: int, st
         yield part, draws, reader.value(index, draws)
 
 
-def _certify_range(expr: BellExpression, samples: int, rng_seed, start: int, stop: int):
-    """Run sample indices [start, stop); returns (max LHS, failure or None).
-
-    A sample above the tolerance is rebuilt as block tables and their
-    product, which give the reported LHS.
-    """
-    worst = -math.inf
-    for offset, (part, draws, value) in enumerate(_sampled_models(expr, samples, rng_seed, start, stop)):
-        if value > CERT_TOL:
-            blocks = [_block_sample(len(b), *d).relabel(b) for b, d in zip(part.blocks, draws)]
-            value = distribution_lhs(expr, product_distribution(part, blocks))
-            report = certification_failure_report(
-                expr, part, blocks, value, rng_seed, start + offset
-            )
-            return worst, report
-        worst = max(worst, value)
-    return worst, None
-
-
-def _certify_chunk(args):
-    return _certify_range(*args)
-
-
-def certify_m_local_bound(
-    expr: BellExpression, samples: int, rng_seed, workers: int = 1
-) -> float:
+def certify_m_local_bound(expr: BellExpression, samples: int, rng_seed) -> float:
     """Sample nonsignaling m-local product models and check LHS <= tolerance.
 
     Each sample draws a partition of the parties into m blocks (uniform over
     the enumerated list), independent nonsignaling distributions per block,
     and evaluates the product from the T entries its terms read (see
     `_TermReader`), without building the product table.  Returns the
-    maximum observed LHS; any value above the tolerance raises
+    maximum observed LHS.  The first sample above the tolerance raises
     CertificationError with a full dump, whose block tables and LHS are
     rebuilt as `sample_nonsignaling_block` and `product_distribution` would
-    give them.  Samples are seeded independently (spawned seeds) and
-    distributed over a process pool when workers > 1, with a fixed
-    reduction order, so the outcome is reproducible regardless of worker
-    count.
+    give them.  Every sample has its own spawned seed, so the dump's
+    sample_index replays it.
     """
     if expr.n > CERTIFY_MAX_PARTIES:
         raise ParameterDomainError(
@@ -582,25 +556,14 @@ def certify_m_local_bound(
         )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if workers <= 1:
-        worst, failure = _certify_range(expr, samples, rng_seed, 0, samples)
-        outcomes = [(worst, failure)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = -(-samples // workers)
-        ranges = [
-            (expr, samples, rng_seed, lo, min(lo + step, samples))
-            for lo in range(0, samples, step)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_certify_chunk, ranges))
-    failures = [f for _, f in outcomes if f is not None]
-    if failures:
-        report = min(failures, key=lambda f: f["sample_index"])
-        raise CertificationError(
-            f"m-local bound violated at sample {report['sample_index']}: "
-            f"LHS = {report['observed_lhs']!r}",
-            report,
-        )
-    return max(worst for worst, _ in outcomes)
+    worst = -math.inf
+    for index, (part, draws, value) in enumerate(_sampled_models(expr, samples, rng_seed)):
+        if value > CERT_TOL:
+            blocks = [_block_sample(len(b), *d).relabel(b) for b, d in zip(part.blocks, draws)]
+            value = distribution_lhs(expr, product_distribution(part, blocks))
+            raise CertificationError(
+                f"m-local bound violated at sample {index}: LHS = {value!r}",
+                certification_failure_report(expr, part, blocks, value, rng_seed, index),
+            )
+        worst = max(worst, value)
+    return worst

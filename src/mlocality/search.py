@@ -224,7 +224,11 @@ def _best_candidates(
         best[:, part] = best_part.reshape(2, -1, resolution)
     total = best.sum(axis=0).reshape(-1) + expr.coefficient_sum() * (1.0 - state.p) / 2**n
     arg = arg.reshape(2, -1)
-    order = np.argsort(total, kind="stable")[::-1][:top_k]
+    # the top_k cells in the order of a full stable argsort reversed: descending
+    # value, the higher index first among ties; only cells >= the k-th largest are sorted
+    kth = max(total.size - top_k, 0)
+    cand = np.flatnonzero(total >= np.partition(total, kth)[kth])
+    order = cand[np.argsort(total[cand], kind="stable")[::-1][:top_k]]
     alpha_beta = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     candidates = [SymmetricAngles(*axis[arg[:, i]].tolist(), *alpha_beta[i].tolist()) for i in order]
     return float(total[order[0]]), candidates

@@ -115,6 +115,20 @@ class TestCertify:
         assert code == 0
         assert "deterministic_max = 0" in out
 
+    @pytest.mark.parametrize(
+        "case,line",
+        [
+            # the raw maximum here is 5.55e-17, summation noise around an exact 0
+            (["--n", "4", "--m", "4", "--samples", "500", "--seed", "20230"], "sampled_max = 0\n"),
+            (["--n", "3", "--m", "3", "--samples", "5", "--seed", "1"], "sampled_max = -0.0656220062938\n"),
+        ],
+        ids=["zero", "negative"],
+    )
+    def test_sampled_max_is_printed_rounded(self, capsys, case, line):
+        code, out, _ = run(capsys, ["certify"] + case)
+        assert code == 0
+        assert line in out
+
     def test_size_guard_exit_code(self, capsys):
         code, _, _ = run(capsys, ["certify", "--n", "13", "--m", "2", "--samples", "10"])
         assert code == 2
@@ -122,7 +136,7 @@ class TestCertify:
     def test_failure_dump(self, capsys, monkeypatch):
         report = {"kind": "certification_failure", "observed_lhs": 0.5}
 
-        def boom(expr, samples, seed, workers=1):
+        def boom(expr, samples, seed):
             raise CertificationError("bound violated", report)
 
         monkeypatch.setattr(cli, "certify_m_local_bound", boom)
@@ -203,10 +217,15 @@ class TestThresholdAndTable:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_table_workers_flag_is_rejected(self, capsys):
-        # table computes its cells in one process; only certify has workers
+    @pytest.mark.parametrize(
+        "command",
+        [["table", "--n-list", "2", "--family", "ghz"], ["certify", "--n", "3", "--m", "2"]],
+        ids=["table", "certify"],
+    )
+    def test_workers_flag_is_rejected(self, capsys, command):
+        # both commands run in one process; neither has a worker count
         with pytest.raises(SystemExit) as exc:
-            cli.main(["table", "--n-list", "2", "--family", "ghz", "--workers", "2"])
+            cli.main(command + ["--workers", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -265,6 +284,7 @@ class TestConfigAndEnvironment:
             ["threshold", "--family", "ghz", "--n", "3", "--m", "3"],
             ["build", "--n", "3", "--m", "2"],
             ["table", "--n-list", "3", "--family", "ghz"],
+            ["certify", "--n", "3", "--m", "2", "--samples", "20"],
         ],
     )
     def test_workers_config_key_is_rejected_where_unused(self, capsys, tmp_path, command):
@@ -275,14 +295,6 @@ class TestConfigAndEnvironment:
         assert out == ""
         assert "unknown config key 'workers'" in err
         assert repr(command[0]) in err
-
-    def test_certify_takes_workers_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("workers = 2\n")
-        code, out, _ = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "20",
-                                    "--config", str(cfg)])
-        assert code == 0
-        assert "bound_satisfied = true" in out
 
     def test_config_file_reaches_optimizer_config(self, capsys, tmp_path):
         # restarts = 0 is rejected by OptimizerConfig, so exit 2 shows the
@@ -308,9 +320,16 @@ class TestConfigAndEnvironment:
         assert code == 0
         assert "seed=5" in out
 
-    @pytest.mark.parametrize("variable", ["MLOCALITY_SEED", "MLOCALITY_WORKERS"])
+    @pytest.mark.parametrize("variable", ["MLOCALITY_SEED"])
     def test_malformed_env_integer_is_a_usage_error(self, capsys, monkeypatch, variable):
         monkeypatch.setenv(variable, "four")
         code, _, err = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "10"])
         assert code == 2
         assert variable in err
+
+    def test_workers_env_variable_is_ignored(self, capsys, monkeypatch):
+        argv = ["certify", "--n", "3", "--m", "2", "--samples", "10"]
+        code, plain, _ = run(capsys, argv)
+        monkeypatch.setenv("MLOCALITY_WORKERS", "four")
+        assert run(capsys, argv)[:2] == (code, plain)
+        assert code == 0

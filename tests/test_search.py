@@ -136,6 +136,27 @@ class TestGridEvaluation:
         fast, _ = exhaustive_symmetric_max(expr, state, 7)
         assert fast == pytest.approx(brute, abs=1e-12)
 
+    def test_top_cells_keep_the_order_of_a_full_sort(self, monkeypatch):
+        # GHZ n=4 m=2 ties at many grid values.  The candidates must come in
+        # the order of a full stable argsort of the grid totals, reversed:
+        # descending, the higher (alpha, beta) cell index first among ties.
+        # The totals are read from the partition call that picks the k-th value.
+        resolution = 24
+        expr = build_hierarchy_inequality(4, 2, 1)
+        state = NoisyState(ghz_state(4), 1.0)
+        cell = {x: i for i, x in enumerate(search._grid_axis(resolution).tolist())}
+        seen = []
+        partition = np.partition
+        monkeypatch.setattr(np, "partition", lambda a, kth: seen.append(a.copy()) or partition(a, kth))
+        for top_k in (1, 2, 4, 5, 8, 100, resolution**2 - 1, resolution**2, resolution**2 + 3):
+            best, candidates = search._best_candidates(expr, state, resolution, top_k)
+            total = seen[-1]
+            assert total.size - len(np.unique(total)) > 100  # many exact ties
+            want = np.argsort(total, kind="stable")[::-1][:top_k]
+            got = [cell[c.theta_a_rest] * resolution + cell[c.theta_b_rest] for c in candidates]
+            assert got == want.tolist()
+            assert best == total[want[0]]
+
     @pytest.mark.parametrize("resolution", [2, 3, 6, 7, 24, 360])
     def test_party1_maximum_equals_full_scan(self, resolution):
         # the closed form evaluates only the two grid points bracketing the
