@@ -31,10 +31,8 @@ from .quantum import (
     MeasurementAngles,
     NoisyState,
     StateVector,
-    dense_density_oracle,
     evaluate_lhs,
     ghz_state,
-    quantum_behavior,
     term_probability,
     w_state,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "build_hierarchy_inequality",
     "certify_m_local_bound",
     "check_nonsignaling",
-    "dense_density_oracle",
     "distribution_lhs",
     "enumerate_partitions",
     "evaluate_lhs",
@@ -80,7 +77,6 @@ __all__ = [
     "maximize_violation",
     "parse_expression",
     "product_distribution",
-    "quantum_behavior",
     "reproduce_table",
     "sample_nonsignaling_block",
     "serialize_expression",

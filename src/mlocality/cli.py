@@ -40,7 +40,6 @@ from .search import (
     OptimizerConfig,
     SymmetricAngles,
     find_threshold,
-    maximize_violation,
     reproduce_table,
     state_for_family,
     thresholds_to_csv,
@@ -101,11 +100,11 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             setattr(args, key, casts[key](raw))
 
 
-def _optimizer_config(args: argparse.Namespace, seed: int) -> OptimizerConfig:
+def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
     """OptimizerConfig from the given flags; the defaults live in OptimizerConfig."""
     keys = ("grid_resolution", "refinement_rounds", "local_tolerance", "restarts")
     given = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    return OptimizerConfig(rng_seed=seed, **given)
+    return OptimizerConfig(**given)
 
 
 def _expression(args: argparse.Namespace):
@@ -189,7 +188,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    config = _optimizer_config(args, seed)
+    config = _optimizer_config(args)
     result = find_threshold(args.n, args.m, args.family, config)
     _emit_threshold_results([result], args, seed)
     return EXIT_OK
@@ -197,7 +196,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    config = _optimizer_config(args, seed)
+    config = _optimizer_config(args)
     n_list = [int(x) for x in args.n_list.split(",")]
     if any(not 2 <= n for n in n_list):
         raise ParameterDomainError(f"party counts must be >= 2, got {n_list}")

@@ -311,7 +311,7 @@ def sample_nonsignaling_vertex(size: int, rng) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def nonsignaling_vertex_pool(size: int) -> tuple[np.ndarray, ...]:
-    """Deduplicated vertices gathered from random objectives (fixed seed).
+    """Distinct vertices gathered from random objectives (fixed seed).
 
     For sizes 1 and 2 objectives are drawn until no new vertex appears for
     a stall window, which recovers the complete vertex set (24 boxes at
@@ -325,7 +325,7 @@ def nonsignaling_vertex_pool(size: int) -> tuple[np.ndarray, ...]:
         stall = 0
         while stall < _POOL_STALL:
             v = sample_nonsignaling_vertex(size, rng)
-            key = np.round(v, 10).tobytes()
+            key = (np.round(v, 10) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
             if key in seen:
                 stall += 1
             else:
@@ -334,7 +334,7 @@ def nonsignaling_vertex_pool(size: int) -> tuple[np.ndarray, ...]:
     else:
         for _ in range(draws):
             v = sample_nonsignaling_vertex(size, rng)
-            seen.setdefault(np.round(v, 10).tobytes(), v)
+            seen.setdefault((np.round(v, 10) + 0.0).tobytes(), v)
     return tuple(seen.values())
 
 
@@ -519,16 +519,16 @@ class _TermReader:
         return float(self._coefficients @ reads)
 
 
-def _sampled_models(expr: BellExpression, samples: int, rng_seed):
+def _sampled_models(expr: BellExpression, samples: int, seed):
     """Yield (partition, draws, LHS) for each of `samples` samples.
 
-    Sample i draws from the i-th seed spawned from rng_seed the partition
-    (uniform over the enumerated list), then one `_draw_block` per block in
-    block order, so any sample can be replayed from (rng_seed, i).
+    Sample i draws, with the i-th child seed spawned from `seed`, the
+    partition (uniform over the enumerated list), then one `_draw_block`
+    per block in block order, so any sample can be replayed from (seed, i).
     """
     reader = _TermReader(expr)
     partitions = _partitions_tuple(expr.n, expr.m)
-    for child in np.random.SeedSequence(rng_seed).spawn(samples):
+    for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
         index = int(rng.integers(len(partitions)))
         part = partitions[index]
@@ -536,7 +536,7 @@ def _sampled_models(expr: BellExpression, samples: int, rng_seed):
         yield part, draws, reader.value(index, draws)
 
 
-def certify_m_local_bound(expr: BellExpression, samples: int, rng_seed) -> float:
+def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
     """Sample nonsignaling m-local product models and check LHS <= tolerance.
 
     Each sample draws a partition of the parties into m blocks (uniform over
@@ -557,13 +557,13 @@ def certify_m_local_bound(expr: BellExpression, samples: int, rng_seed) -> float
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     worst = -math.inf
-    for index, (part, draws, value) in enumerate(_sampled_models(expr, samples, rng_seed)):
+    for index, (part, draws, value) in enumerate(_sampled_models(expr, samples, seed)):
         if value > CERT_TOL:
             blocks = [_block_sample(len(b), *d).relabel(b) for b, d in zip(part.blocks, draws)]
             value = distribution_lhs(expr, product_distribution(part, blocks))
             raise CertificationError(
                 f"m-local bound violated at sample {index}: LHS = {value!r}",
-                certification_failure_report(expr, part, blocks, value, rng_seed, index),
+                certification_failure_report(expr, part, blocks, value, seed, index),
             )
         worst = max(worst, value)
     return worst

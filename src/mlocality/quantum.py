@@ -20,10 +20,10 @@ it for every term of a table at a batch of angle points of any leading
 shape: it gathers each party's vector component at each nonzero amplitude
 of the state (its support), multiplies across parties and sums over the
 support.  A dense state is a support of size 2^n.  `evaluate_lhs`,
-`term_probability`, the refinement and the non-symmetric angle grid of the
-search module all call it; the symmetric grid factors the same amplitudes
-over its two shared angles instead.  `dense_density_oracle` and
-`quantum_behavior` stay independent of it as test oracles.
+`term_probability` and the refinement of the search module all call it;
+the search module's grid factors the same amplitudes over its two shared
+angles instead.  The tests check the kernel against a dense density-matrix
+oracle that shares none of its code.
 """
 
 from __future__ import annotations
@@ -31,25 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from ._bits import bit_matrix, index_to_bits
-from .inequality import (
-    SETTING_A,
-    SETTING_B,
-    BellExpression,
-    DimensionMismatchError,
-    ParameterDomainError,
-    Term,
-    TermTable,
-    tabulate_terms,
-)
-from .lhv import ConditionalDistribution
+from ._bits import bit_matrix
+from .inequality import BellExpression, DimensionMismatchError, Term, TermTable, tabulate_terms
 
 NORM_TOL = 1e-12
-DENSE_ORACLE_MAX_PARTIES = 8
 
 _BATCH_ELEMENTS = 1 << 20  # array entries per chunk of gathered factors, about 8 MB of float64
 
@@ -151,16 +139,6 @@ def w_state(n: int) -> StateVector:
     return StateVector(n, amp)
 
 
-def setting_vector(theta: float) -> np.ndarray:
-    """Qubit state with Bloch vector (sin theta, 0, cos theta)."""
-    return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)])
-
-
-def orthogonal_vector(theta: float) -> np.ndarray:
-    """The state orthogonal to setting_vector(theta)."""
-    return np.array([-math.sin(theta / 2.0), math.cos(theta / 2.0)])
-
-
 # A party's vector for outcome 0 is (c, s) and for outcome 1 is (-s, c),
 # with (c, s) = (cos(theta/2), sin(theta/2)): both are linear in (c, s).
 _OUTCOME_VECTORS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])
@@ -230,66 +208,3 @@ def evaluate_lhs(expr: BellExpression, state: NoisyState, angles: MeasurementAng
 def mixed_state_lhs(n: int, m: int) -> float:
     """Closed-form LHS at p=0: (1 - n - binomial(n-1, m-1)) / 2^n."""
     return (1 - n - math.comb(n - 1, m - 1)) / 2**n
-
-
-def density_matrix(state: NoisyState) -> np.ndarray:
-    """Dense 2^n x 2^n density matrix of the noisy state."""
-    dim = 2**state.n
-    psi = state.psi.amplitudes
-    return state.p * np.outer(psi, psi.conj()) + (1.0 - state.p) * np.eye(dim) / dim
-
-
-def measurement_projectors(angles: MeasurementAngles) -> list[dict[tuple[str, str], np.ndarray]]:
-    """Per-party rank-1 projectors keyed by (setting, outcome) characters."""
-    sets = []
-    for k in range(angles.n):
-        per_party = {}
-        for setting, theta in ((SETTING_A, angles.theta_a[k]), (SETTING_B, angles.theta_b[k])):
-            for outcome in ("0", "1"):
-                v = setting_vector(theta) if outcome == "0" else orthogonal_vector(theta)
-                per_party[(setting, outcome)] = np.outer(v, v.conj())
-        sets.append(per_party)
-    return sets
-
-
-def dense_density_oracle(
-    expr: BellExpression,
-    rho: np.ndarray,
-    projectors: Sequence[dict[tuple[str, str], np.ndarray]],
-) -> float:
-    """Evaluate the LHS as sum of trace(rho @ Pi) with explicit Kronecker products.
-
-    Verification path only; O(4^n) memory, guarded at n > 8.
-    """
-    n = expr.n
-    if n > DENSE_ORACLE_MAX_PARTIES:
-        raise ParameterDomainError(
-            f"dense oracle supports n <= {DENSE_ORACLE_MAX_PARTIES}, got n={n}"
-        )
-    if rho.shape != (2**n, 2**n) or len(projectors) != n:
-        raise DimensionMismatchError("density matrix or projector sets do not match n")
-    total = 0.0
-    for term in expr.terms:
-        proj = np.array([[1.0]])
-        for k in range(n):
-            proj = np.kron(proj, projectors[k][(term.settings[k], term.outcomes[k])])
-        total += term.coefficient * float(np.trace(rho @ proj).real)
-    return total
-
-
-def quantum_behavior(state: NoisyState, angles: MeasurementAngles) -> ConditionalDistribution:
-    """Full conditional distribution P(r|M) induced by measuring the state."""
-    n = state.n
-    if angles.n != n:
-        raise DimensionMismatchError(f"angles cover {angles.n} parties, state has {n}")
-    table = np.empty((2**n, 2**n))
-    mixed = (1.0 - state.p) / 2**n
-    for m_idx in range(2**n):
-        setting_bits = index_to_bits(m_idx, n)
-        amp = state.psi.amplitudes.reshape((2,) * n)
-        for k, bit in enumerate(setting_bits):
-            theta = angles.theta_a[k] if bit == 0 else angles.theta_b[k]
-            basis = np.stack([setting_vector(theta), orthogonal_vector(theta)])
-            amp = np.moveaxis(np.tensordot(basis, amp, axes=(1, k)), 0, k)
-        table[m_idx] = state.p * np.abs(amp.reshape(-1)) ** 2 + mixed
-    return ConditionalDistribution(tuple(range(1, n + 1)), table)

@@ -12,15 +12,13 @@ product of the a-measured parties' components at a, the b-measured ones' at
 b and party 1's, so over all (a, b) they are one matrix product per term,
 O(T*S*R^2) for T terms, support size S and R points per angle.  Each form is
 a sinusoid in x whose grid maximum lies at one of the two grid points
-bracketing its peak, so no scan over x is needed.  The non-symmetric search
-covers its 2n angles with the quantum module's kernel instead.
+bracketing its peak, so no scan over x is needed.
 
 The best grid cells are then refined by a compass search run on all
 restarts in lockstep: each round gathers the +/-step polls of every restart
 still refining and evaluates them in one batched call of the quantum
-module's kernel, taken in chunks of points that bound its memory.  The
-symmetric search maps its 4 angles, the non-symmetric one its 2n angles,
-onto the kernel's (points, 2, n) angle array, so both take the same path.
+module's kernel, taken in chunks of points that bound its memory, with
+the 4 angles placed in the kernel's (points, 2, n) angle array.
 
 For fixed angles the LHS is affine in the visibility p,
 LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,25 +75,22 @@ class SymmetricAngles:
 class OptimizerConfig:
     """Budget of maximize_violation.
 
-    rng_seed (any nonnegative integer, as numpy takes) seeds only the
-    random restarts of the non-symmetric search; the symmetric search
-    behind find_threshold and the threshold and table commands never reads
-    it, so those commands only record the seed.
+    The coarse grid has grid_resolution points per angle; its best
+    `restarts` cells are refined for at most refinement_rounds compass
+    rounds, each restart stopping once its step drops below
+    local_tolerance.  The search is deterministic, so there is no seed.
     """
 
     grid_resolution: int = 24
     refinement_rounds: int = 200
     local_tolerance: float = 1e-5
     restarts: int = 8
-    rng_seed: int = 7
 
     def __post_init__(self) -> None:
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
         if self.refinement_rounds < 1 or self.restarts < 1:
             raise ValueError("refinement_rounds and restarts must be positive")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
         if not self.local_tolerance > 0:
             raise ValueError("local_tolerance must be positive")
 
@@ -293,79 +288,37 @@ def _lhs_batch(expr: BellExpression, state: NoisyState, theta: np.ndarray) -> np
     return np.concatenate([_lhs_values(expr, state, theta[part]) for part in parts])
 
 
-def _full_grid(
-    expr: BellExpression, state: NoisyState, resolution: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every point of the product grid over all 2n angles, theta_a then theta_b, and the LHS there."""
-    dims = 2 * expr.n
-    points = np.indices((resolution,) * dims).reshape(dims, -1).T * (TWO_PI / resolution)
-    return points, _lhs_batch(expr, state, points.reshape(-1, 2, expr.n))
-
-
 def maximize_violation(
     expr: BellExpression,
     state: NoisyState,
     config: OptimizerConfig | None = None,
-    symmetric: bool = True,
-    extra_starts: Iterable = (),
-):
-    """Maximize the LHS over measurement angles.
+) -> tuple[float, SymmetricAngles]:
+    """Maximize the LHS over the four symmetric measurement angles.
 
-    Returns (max LHS, angles); angles are SymmetricAngles when symmetric,
-    otherwise MeasurementAngles over all 2n per-party angles.  Deterministic
-    given the configuration.  Coarse grid first, then one lockstep compass
-    search refining the best `restarts` grid cells (plus any extra starts)
-    together.  A search point is the 4 symmetric angles or the 2n per-party
-    angles; `layout` places its coordinates in the kernel's (2, n) angle
-    array, so every round of polls is one batched evaluation.  The best end
-    point wins, ties going to the smaller angle tuple, and refinement never
-    returns less than the best coarse-grid point.
+    Deterministic given the configuration.  Coarse grid first, then one
+    lockstep compass search refining the best `restarts` grid cells
+    together.  `layout` places the 4 angles of a search point in the
+    kernel's (2, n) angle array, so every round of polls is one batched
+    evaluation.  The best end point wins, ties going to the smaller angle
+    tuple, and refinement never returns less than the best coarse-grid
+    point.
     """
     config = config or OptimizerConfig()
     if expr.n != state.n:
         raise DimensionMismatchError(f"expression has n={expr.n}, state has n={state.n}")
     n = expr.n
-
-    if symmetric:
-        grid_best, candidates = _best_candidates(
-            expr, state, config.grid_resolution, config.restarts
-        )
-        starts = [c.as_tuple() for c in candidates] + [s.as_tuple() for s in extra_starts]
-        step0 = TWO_PI / config.grid_resolution
-        # (theta_a1, theta_b1, theta_a_rest, theta_b_rest) -> rows theta_a, theta_b
-        layout = np.array([[0] + [2] * (n - 1), [1] + [3] * (n - 1)])
-
-        def to_angles(vec: np.ndarray):
-            return SymmetricAngles(*vec.tolist())
-
-    else:
-        dims = 2 * n
-        budget = min(config.grid_resolution**4, 250_000)
-        resolution = max(2, int(budget ** (1.0 / dims)))
-        points, values = _full_grid(expr, state, resolution)
-        grid_best = float(values.max())
-        order = np.argsort(values, kind="stable")[::-1][: config.restarts]
-        rng = np.random.default_rng(config.rng_seed)
-        starts = [points[int(i)] for i in order]
-        starts += [rng.uniform(0.0, TWO_PI, dims) for _ in range(config.restarts)]
-        for s in extra_starts:
-            angles = s.expand(n) if isinstance(s, SymmetricAngles) else s
-            starts.append(angles.theta_a + angles.theta_b)
-        step0 = TWO_PI / resolution
-        layout = np.arange(dims).reshape(2, n)
-
-        def to_angles(vec: np.ndarray):
-            return MeasurementAngles(tuple(vec[:n]), tuple(vec[n:]))
-
+    grid_best, candidates = _best_candidates(expr, state, config.grid_resolution, config.restarts)
+    # (theta_a1, theta_b1, theta_a_rest, theta_b_rest) -> rows theta_a, theta_b
+    layout = np.array([[0] + [2] * (n - 1), [1] + [3] * (n - 1)])
     ends, values = compass_search(
-        lambda vecs: _lhs_batch(expr, state, vecs[:, layout]),
-        starts, step0, config.local_tolerance, config.refinement_rounds,
+        lambda vecs: _lhs_batch(expr, state, vecs[:, layout]), [c.as_tuple() for c in candidates],
+        TWO_PI / config.grid_resolution, config.local_tolerance, config.refinement_rounds,
     )
     best_val, best_vec = -np.inf, None
     for x, fx in zip(ends, values.tolist()):
         if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
             best_val, best_vec = fx, x
-    return max(best_val, grid_best), to_angles(best_vec)
+    return max(best_val, grid_best), SymmetricAngles(*best_vec.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +346,7 @@ def find_threshold(
     expr = build_hierarchy_inequality(n, m, 1)
     psi = state_for_family(family, n)
 
-    value_p1, angles_p1 = maximize_violation(expr, NoisyState(psi, 1.0), config, symmetric=True)
+    value_p1, angles_p1 = maximize_violation(expr, NoisyState(psi, 1.0), config)
     if value_p1 <= VIOLATION_TOL:
         raise NoViolationError(
             f"no violation at p=1 for (n={n}, m={m}, family={family}); threshold undefined"

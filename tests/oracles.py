@@ -1,12 +1,22 @@
-"""Test oracles: explicit deterministic strategies and a one-start compass search.
+"""Test oracles: explicit deterministic strategies, dense quantum behaviors and reference searches.
 
 The strategy oracles enumerate the 4^n strategies one by one (or as one
 vectorized sweep) and so stay independent of the response-type count in
 `mlocality.lhv.max_strategy_lhs`.  Enumeration is guarded at n <= 12.
 
+The dense oracles build the quantum side from explicit matrices and so stay
+independent of the amplitude kernel of `mlocality.quantum`:
+`dense_density_oracle` sums trace(rho Pi) over Kronecker-product
+projectors (`density_matrix`, `measurement_projectors`, built from
+`setting_vector` and `orthogonal_vector`), guarded at n <= 8 by
+DENSE_ORACLE_MAX_PARTIES, and `quantum_behavior` gives the full 2^n x 2^n
+table P(r|M) of a measured state.
+
 `sequential_compass_search` refines one start at a time, one poll per
 objective call, and so stays independent of the lockstep rounds of
-`mlocality.search.compass_search`.
+`mlocality.search.compass_search`.  `full_angle_search` frees all 2n
+angles, against the four symmetric angles of
+`mlocality.search.maximize_violation`, to check that ansatz.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from mlocality import search
 from mlocality._bits import index_to_bits
 from mlocality.inequality import (
     SETTING_A,
@@ -27,8 +38,11 @@ from mlocality.inequality import (
     ParameterDomainError,
 )
 from mlocality.lhv import ConditionalDistribution
+from mlocality.quantum import MeasurementAngles, NoisyState
+from mlocality.search import OptimizerConfig, SymmetricAngles
 
 STRATEGY_MAX_PARTIES = 12
+DENSE_ORACLE_MAX_PARTIES = 8
 TWO_PI = 2.0 * math.pi
 
 
@@ -146,3 +160,111 @@ def sequential_compass_search(fn, start, step: float, tol: float, max_rounds: in
         else:
             x, fx = best_x, best_f
     return x, fx
+
+
+def setting_vector(theta: float) -> np.ndarray:
+    """Qubit state with Bloch vector (sin theta, 0, cos theta)."""
+    return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)])
+
+
+def orthogonal_vector(theta: float) -> np.ndarray:
+    """The state orthogonal to setting_vector(theta)."""
+    return np.array([-math.sin(theta / 2.0), math.cos(theta / 2.0)])
+
+
+def density_matrix(state: NoisyState) -> np.ndarray:
+    """Dense 2^n x 2^n density matrix of the noisy state."""
+    dim = 2**state.n
+    psi = state.psi.amplitudes
+    return state.p * np.outer(psi, psi.conj()) + (1.0 - state.p) * np.eye(dim) / dim
+
+
+def measurement_projectors(angles: MeasurementAngles) -> list[dict[tuple[str, str], np.ndarray]]:
+    """Per-party rank-1 projectors keyed by (setting, outcome) characters."""
+    sets = []
+    for k in range(angles.n):
+        per_party = {}
+        for setting, theta in ((SETTING_A, angles.theta_a[k]), (SETTING_B, angles.theta_b[k])):
+            for outcome in ("0", "1"):
+                v = setting_vector(theta) if outcome == "0" else orthogonal_vector(theta)
+                per_party[(setting, outcome)] = np.outer(v, v.conj())
+        sets.append(per_party)
+    return sets
+
+
+def dense_density_oracle(
+    expr: BellExpression,
+    rho: np.ndarray,
+    projectors: Sequence[dict[tuple[str, str], np.ndarray]],
+) -> float:
+    """Evaluate the LHS as sum of trace(rho @ Pi) with explicit Kronecker products.
+
+    O(4^n) memory, guarded at n > 8.
+    """
+    n = expr.n
+    if n > DENSE_ORACLE_MAX_PARTIES:
+        raise ParameterDomainError(
+            f"dense oracle supports n <= {DENSE_ORACLE_MAX_PARTIES}, got n={n}"
+        )
+    if rho.shape != (2**n, 2**n) or len(projectors) != n:
+        raise DimensionMismatchError("density matrix or projector sets do not match n")
+    total = 0.0
+    for term in expr.terms:
+        proj = np.array([[1.0]])
+        for k in range(n):
+            proj = np.kron(proj, projectors[k][(term.settings[k], term.outcomes[k])])
+        total += term.coefficient * float(np.trace(rho @ proj).real)
+    return total
+
+
+def quantum_behavior(state: NoisyState, angles: MeasurementAngles) -> ConditionalDistribution:
+    """Full conditional distribution P(r|M) induced by measuring the state."""
+    n = state.n
+    if angles.n != n:
+        raise DimensionMismatchError(f"angles cover {angles.n} parties, state has {n}")
+    table = np.empty((2**n, 2**n))
+    mixed = (1.0 - state.p) / 2**n
+    for m_idx in range(2**n):
+        setting_bits = index_to_bits(m_idx, n)
+        amp = state.psi.amplitudes.reshape((2,) * n)
+        for k, bit in enumerate(setting_bits):
+            theta = angles.theta_a[k] if bit == 0 else angles.theta_b[k]
+            basis = np.stack([setting_vector(theta), orthogonal_vector(theta)])
+            amp = np.moveaxis(np.tensordot(basis, amp, axes=(1, k)), 0, k)
+        table[m_idx] = state.p * np.abs(amp.reshape(-1)) ** 2 + mixed
+    return ConditionalDistribution(tuple(range(1, n + 1)), table)
+
+
+def full_angle_search(expr: BellExpression, state: NoisyState, config: OptimizerConfig, seed=7, extra_starts=()):
+    """Maximize the LHS over all 2n per-party angles; returns (max LHS, MeasurementAngles).
+
+    The coarse grid covers every point of the product grid over the 2n
+    angles (theta_a then theta_b), at most 250,000 points.  Its best
+    `config.restarts` points, as many uniform random starts drawn with
+    `seed`, and the extra starts (SymmetricAngles or MeasurementAngles) are
+    then refined by one lockstep compass search on the search module's
+    chunked kernel.  The best end point wins, ties going to the smaller
+    angle tuple, and the result is never below the best grid point.
+    """
+    if expr.n != state.n:
+        raise DimensionMismatchError(f"expression has n={expr.n}, state has n={state.n}")
+    n = expr.n
+    dims = 2 * n
+    resolution = max(2, int(min(config.grid_resolution**4, 250_000) ** (1.0 / dims)))
+    points = np.indices((resolution,) * dims).reshape(dims, -1).T * (TWO_PI / resolution)
+    values = search._lhs_batch(expr, state, points.reshape(-1, 2, n))
+    rng = np.random.default_rng(seed)
+    starts = [points[int(i)] for i in np.argsort(values, kind="stable")[::-1][: config.restarts]]
+    starts += [rng.uniform(0.0, TWO_PI, dims) for _ in range(config.restarts)]
+    for s in extra_starts:
+        angles = s.expand(n) if isinstance(s, SymmetricAngles) else s
+        starts.append(angles.theta_a + angles.theta_b)
+    ends, end_values = search.compass_search(
+        lambda vecs: search._lhs_batch(expr, state, vecs.reshape(-1, 2, n)), starts,
+        TWO_PI / resolution, config.local_tolerance, config.refinement_rounds,
+    )
+    best_val, best_vec = -np.inf, None
+    for x, fx in zip(ends, end_values.tolist()):
+        if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
+            best_val, best_vec = fx, x
+    return max(best_val, float(values.max())), MeasurementAngles(tuple(best_vec[:n]), tuple(best_vec[n:]))

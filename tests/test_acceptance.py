@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The table reproductions
-and the certification sweep dominate the runtime (several minutes total).
+and the certification sweep dominate the runtime (about a minute total).
 """
 
 import math
@@ -12,20 +12,16 @@ import pytest
 
 from mlocality.inequality import build_hierarchy_inequality, term_count
 from mlocality.lhv import certify_m_local_bound, distribution_lhs, max_strategy_lhs
-from mlocality.quantum import (
-    MeasurementAngles,
-    NoisyState,
-    StateVector,
+from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state
+from mlocality.search import exhaustive_symmetric_max, find_threshold, maximize_violation
+from oracles import (
     dense_density_oracle,
     density_matrix,
-    evaluate_lhs,
-    ghz_state,
+    enumerate_strategies,
     measurement_projectors,
     quantum_behavior,
-    w_state,
+    strategy_lhs,
 )
-from mlocality.search import exhaustive_symmetric_max, find_threshold, maximize_violation
-from oracles import enumerate_strategies, strategy_lhs
 
 # Reference visibility thresholds for the noisy GHZ and W families
 # (independently reproduced numerical-search values).
@@ -94,7 +90,7 @@ def test_criterion_4_theorem_certification():
     for n in range(3, 7):
         for m in range(2, n + 1):
             expr = build_hierarchy_inequality(n, m, 1)
-            value = certify_m_local_bound(expr, 10_000, rng_seed=1000 * n + m)
+            value = certify_m_local_bound(expr, 10_000, seed=1000 * n + m)
             assert value <= 1e-9, f"(n={n}, m={m}) observed LHS {value}"
             worst = max(worst, value)
     print(f"\nACCEPTANCE 4 PASS: 10k-sample certification for n=3..6, max LHS {worst:.3e}")

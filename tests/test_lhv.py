@@ -231,6 +231,13 @@ class TestSampling:
         }
         assert got == expected
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_pool_tables_are_pairwise_distinct(self, size):
+        # compared by value, so a -0.0 entry equals a 0.0 one
+        pool = np.round(np.stack(nonsignaling_vertex_pool(size)), 10).reshape(-1, 4**size)
+        gaps = np.abs(pool[:, None] - pool[None]).max(axis=-1)
+        assert (gaps[~np.eye(len(pool), dtype=bool)] > 0).all()
+
     def test_sampled_vertices_are_known_boxes(self):
         rng = np.random.default_rng(23)
         known = {np.round(t, 10).tobytes() for t in local_deterministic_tables() + pr_box_tables()}
@@ -321,7 +328,7 @@ class TestCertification:
     def test_small_runs_stay_below_tolerance(self):
         for n, m in [(3, 2), (4, 2), (4, 4), (5, 3)]:
             expr = build_hierarchy_inequality(n, m, 1)
-            worst = certify_m_local_bound(expr, 400, rng_seed=7)
+            worst = certify_m_local_bound(expr, 400, seed=7)
             assert worst <= 1e-9
 
     def test_seeded_reproducibility(self):
@@ -342,7 +349,7 @@ class TestCertification:
         monkeypatch.setattr(lhv, "nonsignaling_vertex_pool", rigged)
         expr = build_hierarchy_inequality(4, 2, 1)
         with pytest.raises(CertificationError) as err:
-            certify_m_local_bound(expr, 50, rng_seed=1)
+            certify_m_local_bound(expr, 50, seed=1)
         report = err.value.report
         assert report["kind"] == "certification_failure"
         assert report["observed_lhs"] > 1e-9
@@ -367,7 +374,7 @@ class TestCertification:
         monkeypatch.setattr(lhv, "_sampled_models", lambda *args: pytest.fail("sampling started"))
         expr = build_hierarchy_inequality(13, 2, 1)
         with pytest.raises(ParameterDomainError):
-            certify_m_local_bound(expr, 1, rng_seed=1)
+            certify_m_local_bound(expr, 1, seed=1)
 
     def test_sample_count_validation(self):
         expr = build_hierarchy_inequality(3, 2, 1)
@@ -397,9 +404,9 @@ class TestCertification:
         golden = [
             ([(3,), (1, 2), (4, 5)], [[[1], [0], [2]], [[20], [4], [14]], [[16], [16]]], 0.0),
             ([(2,), (1, 3), (4, 5)], [[[2], [0]], [[8], [7], [1]], [[18], [22], [9]]], 0.0),
-            ([(2,), (3,), (1, 4, 5)], [[[2]], [[1], [1]], [[41], [48]]], 0.0),
-            ([(3,), (5,), (1, 2, 4)], [[[2], [2], [3]], [[3], [3]], [[69]]], -0.4004417691995245),
-            ([(3,), (5,), (1, 2, 4)], [[[3]], [[0]], [[27], [56]]], -1.8551986344186426),
+            ([(2,), (3,), (1, 4, 5)], [[[2]], [[1], [1]], [[37], [43]]], 0.0),
+            ([(3,), (5,), (1, 2, 4)], [[[2], [2], [3]], [[3], [3]], [[62]]], -0.2669611794663497),
+            ([(3,), (5,), (1, 2, 4)], [[[3]], [[0]], [[24], [51]]], 0.0),
             ([(5,), (1, 4), (2, 3)], [[[0], [1], [2]], [[7], [19], [11]], [[11], [7]]], -0.053620400276221836),
         ]
         samples = list(lhv._sampled_models(build_hierarchy_inequality(5, 3, 1), 6, 19))

@@ -18,19 +18,21 @@ from mlocality.quantum import (
     MeasurementAngles,
     NoisyState,
     StateVector,
-    dense_density_oracle,
-    density_matrix,
     evaluate_lhs,
     ghz_state,
-    measurement_projectors,
     mixed_state_lhs,
-    orthogonal_vector,
-    quantum_behavior,
-    setting_vector,
     term_probability,
     w_state,
 )
 from mlocality.search import exhaustive_symmetric_max
+from oracles import (
+    dense_density_oracle,
+    density_matrix,
+    measurement_projectors,
+    orthogonal_vector,
+    quantum_behavior,
+    setting_vector,
+)
 
 
 def random_state(n, rng):

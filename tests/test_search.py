@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mlocality.search as search
-from oracles import sequential_compass_search
+from oracles import full_angle_search, sequential_compass_search
 from mlocality.inequality import build_hierarchy_inequality
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state
 from mlocality.search import (
@@ -60,16 +60,17 @@ def w_with_phases(n, rng):
 def bisection_threshold(expr, psi, config, tolerance):
     """Oracle: bisection on p, re-optimizing the angles at every visibility.
 
-    Each midpoint is warm-started from the angles of the last violating one.
+    LHS(p, theta) = p*Q(theta) + (1-p)*C with C independent of theta, so the
+    search ranks angles the same at every p > 0 and needs no warm start.
     """
-    value, warm = maximize_violation(expr, NoisyState(psi, 1.0), config)
+    value, _ = maximize_violation(expr, NoisyState(psi, 1.0), config)
     assert value > VIOLATION_TOL
     lo, hi = 0.0, 1.0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        value, angles = maximize_violation(expr, NoisyState(psi, mid), config, extra_starts=(warm,))
+        value, _ = maximize_violation(expr, NoisyState(psi, mid), config)
         if value > VIOLATION_TOL:
-            hi, warm = mid, angles
+            hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
@@ -195,24 +196,6 @@ class TestGridEvaluation:
         index, value = search._party1_maxima(np.ones(1), q01, np.ones(1), features)
         assert (index[0], value[0]) == (0, 1.0)
 
-    def test_full_grid_equals_brute_force(self):
-        # the coarse grid of the non-symmetric search: all 4^4 points of the
-        # product grid over the 2n = 4 angles, in itertools.product order
-        rng = np.random.default_rng(53)
-        expr = build_hierarchy_inequality(2, 2, 1)
-        state = NoisyState(random_state(2, rng), 0.7)
-        axis = np.arange(4) * 2 * np.pi / 4
-        brute_points = list(itertools.product(axis, repeat=4))
-        brute = [
-            evaluate_lhs(expr, state, MeasurementAngles(x[:2], x[2:])) for x in brute_points
-        ]
-        points, values = search._full_grid(expr, state, 4)
-        np.testing.assert_array_equal(points, brute_points)
-        np.testing.assert_allclose(values, brute, rtol=0, atol=1e-14)
-        config = OptimizerConfig(grid_resolution=4, restarts=1, refinement_rounds=1)
-        value, _ = maximize_violation(expr, state, config, symmetric=False)
-        assert value >= max(brute) - 1e-15
-
 
 class TestCompassSearch:
     def test_converges_on_smooth_objective(self):
@@ -321,11 +304,8 @@ class TestLockstepEqualsOracle:
         assert calls == [2]
 
 
-def oracle_objective(expr, state, symmetric):
-    n = expr.n
-    if symmetric:
-        return lambda v: evaluate_lhs(expr, state, SymmetricAngles(*v).expand(n))
-    return lambda v: evaluate_lhs(expr, state, MeasurementAngles(tuple(v[:n]), tuple(v[n:])))
+def oracle_objective(expr, state):
+    return lambda v: evaluate_lhs(expr, state, SymmetricAngles(*v).expand(expr.n))
 
 
 def per_point_lhs(expr, state, theta):
@@ -333,7 +313,7 @@ def per_point_lhs(expr, state, theta):
     return np.array([evaluate_lhs(expr, state, MeasurementAngles(a, b)) for a, b in theta])
 
 
-def optimize_with_oracle(monkeypatch, expr, state, config, symmetric):
+def optimize_with_oracle(monkeypatch, expr, state, config):
     """maximize_violation, and the oracle's answer from the same starts.
 
     Returns the lockstep search's (value, angle vector, per-start end points
@@ -351,25 +331,19 @@ def optimize_with_oracle(monkeypatch, expr, state, config, symmetric):
         return result
 
     monkeypatch.setattr(search, "compass_search", recording)
-    value, angles = maximize_violation(expr, state, config, symmetric=symmetric)
+    value, angles = maximize_violation(expr, state, config)
     monkeypatch.setattr(search, "compass_search", lockstep)
     ((starts, step, tol, max_rounds, ends),) = seen
-    vec = angles.as_tuple() if symmetric else angles.theta_a + angles.theta_b
 
-    fn = oracle_objective(expr, state, symmetric)
+    fn = oracle_objective(expr, state)
     runs = [sequential_compass_search(fn, s, step, tol, max_rounds) for s in starts]
     best_val, best_vec = -np.inf, None
     for x, fx in runs:
         if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
             best_val, best_vec = fx, x
-    if symmetric:
-        grid_best = search._best_candidates(expr, state, config.grid_resolution, config.restarts)[0]
-    else:
-        dims = 2 * expr.n
-        resolution = max(2, int(min(config.grid_resolution**4, 250_000) ** (1.0 / dims)))
-        grid_best = search._full_grid(expr, state, resolution)[1].max()
+    grid_best = search._best_candidates(expr, state, config.grid_resolution, config.restarts)[0]
     oracle_ends = (np.array([x for x, _ in runs]), np.array([fx for _, fx in runs]))
-    return (value, vec, ends), (max(best_val, grid_best), tuple(best_vec), oracle_ends)
+    return (value, angles.as_tuple(), ends), (max(best_val, grid_best), tuple(best_vec), oracle_ends)
 
 
 ORACLE_CASES = [
@@ -381,15 +355,14 @@ ORACLE_IDS = [c[0] for c in ORACLE_CASES]
 
 
 class TestMaximizeViolationEqualsOracle:
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
     @pytest.mark.parametrize("case,make_state,m", ORACLE_CASES, ids=ORACLE_IDS)
-    def test_same_search_as_oracle_on_the_same_values(self, monkeypatch, case, make_state, m, symmetric):
+    def test_same_search_as_oracle_on_the_same_values(self, monkeypatch, case, make_state, m):
         # with the polls evaluated point by point, both searches see the same
         # value at every point, so they must take the same steps exactly
         monkeypatch.setattr(search, "_lhs_values", per_point_lhs)
         state = make_state()
         expr = build_hierarchy_inequality(state.n, m, 1)
-        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, QUICK, symmetric)
+        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, QUICK)
         np.testing.assert_array_equal(lock[2][0], oracle[2][0])
         np.testing.assert_array_equal(lock[2][1], oracle[2][1])
         assert lock[:2] == oracle[:2]
@@ -400,21 +373,18 @@ class TestMaximizeViolationEqualsOracle:
         # the values are compared; the reported angles reach the value
         state = make_state()
         expr = build_hierarchy_inequality(state.n, m, 1)
-        (value, vec, _), (oracle_value, _, _) = optimize_with_oracle(
-            monkeypatch, expr, state, QUICK, True
-        )
+        (value, vec, _), (oracle_value, _, _) = optimize_with_oracle(monkeypatch, expr, state, QUICK)
         assert value == pytest.approx(oracle_value, abs=1e-12)
-        assert oracle_objective(expr, state, True)(np.array(vec)) == pytest.approx(value, abs=1e-12)
+        assert oracle_objective(expr, state)(np.array(vec)) == pytest.approx(value, abs=1e-12)
 
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
-    def test_point_chunks_keep_the_order(self, monkeypatch, symmetric):
+    def test_point_chunks_keep_the_order(self, monkeypatch):
         # a cap of a few entries puts every poll in a chunk of its own
         monkeypatch.setattr(search, "_lhs_values", per_point_lhs)
         monkeypatch.setattr(search, "_BATCH_ELEMENTS", 7)
         state = NoisyState(random_state(3, np.random.default_rng(69)), 0.9)
         expr = build_hierarchy_inequality(3, 2, 1)
         config = OptimizerConfig(grid_resolution=8, restarts=3, refinement_rounds=60)
-        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, config, symmetric)
+        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, config)
         np.testing.assert_array_equal(lock[2][0], oracle[2][0])
         assert lock[:2] == oracle[:2]
 
@@ -481,10 +451,8 @@ class TestMaximizeViolation:
     def test_symmetric_bounded_by_full_parametrization(self):
         expr = build_hierarchy_inequality(3, 2, 1)
         state = NoisyState(ghz_state(3), 1.0)
-        sym_val, sym_angles = maximize_violation(expr, state, QUICK, symmetric=True)
-        full_val, full_angles = maximize_violation(
-            expr, state, QUICK, symmetric=False, extra_starts=(sym_angles,)
-        )
+        sym_val, sym_angles = maximize_violation(expr, state, QUICK)
+        full_val, full_angles = full_angle_search(expr, state, QUICK, extra_starts=(sym_angles,))
         assert isinstance(full_angles, MeasurementAngles)
         assert full_val >= sym_val - 1e-9
 
@@ -551,7 +519,7 @@ class TestThresholds:
         assert len(calls) == 1
 
     def test_no_violation_raises(self, monkeypatch):
-        def no_violation(expr, state, config=None, symmetric=True, extra_starts=()):
+        def no_violation(expr, state, config=None):
             return 0.0, SymmetricAngles(0.0, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(search, "maximize_violation", no_violation)
@@ -592,7 +560,3 @@ class TestOptimizerConfig:
             OptimizerConfig(local_tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(rng_seed=-1)
-        # numpy takes any nonnegative seed
-        assert OptimizerConfig(rng_seed=0).rng_seed == 0
