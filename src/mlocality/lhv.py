@@ -13,10 +13,11 @@ A conditional distribution over a block of parties is stored as a dense
 table P(r|M) with one row per setting combination and one column per outcome
 string (both indexed party-ascending, first party of the block = most
 significant bit).  Nonsignaling block samples are vertices of the block's
-nonsignaling polytope, obtained by maximizing random linear objectives with
-the dense simplex solver, plus convex mixtures of such vertices to cover the
-interior.  Vertex pools are enumerated once per block size from a fixed
-internal seed, so all sampling is reproducible given the caller's seed.
+nonsignaling polytope, plus convex mixtures of such vertices to cover the
+interior.  The vertices come from fixed pools for blocks of 1 to 3 parties,
+stored as exact tables in `_vertices` (all 4 and all 24 vertices at sizes 1
+and 2, 79 at size 3), so all sampling is reproducible given the caller's
+seed.
 
 Certification reads only the entries the terms touch.  A block sample is
 a mixture sum_j w_j of products of pool vertices, one per atom (a run of
@@ -38,7 +39,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._bits import bit_extract_map, insert_bit, outcomes_to_index, settings_to_index
+from ._bits import bit_extract_map, outcomes_to_index, settings_to_index
+from ._vertices import SIXTHS
 from .inequality import (
     BellExpression,
     DimensionMismatchError,
@@ -46,17 +48,12 @@ from .inequality import (
     Term,
     serialize_expression,
 )
-from .simplex import solve_lp_max
 
 NS_TOL = 1e-9
 CLAMP_TOL = -1e-12
 CERT_TOL = 1e-9
 CERTIFY_MAX_PARTIES = 12
 VERTEX_MAX_BLOCK = 3
-
-_POOL_SEED = 331190
-_POOL_DRAWS = {1: None, 2: None, 3: 384}  # None: enumerate until closure
-_POOL_STALL = 300
 
 
 class PartitionMismatchError(ValueError):
@@ -264,78 +261,16 @@ def check_nonsignaling(dist: ConditionalDistribution) -> tuple[bool, float]:
 
 
 @lru_cache(maxsize=None)
-def nonsignaling_constraints(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equality system (A, b) cutting out the nonsignaling polytope.
-
-    Variables are table entries x[M, r] flattened row-major; rows impose
-    per-setting normalization and equality of each party's deleted-outcome
-    marginals across its two settings.
-    """
-    dim = 1 << size
-    n_vars = dim * dim
-    rows = []
-    rhs = []
-    for m_idx in range(dim):
-        row = np.zeros(n_vars)
-        row[m_idx * dim : (m_idx + 1) * dim] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for j in range(size):
-        for m_rest in range(1 << (size - 1)):
-            m0 = insert_bit(m_rest, j, 0, size)
-            m1 = insert_bit(m_rest, j, 1, size)
-            for r_rest in range(1 << (size - 1)):
-                row = np.zeros(n_vars)
-                for r_j in (0, 1):
-                    r = insert_bit(r_rest, j, r_j, size)
-                    row[m0 * dim + r] += 1.0
-                    row[m1 * dim + r] -= 1.0
-                rows.append(row)
-                rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
-
-
-def sample_nonsignaling_vertex(size: int, rng) -> np.ndarray:
-    """One vertex of the size-party nonsignaling polytope (random objective LP)."""
-    if size > VERTEX_MAX_BLOCK:
-        raise ParameterDomainError(
-            f"vertex sampling supports block size <= {VERTEX_MAX_BLOCK}, got {size}"
-        )
-    rng = np.random.default_rng(rng)
-    a, b = nonsignaling_constraints(size)
-    c = rng.standard_normal(a.shape[1])
-    x = solve_lp_max(c, a, b)
-    dim = 1 << size
-    return x.reshape(dim, dim)
-
-
-@lru_cache(maxsize=None)
 def nonsignaling_vertex_pool(size: int) -> tuple[np.ndarray, ...]:
-    """Distinct vertices gathered from random objectives (fixed seed).
+    """The stored vertices of the size-party nonsignaling polytope, size 1 to 3.
 
-    For sizes 1 and 2 objectives are drawn until no new vertex appears for
-    a stall window, which recovers the complete vertex set (24 boxes at
-    size 2: 16 local deterministic + 8 PR variants).  Size 3 uses a fixed
-    number of draws; its polytope is far too large to close over.
+    All 4 vertices at size 1, all 24 boxes at size 2 (16 local deterministic
+    + 8 PR variants) and 79 of the 53,856 vertices at size 3.  Samples name
+    a vertex by its position in the pool, so the order is fixed (see
+    `_vertices`).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(_POOL_SEED + size))
-    seen: dict[bytes, np.ndarray] = {}
-    draws = _POOL_DRAWS[size]
-    if draws is None:
-        stall = 0
-        while stall < _POOL_STALL:
-            v = sample_nonsignaling_vertex(size, rng)
-            key = (np.round(v, 10) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
-            if key in seen:
-                stall += 1
-            else:
-                seen[key] = v
-                stall = 0
-    else:
-        for _ in range(draws):
-            v = sample_nonsignaling_vertex(size, rng)
-            seen.setdefault((np.round(v, 10) + 0.0).tobytes(), v)
-    return tuple(seen.values())
+    dim = 1 << size
+    return tuple((np.frombuffer(s.encode(), np.uint8) - 48).reshape(dim, dim) / 6.0 for s in SIXTHS[size])
 
 
 def _atoms(parties: Sequence[int]) -> list[Sequence[int]]:
@@ -352,15 +287,20 @@ def _product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarra
     return full
 
 
-def _draw_block(size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _atom_pool_lengths(size: int) -> tuple[int, ...]:
+    """The pool length of each atom of a block of `size` parties (see `_atoms`)."""
+    return tuple(len(nonsignaling_vertex_pool(len(a))) for a in _atoms(range(size)))
+
+
+def _draw_block(pools: Sequence[int], rng) -> tuple[np.ndarray, np.ndarray]:
     """Mixture weights and pool vertex ids of one block sample.
 
-    Draws the mixture size k in 1..3, then k times one vertex of each
-    atom's pool (see `_atoms`), with the Dirichlet weights drawn after the
-    first of them when k > 1.  Returns the (k,) weights and the
+    `pools` holds the pool length of each atom of the block (see
+    `_atom_pool_lengths`).  Draws the mixture size k in 1..3, then k times
+    one vertex of each atom's pool, with the Dirichlet weights drawn after
+    the first of them when k > 1.  Returns the (k,) weights and the
     (k, atoms) vertex ids.
     """
-    pools = [len(nonsignaling_vertex_pool(len(a))) for a in _atoms(range(size))]
     k = int(rng.integers(1, 4))
     weights = np.ones(1)
     ids = np.empty((k, len(pools)), dtype=np.intp)
@@ -395,7 +335,7 @@ def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
     if size < 1:
         raise ParameterDomainError(f"block size must be positive, got {size}")
     rng = np.random.default_rng(rng)
-    return _block_sample(size, *_draw_block(size, rng))
+    return _block_sample(size, *_draw_block(_atom_pool_lengths(size), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +411,9 @@ class _TermReader:
     the draws of the product over the block's atoms of each vertex's entry
     at t's settings and outcomes on the atom.  `_atom(parties)` is the (V, T)
     matrix of those entries for the V vertices of the pool of the atom's
-    size, read from the pool stacked and normalised as
-    `ConditionalDistribution` normalises.  Atoms are shared by partitions,
+    size.  The stored tables are exact, nonnegative and with rows that sum
+    to exactly 1, so they are read as they stand: `ConditionalDistribution`
+    would hold them unchanged.  Atoms are shared by partitions,
     so at most sum_{s<=3} C(n, s) of them are gathered; a partition's list
     of them is built when a sample first draws it.
     """
@@ -489,8 +430,7 @@ class _TermReader:
 
     def _pool(self, size: int) -> np.ndarray:
         if size not in self._pools:
-            stacked = np.clip(np.stack(nonsignaling_vertex_pool(size)), 0.0, None)
-            self._pools[size] = stacked / stacked.sum(axis=2, keepdims=True)
+            self._pools[size] = np.stack(nonsignaling_vertex_pool(size))
         return self._pools[size]
 
     def _atom(self, parties: tuple[int, ...]) -> np.ndarray:
@@ -525,14 +465,17 @@ def _sampled_models(expr: BellExpression, samples: int, seed):
     Sample i draws, with the i-th child seed spawned from `seed`, the
     partition (uniform over the enumerated list), then one `_draw_block`
     per block in block order, so any sample can be replayed from (seed, i).
+    The pool lengths are read once per block size, of which there are
+    n - m + 1.
     """
     reader = _TermReader(expr)
     partitions = _partitions_tuple(expr.n, expr.m)
+    lengths = {size: _atom_pool_lengths(size) for size in range(1, expr.n - expr.m + 2)}
     for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
         index = int(rng.integers(len(partitions)))
         part = partitions[index]
-        draws = [_draw_block(len(b), rng) for b in part.blocks]
+        draws = [_draw_block(lengths[len(b)], rng) for b in part.blocks]
         yield part, draws, reader.value(index, draws)
 
 

@@ -1,7 +1,7 @@
 """Two-phase simplex for small dense equality-form linear programs.
 
 Solves  max c.x  subject to  A x = b,  x >= 0  on a dense tableau.  Sized
-for the tiny nonsignaling-polytope programs used by the block sampler
+for the tiny nonsignaling-polytope programs of blocks of up to 3 parties
 (<= 64 variables), where an external solver dependency is not justified.
 
 The returned solution is a basic feasible point, i.e. a vertex of the

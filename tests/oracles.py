@@ -1,8 +1,16 @@
-"""Test oracles: explicit deterministic strategies, dense quantum behaviors and reference searches.
+"""Test oracles: explicit deterministic strategies, LP-found nonsignaling vertices,
+dense quantum behaviors and reference searches.
 
 The strategy oracles enumerate the 4^n strategies one by one (or as one
 vectorized sweep) and so stay independent of the response-type count in
 `mlocality.lhv.max_strategy_lhs`.  Enumeration is guarded at n <= 12.
+
+The vertex oracles find vertices of the nonsignaling polytope of a block
+with the package's simplex solver and so stay independent of the stored
+pools of `mlocality.lhv.nonsignaling_vertex_pool`: `nonsignaling_constraints`
+is the equality system {Ax = b, x >= 0} of the polytope,
+`sample_nonsignaling_vertex` maximizes one random objective over it, and
+`lp_vertex_pool` is the seeded enumeration whose output the pools store.
 
 The dense oracles build the quantum side from explicit matrices and so stay
 independent of the amplitude kernel of `mlocality.quantum`:
@@ -21,6 +29,7 @@ angles, against the four symmetric angles of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from mlocality import search
-from mlocality._bits import index_to_bits
+from mlocality._bits import index_to_bits, insert_bit
 from mlocality.inequality import (
     SETTING_A,
     SETTING_B,
@@ -37,13 +46,18 @@ from mlocality.inequality import (
     DimensionMismatchError,
     ParameterDomainError,
 )
-from mlocality.lhv import ConditionalDistribution
+from mlocality.lhv import VERTEX_MAX_BLOCK, ConditionalDistribution
 from mlocality.quantum import MeasurementAngles, NoisyState
 from mlocality.search import OptimizerConfig, SymmetricAngles
+from mlocality.simplex import solve_lp_max
 
 STRATEGY_MAX_PARTIES = 12
 DENSE_ORACLE_MAX_PARTIES = 8
 TWO_PI = 2.0 * math.pi
+
+POOL_SEED = 331190
+POOL_DRAWS = {1: None, 2: None, 3: 384}  # None: enumerate until closure
+POOL_STALL = 300
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,80 @@ def strategy_distribution(strategy: DeterministicStrategy) -> ConditionalDistrib
             r_idx = (r_idx << 1) | strategy.outcome(k, SETTING_B if bit else SETTING_A)
         table[m_idx, r_idx] = 1.0
     return ConditionalDistribution(tuple(range(1, n + 1)), table)
+
+
+@functools.lru_cache(maxsize=None)
+def nonsignaling_constraints(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equality system (A, b) cutting out the nonsignaling polytope.
+
+    Variables are table entries x[M, r] flattened row-major; rows impose
+    per-setting normalization and equality of each party's deleted-outcome
+    marginals across its two settings.
+    """
+    dim = 1 << size
+    n_vars = dim * dim
+    rows = []
+    rhs = []
+    for m_idx in range(dim):
+        row = np.zeros(n_vars)
+        row[m_idx * dim : (m_idx + 1) * dim] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for j in range(size):
+        for m_rest in range(1 << (size - 1)):
+            m0 = insert_bit(m_rest, j, 0, size)
+            m1 = insert_bit(m_rest, j, 1, size)
+            for r_rest in range(1 << (size - 1)):
+                row = np.zeros(n_vars)
+                for r_j in (0, 1):
+                    r = insert_bit(r_rest, j, r_j, size)
+                    row[m0 * dim + r] += 1.0
+                    row[m1 * dim + r] -= 1.0
+                rows.append(row)
+                rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def sample_nonsignaling_vertex(size: int, rng) -> np.ndarray:
+    """One vertex of the size-party nonsignaling polytope (random objective LP)."""
+    if size > VERTEX_MAX_BLOCK:
+        raise ParameterDomainError(
+            f"vertex sampling supports block size <= {VERTEX_MAX_BLOCK}, got {size}"
+        )
+    rng = np.random.default_rng(rng)
+    a, b = nonsignaling_constraints(size)
+    c = rng.standard_normal(a.shape[1])
+    x = solve_lp_max(c, a, b)
+    dim = 1 << size
+    return x.reshape(dim, dim)
+
+
+def lp_vertex_pool(size: int) -> tuple[np.ndarray, ...]:
+    """Distinct vertices gathered from random objectives (fixed seed), in the order found.
+
+    For sizes 1 and 2 objectives are drawn until no new vertex appears for
+    a stall window, which recovers the complete vertex set (24 boxes at
+    size 2: 16 local deterministic + 8 PR variants).  Size 3 uses a fixed
+    number of draws; its polytope is far too large to close over.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(POOL_SEED + size))
+    seen: dict[bytes, np.ndarray] = {}
+    draws = POOL_DRAWS[size]
+    if draws is None:
+        stall = 0
+        while stall < POOL_STALL:
+            v = sample_nonsignaling_vertex(size, rng)
+            key = (np.round(v, 10) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+            if key in seen:
+                stall += 1
+            else:
+                seen[key] = v
+                stall = 0
+    else:
+        for _ in range(draws):
+            v = sample_nonsignaling_vertex(size, rng)
+            seen.setdefault((np.round(v, 10) + 0.0).tobytes(), v)
+    return tuple(seen.values())
 
 
 def sequential_compass_search(fn, start, step: float, tol: float, max_rounds: int):

@@ -21,11 +21,13 @@ from mlocality.lhv import (
     nonsignaling_vertex_pool,
     product_distribution,
     sample_nonsignaling_block,
-    sample_nonsignaling_vertex,
 )
 from oracles import (
     DeterministicStrategy,
     enumerate_strategies,
+    lp_vertex_pool,
+    nonsignaling_constraints,
+    sample_nonsignaling_vertex,
     strategy_distribution,
     strategy_lhs,
     sweep_max_strategy_lhs,
@@ -237,6 +239,26 @@ class TestSampling:
         pool = np.round(np.stack(nonsignaling_vertex_pool(size)), 10).reshape(-1, 4**size)
         gaps = np.abs(pool[:, None] - pool[None]).max(axis=-1)
         assert (gaps[~np.eye(len(pool), dtype=bool)] > 0).all()
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_pools_match_lp_enumeration(self, size):
+        # the stored pools are the seeded LP enumeration's output, in its order
+        stored = nonsignaling_vertex_pool(size)
+        found = lp_vertex_pool(size)
+        assert len(stored) == len(found)
+        for want, got in zip(found, stored):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_stored_tables_are_exact_vertices(self, size):
+        a, _ = nonsignaling_constraints(size)
+        for table in nonsignaling_vertex_pool(size):
+            assert (table.sum(axis=1) == 1.0).all()
+            assert check_nonsignaling(ConditionalDistribution(tuple(range(1, size + 1)), table))[1] == 0.0
+            # a feasible point of {Ax = b, x >= 0} is a vertex iff the
+            # columns of A on its support are linearly independent
+            support = a[:, table.ravel() > 0]
+            assert np.linalg.matrix_rank(support) == support.shape[1]
 
     def test_sampled_vertices_are_known_boxes(self):
         rng = np.random.default_rng(23)
