@@ -4,8 +4,11 @@ Commands: build, evaluate, certify, threshold, table.  Exit codes: 0 on
 success, 1 for findings (a certification failure or no violation at p=1),
 2 for usage or parameter-domain errors.
 
-A flat key=value config file (--config) supplies defaults; explicit flags
-override it, and a key that the command has no option for is an error.
+A flat key = value config file (--config) supplies defaults.  Its keys are
+the command's long options (``k_prime`` or ``k-prime`` for --k-prime), and
+each value is parsed exactly as the flag's value is, with the same type and
+choices; flags given on the command line win.  A key that the command has
+no option for is an error.
 The MLOCALITY_SEED environment variable overrides the built-in default
 seed (--seed still wins); every randomized command logs the seed it used.
 certify runs its samples one after another in one process.
@@ -21,6 +24,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from typing import Sequence
 
 from .inequality import (
@@ -82,33 +86,26 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    casts = {
-        "n": int, "m": int, "k_prime": int, "samples": int, "seed": int,
-        "grid_resolution": int, "restarts": int,
-        "refinement_rounds": int, "p": float, "local_tolerance": float,
-        "family": str, "format": str,
-        "output": str, "angles": str, "n_list": str,
-    }
+def _with_config_file(argv: list[str], args: argparse.Namespace) -> list[str]:
+    """argv with one --key=value token per config key spliced in after the
+    command name, so that flags typed after it win."""
+    tokens = []
     for key, raw in _load_config_file(args.config).items():
-        # vars(args) holds exactly the options of the chosen command
-        if key not in casts or key not in vars(args):
+        # vars(args) holds the chosen command's options, plus three entries
+        # that are not config keys
+        if key not in vars(args) or key in ("command", "func", "config"):
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, casts[key](raw))
+        tokens.append(f"--{key.replace('_', '-')}={raw}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
-    """OptimizerConfig from the given flags; the defaults live in OptimizerConfig."""
-    keys = ("grid_resolution", "refinement_rounds", "local_tolerance", "restarts")
-    given = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    return OptimizerConfig(**given)
+    return OptimizerConfig(**{f.name: getattr(args, f.name) for f in fields(OptimizerConfig)})
 
 
 def _expression(args: argparse.Namespace):
-    return build_hierarchy_inequality(args.n, args.m, args.k_prime if args.k_prime is not None else 1)
+    return build_hierarchy_inequality(args.n, args.m, args.k_prime)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -148,15 +145,14 @@ def _parse_angles(args: argparse.Namespace, n: int) -> MeasurementAngles:
 
 def cmd_build(args: argparse.Namespace) -> int:
     expr = _expression(args)
-    fmt = args.format or "text"
-    _write_output(serialize_expression(expr, fmt).decode(), args.output)
+    _write_output(serialize_expression(expr, args.format).decode(), args.output)
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     expr = _expression(args)
     psi = state_for_family(args.family, args.n)
-    state = NoisyState(psi, args.p if args.p is not None else 1.0)
+    state = NoisyState(psi, args.p)
     angles = _parse_angles(args, args.n)
     value = evaluate_lhs(expr, state, angles)
     _write_output(f"{value:.12g}\n", args.output)
@@ -165,13 +161,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
     expr = _expression(args)
-    lines = [f"# certify n={args.n} m={args.m} samples={samples} seed={seed}"]
+    lines = [f"# certify n={args.n} m={args.m} samples={args.samples} seed={seed}"]
     deterministic_max = max_strategy_lhs(expr)
     lines.append(f"deterministic_max = {deterministic_max}")
     try:
-        sampled_max = certify_m_local_bound(expr, samples, seed)
+        sampled_max = certify_m_local_bound(expr, args.samples, seed)
     except CertificationError as exc:
         lines.append("sampled_certification = FAIL")
         _write_output("\n".join(lines) + "\n", args.output)
@@ -206,10 +201,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _emit_threshold_results(results, args: argparse.Namespace, seed: int) -> None:
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         _write_output(thresholds_to_csv(results, seed), args.output)
-    elif fmt == "structured":
+    elif args.format == "structured":
         doc = {
             "seed": seed,
             "results": [
@@ -250,6 +244,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write output atomically to this path")
 
 
+def _add_expression(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--k-prime", dest="k_prime", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlocality",
@@ -258,29 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct an inequality expression")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k-prime", dest="k_prime", type=int)
-    p.add_argument("--format", choices=["text", "structured"])
+    _add_expression(p)
+    p.add_argument("--format", choices=["text", "structured"], default="text")
     _add_common(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("evaluate", help="evaluate the LHS on a noisy GHZ/W state")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k-prime", dest="k_prime", type=int)
+    _add_expression(p)
     p.add_argument("--family", required=True, help="ghz or w")
-    p.add_argument("--p", type=float, help="visibility in [0, 1], default 1")
+    p.add_argument("--p", type=float, default=1.0, help="visibility in [0, 1] (default: %(default)s)")
     p.add_argument("--angles", help="2n comma-separated radians: a-angles then b-angles")
     p.add_argument("--symmetric-angles", dest="symmetric_angles", help="4 comma-separated radians")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("certify", help="check the classical m-local bound numerically")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k-prime", dest="k_prime", type=int)
-    p.add_argument("--samples", type=int)
+    _add_expression(p)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_certify)
@@ -294,11 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated party counts")
         p.add_argument("--family", required=True, help="ghz or w")
         p.add_argument("--seed", type=int, help="only recorded; the search is deterministic")
-        p.add_argument("--grid-resolution", dest="grid_resolution", type=int)
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--refinement-rounds", dest="refinement_rounds", type=int)
-        p.add_argument("--local-tolerance", dest="local_tolerance", type=float)
-        p.add_argument("--format", choices=["csv", "structured", "text"])
+        for f in fields(OptimizerConfig):
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
+        p.add_argument("--format", choices=["csv", "structured", "text"], default="csv")
         _add_common(p)
         p.set_defaults(func=cmd_threshold if name == "threshold" else cmd_table)
 
@@ -307,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        if args.config:
+            args = parser.parse_args(_with_config_file(argv, args))
         return args.func(args)
     except ParameterDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

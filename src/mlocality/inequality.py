@@ -31,8 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bits import bit_matrix, outcomes_to_index, settings_to_index
-
 SETTING_A = "a"
 SETTING_B = "b"
 SETTINGS = (SETTING_A, SETTING_B)
@@ -112,8 +110,8 @@ class TermTable:
 def tabulate_terms(terms: Sequence[Term]) -> TermTable:
     """The TermTable of a nonempty sequence of terms over the same parties."""
     n = terms[0].n
-    settings = bit_matrix([settings_to_index(t.settings) for t in terms], n)
-    outcomes = bit_matrix([outcomes_to_index(t.outcomes) for t in terms], n)
+    settings = np.array([[c == SETTING_B for c in t.settings] for t in terms], dtype=np.int64)
+    outcomes = np.array([[int(c) for c in t.outcomes] for t in terms], dtype=np.int64)
     coefficients = np.array([float(t.coefficient) for t in terms])
     return TermTable(settings, coefficients, 2 * (n * settings + np.arange(n)) + outcomes)
 

@@ -39,13 +39,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._bits import bit_extract_map, outcomes_to_index, settings_to_index
+from ._bits import bit_extract_map
 from ._vertices import SIXTHS
 from .inequality import (
     BellExpression,
     DimensionMismatchError,
     ParameterDomainError,
-    Term,
+    TermTable,
     serialize_expression,
 )
 
@@ -53,6 +53,10 @@ NS_TOL = 1e-9
 CLAMP_TOL = -1e-12
 CERT_TOL = 1e-9
 CERTIFY_MAX_PARTIES = 12
+# Sampling builds every partition before its first sample.  The largest
+# count at n <= 11 is S(11, 5) = 246,730; S(12, m) exceeds it for m = 4..7
+# (S(12, 6) = 1,323,652 took 22-30 s and 760 MB on a 2-vCPU VM).
+CERTIFY_MAX_PARTITIONS = 250_000
 VERTEX_MAX_BLOCK = 3
 
 
@@ -165,6 +169,11 @@ class Partition:
     @property
     def m(self) -> int:
         return len(self.blocks)
+
+
+def _partition_count(n: int, m: int) -> int:
+    """S(n, m), the number of partitions of n parties into m nonempty blocks."""
+    return sum((-1) ** j * math.comb(m, j) * (m - j) ** n for j in range(m + 1)) // math.factorial(m)
 
 
 def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
@@ -359,9 +368,11 @@ def product_distribution(
     return ConditionalDistribution(tuple(range(1, n + 1)), full)
 
 
-@lru_cache(maxsize=None)
-def _term_index(term: Term) -> tuple[int, int]:
-    return settings_to_index(term.settings), outcomes_to_index(term.outcomes)
+def _term_entries(table: TermTable, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The packed settings and outcome indices each term reads on the
+    0-based parties `cols`, the first of them the most significant bit."""
+    place = 1 << np.arange(len(cols) - 1, -1, -1)
+    return table.settings[:, cols] @ place, (table.slots[:, cols] & 1) @ place
 
 
 def distribution_lhs(expr: BellExpression, dist: ConditionalDistribution) -> float:
@@ -370,12 +381,8 @@ def distribution_lhs(expr: BellExpression, dist: ConditionalDistribution) -> flo
         raise DimensionMismatchError(
             f"distribution covers parties {dist.parties}, expression needs 1..{expr.n}"
         )
-    table = dist.table
-    total = 0.0
-    for t in expr.terms:
-        m_idx, r_idx = _term_index(t)
-        total += t.coefficient * table[m_idx, r_idx]
-    return total
+    rows, outcomes = _term_entries(expr.table, list(range(expr.n)))
+    return float(expr.table.coefficients @ dist.table[rows, outcomes])
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +426,7 @@ class _TermReader:
     """
 
     def __init__(self, expr: BellExpression):
-        table = expr.table
-        self._coefficients = table.coefficients
-        self._settings = table.settings
-        self._outcomes = table.slots & 1
+        self._table = expr.table
         self._partitions = _partitions_tuple(expr.n, expr.m)
         self._pools: dict[int, np.ndarray] = {}
         self._touched: dict[tuple[int, ...], np.ndarray] = {}
@@ -435,10 +439,7 @@ class _TermReader:
 
     def _atom(self, parties: tuple[int, ...]) -> np.ndarray:
         if parties not in self._touched:
-            cols = [p - 1 for p in parties]
-            place = 1 << np.arange(len(cols) - 1, -1, -1)
-            rows = self._settings[:, cols] @ place
-            outcomes = self._outcomes[:, cols] @ place
+            rows, outcomes = _term_entries(self._table, [p - 1 for p in parties])
             self._touched[parties] = self._pool(len(parties))[:, rows, outcomes]
         return self._touched[parties]
 
@@ -456,7 +457,7 @@ class _TermReader:
             # the weights sum to 1 only up to rounding; ConditionalDistribution
             # divides a block's mixture by its row sums, and this by their sum
             reads = reads * ((weights @ block) / weights.sum())
-        return float(self._coefficients @ reads)
+        return float(self._table.coefficients @ reads)
 
 
 def _sampled_models(expr: BellExpression, samples: int, seed):
@@ -490,12 +491,19 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
     CertificationError with a full dump, whose block tables and LHS are
     rebuilt as `sample_nonsignaling_block` and `product_distribution` would
     give them.  Every sample has its own spawned seed, so the dump's
-    sample_index replays it.
+    sample_index replays it.  Refuses n > CERTIFY_MAX_PARTIES and more
+    than CERTIFY_MAX_PARTITIONS partitions before sampling starts.
     """
     if expr.n > CERTIFY_MAX_PARTIES:
         raise ParameterDomainError(
             f"a failing sample is reported with its block tables and their 2^n x 2^n "
             f"product, so sampled certification supports n <= {CERTIFY_MAX_PARTIES}, got n={expr.n}"
+        )
+    count = _partition_count(expr.n, expr.m)
+    if count > CERTIFY_MAX_PARTITIONS:
+        raise ParameterDomainError(
+            f"sampling builds all S(n, m) partitions first, so sampled certification supports "
+            f"at most {CERTIFY_MAX_PARTITIONS} of them, got S({expr.n}, {expr.m}) = {count}"
         )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")

@@ -341,7 +341,6 @@ def find_threshold(
     true threshold.  Raises NoViolationError when even p=1 shows no
     violation.
     """
-    config = config or OptimizerConfig()
     family = state_family.strip().lower()
     expr = build_hierarchy_inequality(n, m, 1)
     psi = state_for_family(family, n)

@@ -38,7 +38,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from mlocality import search
-from mlocality._bits import index_to_bits, insert_bit
 from mlocality.inequality import (
     SETTING_A,
     SETTING_B,
@@ -58,6 +57,18 @@ TWO_PI = 2.0 * math.pi
 POOL_SEED = 331190
 POOL_DRAWS = {1: None, 2: None, 3: 384}  # None: enumerate until closure
 POOL_STALL = 300
+
+
+def index_to_bits(index: int, width: int) -> tuple[int, ...]:
+    """Bits of index, most significant (party 1) first."""
+    return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def insert_bit(index: int, pos: int, bit: int, width: int) -> int:
+    """Insert `bit` at position pos of a (width-1)-bit index, giving a width-bit index."""
+    shift = width - 1 - pos
+    high, low = divmod(index, 1 << shift)
+    return ((high << 1 | bit) << shift) | low
 
 
 @dataclass(frozen=True)

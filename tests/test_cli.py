@@ -133,6 +133,14 @@ class TestCertify:
         code, _, _ = run(capsys, ["certify", "--n", "13", "--m", "2", "--samples", "10"])
         assert code == 2
 
+    def test_partition_count_guard_exit_code(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["certify", "--n", "12", "--m", "6", "--samples", "1"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert "S(12, 6) = 1323652" in err
+
     def test_failure_dump(self, capsys, monkeypatch):
         report = {"kind": "certification_failure", "observed_lhs": 0.5}
 
@@ -333,3 +341,106 @@ class TestConfigAndEnvironment:
         monkeypatch.setenv("MLOCALITY_WORKERS", "four")
         assert run(capsys, argv)[:2] == (code, plain)
         assert code == 0
+
+
+# Config/flag parity: (argv without the option, config key, value).  A
+# required option's flag is in argv, so its config key must lose to it.
+_BUILD = ["build", "--n", "4", "--m", "3"]
+_EVALUATE = ["evaluate", "--n", "3", "--m", "2", "--family", "w"]
+_ANGLES = ["--symmetric-angles", "0.1,0.2,0.3,0.4"]
+_CERTIFY = ["certify", "--n", "3", "--m", "2"]
+_THRESHOLD = ["threshold", "--n", "3", "--m", "3", "--family", "ghz"]
+_TABLE = ["table", "--n-list", "3", "--family", "w"]
+_REQUIRED = {"n", "m", "family", "n_list"}
+PARITY_CASES = [
+    (_BUILD, "n", "5"),
+    (_BUILD, "m", "4"),
+    (_BUILD, "k_prime", "2"),
+    (_BUILD, "format", "structured"),
+    (_BUILD, "output", "out.txt"),
+    (_EVALUATE + _ANGLES, "n", "4"),
+    (_EVALUATE + _ANGLES, "m", "3"),
+    (_EVALUATE + _ANGLES, "k_prime", "2"),
+    (_EVALUATE + _ANGLES, "family", "ghz"),
+    (_EVALUATE + _ANGLES, "p", "0.7"),
+    (_EVALUATE, "angles", "0.1,0.2,0.3,0.4,0.5,0.6"),
+    (_EVALUATE, "symmetric_angles", "0.5,0.6,0.7,0.8"),
+    (_EVALUATE + _ANGLES, "output", "out.txt"),
+    (_CERTIFY + ["--samples", "20"], "n", "4"),
+    (_CERTIFY + ["--samples", "20"], "m", "3"),
+    (["certify", "--n", "4", "--m", "2", "--samples", "1", "--seed", "1"], "k_prime", "2"),
+    (_CERTIFY + ["--seed", "5"], "samples", "30"),
+    (_CERTIFY + ["--samples", "20"], "seed", "7"),
+    (_CERTIFY + ["--samples", "20"], "output", "out.txt"),
+    (_THRESHOLD, "n", "4"),
+    (_THRESHOLD, "m", "2"),
+    (_THRESHOLD, "family", "w"),
+    (_THRESHOLD, "seed", "7"),
+    (_THRESHOLD, "grid_resolution", "12"),
+    (_THRESHOLD, "refinement_rounds", "1"),
+    (_THRESHOLD, "local_tolerance", "0.1"),
+    (_THRESHOLD, "restarts", "1"),
+    (_THRESHOLD, "format", "structured"),
+    (_THRESHOLD, "output", "out.txt"),
+    (_TABLE, "n_list", "4"),
+    (_TABLE, "family", "ghz"),
+    (_TABLE, "seed", "7"),
+    (_TABLE, "grid_resolution", "12"),
+    (_TABLE, "refinement_rounds", "1"),
+    (_TABLE, "local_tolerance", "0.1"),
+    (_TABLE, "restarts", "1"),
+    (_TABLE, "format", "text"),
+    (_TABLE, "output", "out.txt"),
+]
+
+
+class TestConfigFlagParity:
+    @staticmethod
+    def outcome(capsys, tmp_path, argv):
+        """Exit code, stdout and the text of the --output file, if any."""
+        code, out, _ = run(capsys, argv)
+        written = tmp_path / "out.txt"
+        text = written.read_text() if written.exists() else None
+        written.unlink(missing_ok=True)
+        return code, out, text
+
+    @pytest.mark.parametrize(
+        "argv,key,value", PARITY_CASES, ids=[f"{a[0]}-{k}" for a, k, _ in PARITY_CASES]
+    )
+    def test_config_key_equals_flag(self, capsys, tmp_path, monkeypatch, argv, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_config = self.outcome(capsys, tmp_path, argv + ["--config", str(cfg)])
+        if key in _REQUIRED:
+            # the required flag is in argv and wins over the config key
+            assert from_config == self.outcome(capsys, tmp_path, argv)
+        else:
+            from_flag = self.outcome(capsys, tmp_path, argv + [f"--{key.replace('_', '-')}", value])
+            assert from_config == from_flag
+            assert from_flag != self.outcome(capsys, tmp_path, argv)
+
+    def test_every_option_has_a_case(self):
+        parser = cli.build_parser()
+        covered = {(argv[0], key) for argv, key, _ in PARITY_CASES}
+        options = set()
+        for argv in {tuple(a) for a, _, _ in PARITY_CASES}:
+            args = parser.parse_args(list(argv))
+            options |= {(args.command, k) for k in vars(args) if k not in ("command", "func", "config")}
+        assert covered == options
+
+    def test_invalid_choice_in_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(_THRESHOLD + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_leading_minus_value_is_one_token(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("angles = -1,0,0,0,0,0\n")
+        from_config = run(capsys, _EVALUATE + ["--config", str(cfg)])
+        from_flag = run(capsys, _EVALUATE + ["--angles=-1,0,0,0,0,0"])
+        assert from_config[:2] == from_flag[:2]
+        assert from_flag[0] == 0

@@ -163,6 +163,11 @@ class TestPartitions:
             assert len(parts) == stirling(n, m)
             assert len(set(parts)) == len(parts)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_count_matches_recurrence(self, n):
+        for m in range(2, n + 1):
+            assert lhv._partition_count(n, m) == stirling(n, m)
+
     def test_canonical_order(self):
         for p in enumerate_partitions(5, 3):
             sizes = [len(b) for b in p.blocks]
@@ -397,6 +402,21 @@ class TestCertification:
         expr = build_hierarchy_inequality(13, 2, 1)
         with pytest.raises(ParameterDomainError):
             certify_m_local_bound(expr, 1, seed=1)
+
+    @pytest.mark.parametrize("n,m", [(12, 4), (12, 6), (12, 7)])
+    def test_partition_count_guard(self, monkeypatch, n, m):
+        # S(12, m) for m = 4..7 is over CERTIFY_MAX_PARTITIONS; the guard
+        # fires before the partitions are built
+        monkeypatch.setattr(lhv, "_partitions_tuple", lambda *args: pytest.fail("partitions built"))
+        expr = build_hierarchy_inequality(n, m, 1)
+        with pytest.raises(ParameterDomainError, match="partitions"):
+            certify_m_local_bound(expr, 1, seed=1)
+
+    def test_partition_count_guard_passes_the_largest_cell_below_twelve(self):
+        counts = {(n, m): lhv._partition_count(n, m) for n in range(2, 12) for m in range(2, n + 1)}
+        assert max(counts.values()) == counts[(11, 5)] == 246_730 <= lhv.CERTIFY_MAX_PARTITIONS
+        refused = [m for m in range(2, 13) if lhv._partition_count(12, m) > lhv.CERTIFY_MAX_PARTITIONS]
+        assert refused == [4, 5, 6, 7]
 
     def test_sample_count_validation(self):
         expr = build_hierarchy_inequality(3, 2, 1)
