@@ -11,7 +11,8 @@ choices; flags given on the command line win.  A key that the command has
 no option for is an error.
 The MLOCALITY_SEED environment variable overrides the built-in default
 seed (--seed still wins); every randomized command logs the seed it used.
-certify runs its samples one after another in one process.
+certify reads sample i from row i of the uniforms seeded by --seed, in
+chunks in one process, so a failure's sample_index replays it (see `lhv`).
 threshold and table also take --seed, but their search is deterministic:
 the seed is only recorded in the output and does not change the results.
 table computes its cells one after another in one process.
@@ -20,6 +21,7 @@ table computes its cells one after another in one process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -250,6 +252,7 @@ def _add_expression(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k-prime", dest="k_prime", type=int, default=1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlocality",

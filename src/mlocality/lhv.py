@@ -27,6 +27,12 @@ model at one entry.  So its value is
 where ``touched_atom`` is the (V, T) matrix of the entries the T terms read
 from the V vertices of the atom's pool (`_TermReader`).  No 2^n x 2^n
 table is built unless a sample exceeds the bound and is reported.
+
+Sample i reads row i of D = 1 + m (1 + K A + K) uniforms of
+`default_rng(seed)`, K = 3 the largest mixture and A = ceil((n - m + 1) / 3)
+the most atoms in a block: the partition, then per block its mixture size,
+K A vertex ids and K weights (`_mixtures`), used or not.  So
+`default_rng(seed)`, `bit_generator.advance(i * D)`, `random(D)` replays it.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ CERTIFY_MAX_PARTIES = 12
 # (S(12, 6) = 1,323,652 took 22-30 s and 760 MB on a 2-vCPU VM).
 CERTIFY_MAX_PARTITIONS = 250_000
 VERTEX_MAX_BLOCK = 3
+MIXTURE_MAX = 3
+# Entries gathered per chunk of samples; keeps a chunk's temporaries near 0.5 MB.
+_GATHER_CAP = 1 << 16
 
 
 class PartitionMismatchError(ValueError):
@@ -178,22 +187,24 @@ def _partition_count(n: int, m: int) -> int:
 
 def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
     """All S(n, m) set partitions of {1..n} into exactly m nonempty blocks."""
-    yield from _partitions_tuple(n, m)
+    yield from map(Partition, _partitions_tuple(n, m))
 
 
 @lru_cache(maxsize=None)
-def _partitions_tuple(n: int, m: int) -> tuple[Partition, ...]:
+def _partitions_tuple(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The blocks of every partition, in `Partition`'s canonical order and unvalidated."""
     if not 2 <= m <= n:
         raise ParameterDomainError(f"need 2 <= m <= n, got m={m}, n={n}")
 
-    out: list[Partition] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
     blocks: list[list[int]] = []
 
     def assign(item: int) -> None:
         remaining = n - item + 1
         if remaining == 0:
             if len(blocks) == m:
-                out.append(Partition(tuple(tuple(b) for b in blocks)))
+                # blocks are built in order of their smallest element, each ascending
+                out.append(tuple(sorted(map(tuple, blocks), key=len)))
             return
         if len(blocks) + remaining < m:
             return
@@ -296,41 +307,32 @@ def _product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarra
     return full
 
 
-def _atom_pool_lengths(size: int) -> tuple[int, ...]:
-    """The pool length of each atom of a block of `size` parties (see `_atoms`)."""
-    return tuple(len(nonsignaling_vertex_pool(len(a))) for a in _atoms(range(size)))
+def _uniform_index(u, length):
+    """floor(u * length): uniform over 0..length-1 for u uniform in [0, 1 - 2^-53]."""
+    return np.floor(u * length).astype(np.intp)
 
 
-def _draw_block(pools: Sequence[int], rng) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture weights and pool vertex ids of one block sample.
+def _mixtures(u: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., K) weights and (..., K, A) vertex ids of blocks from their 1 + K A + K uniforms.
 
-    `pools` holds the pool length of each atom of the block (see
-    `_atom_pool_lengths`).  Draws the mixture size k in 1..3, then k times
-    one vertex of each atom's pool, with the Dirichlet weights drawn after
-    the first of them when k > 1.  Returns the (k,) weights and the
-    (k, atoms) vertex ids.
+    k = 1 + floor(3 u) slots are mixed, vertex (j, a) is floor(u lengths[a])
+    and the weights are -log1p(-u), normalised over the first k slots (a
+    flat Dirichlet) and 0 past them.
     """
-    k = int(rng.integers(1, 4))
-    weights = np.ones(1)
-    ids = np.empty((k, len(pools)), dtype=np.intp)
-    for j in range(k):
-        ids[j] = [int(rng.integers(p)) for p in pools]
-        if j == 0 and k > 1:
-            weights = rng.dirichlet(np.ones(k))
-    return weights, ids
+    k = 1 + _uniform_index(u[..., :1], MIXTURE_MAX)
+    ids = _uniform_index(u[..., 1:-MIXTURE_MAX].reshape(u.shape[:-1] + (MIXTURE_MAX, -1)), lengths[..., None, :])
+    weights = np.where(np.arange(MIXTURE_MAX) < k, -np.log1p(-u[..., -MIXTURE_MAX:]), 0.0)
+    return weights / weights.sum(axis=-1, keepdims=True), ids
 
 
 def _block_sample(size: int, weights: np.ndarray, ids: np.ndarray) -> ConditionalDistribution:
-    """The distribution on parties 1..size of a draw of `_draw_block`."""
+    """The distribution on parties 1..size of a block's mixture weights and vertex ids."""
     groups = _atoms(range(size))
     tables = [
-        _product_table(groups, [nonsignaling_vertex_pool(len(g))[v] for g, v in zip(groups, row)], size)
-        for row in ids
+        w * _product_table(groups, [nonsignaling_vertex_pool(len(g))[v] for g, v in zip(groups, row)], size)
+        for w, row in zip(weights, ids) if w > 0
     ]
-    table = weights[0] * tables[0]
-    for w, t in zip(weights[1:], tables[1:]):
-        table = table + w * t
-    return ConditionalDistribution(tuple(range(1, size + 1)), table)
+    return ConditionalDistribution(tuple(range(1, size + 1)), sum(tables))
 
 
 def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
@@ -339,12 +341,14 @@ def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
     Draws polytope vertices for blocks up to size 3; larger blocks are
     products of sub-block vertices (nonsignaling is closed under products).
     Convex combinations of up to three draws are emitted so the interior of
-    the polytope is exercised too.
+    the polytope is exercised too.  Its uniforms are mapped as a block's
+    columns of a certification sample are (`_mixtures`).
     """
     if size < 1:
         raise ParameterDomainError(f"block size must be positive, got {size}")
-    rng = np.random.default_rng(rng)
-    return _block_sample(size, *_draw_block(_atom_pool_lengths(size), rng))
+    lengths = np.array([len(nonsignaling_vertex_pool(len(a))) for a in _atoms(range(size))])
+    u = np.random.default_rng(rng).random(1 + MIXTURE_MAX * (len(lengths) + 1))
+    return _block_sample(size, *_mixtures(u, lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -415,84 +419,90 @@ class _TermReader:
 
     Term t reads the n-party table at its settings and outcomes.  In a
     product of block samples that entry is, block by block, the mixture over
-    the draws of the product over the block's atoms of each vertex's entry
-    at t's settings and outcomes on the atom.  `_atom(parties)` is the (V, T)
-    matrix of those entries for the V vertices of the pool of the atom's
-    size.  The stored tables are exact, nonnegative and with rows that sum
-    to exactly 1, so they are read as they stand: `ConditionalDistribution`
-    would hold them unchanged.  Atoms are shared by partitions,
-    so at most sum_{s<=3} C(n, s) of them are gathered; a partition's list
-    of them is built when a sample first draws it.
+    the slots of the product over the block's atoms of each vertex's entry
+    at t's settings and outcomes on the atom.  The (V, T) matrices of those
+    entries for the V vertices of each atom's pool are stacked below a row
+    of ones, which absent atoms read.  The stored tables are exact,
+    nonnegative and with rows that sum to exactly 1, so they are read as
+    they stand.  An atom is gathered when a sample first draws it.
     """
 
     def __init__(self, expr: BellExpression):
-        self._table = expr.table
+        self._expr = expr
         self._partitions = _partitions_tuple(expr.n, expr.m)
-        self._pools: dict[int, np.ndarray] = {}
-        self._touched: dict[tuple[int, ...], np.ndarray] = {}
-        self._blocks: dict[int, list[list[np.ndarray]]] = {}
+        self.atoms = -(-(expr.n - expr.m + 1) // VERTEX_MAX_BLOCK)
+        self.width = 1 + expr.m * (1 + MIXTURE_MAX * (self.atoms + 1))
+        sizes = range(1, min(VERTEX_MAX_BLOCK, expr.n - expr.m + 1) + 1)
+        self._pools = {s: np.stack(nonsignaling_vertex_pool(s)) for s in sizes}
+        self._matrices = [np.ones((1, len(expr.table.coefficients)))]
+        self._stack = self._matrices[0]
+        self._height = 1  # rows of the stack once every gathered matrix joins it
+        self._first: dict[tuple[int, ...], int] = {}
+        self._blocks: dict[tuple[int, ...], np.ndarray] = {}
 
-    def _pool(self, size: int) -> np.ndarray:
-        if size not in self._pools:
-            self._pools[size] = np.stack(nonsignaling_vertex_pool(size))
-        return self._pools[size]
+    def _block(self, block: tuple[int, ...]) -> np.ndarray:
+        """The (A, 2) first rows in the stack and pool lengths of a block's atoms."""
+        if block not in self._blocks:
+            layout = self._blocks[block] = np.array([[0, 1]] * self.atoms)  # absent atoms read row 0
+            for a, parties in enumerate(_atoms(block)):
+                pool = self._pools[len(parties)]
+                if parties not in self._first:
+                    self._first[parties] = self._height
+                    self._height += len(pool)
+                    rows, outcomes = _term_entries(self._expr.table, [p - 1 for p in parties])
+                    self._matrices.append(pool[:, rows, outcomes])
+                layout[a] = self._first[parties], len(pool)
+        return self._blocks[block]
 
-    def _atom(self, parties: tuple[int, ...]) -> np.ndarray:
-        if parties not in self._touched:
-            rows, outcomes = _term_entries(self._table, [p - 1 for p in parties])
-            self._touched[parties] = self._pool(len(parties))[:, rows, outcomes]
-        return self._touched[parties]
+    def draws(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Partition indices, weights, vertex ids and the atoms' first rows
+        in the stack of the samples of a (rows, width) array of uniforms."""
+        index = _uniform_index(u[:, 0], len(self._partitions))
+        drawn, inverse = np.unique(index, return_inverse=True)
+        layout = np.stack([self._block(b) for p in drawn.tolist() for b in self._partitions[p]])
+        layout = layout.reshape(len(drawn), self._expr.m, self.atoms, 2)[inverse]
+        if len(self._stack) < self._height:
+            self._stack = np.concatenate(self._matrices)
+        weights, ids = _mixtures(u[:, 1:].reshape(len(u), self._expr.m, -1), layout[..., 1])
+        return index, weights, ids, layout[..., 0]
 
-    def value(self, index: int, draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
-        """LHS of the product of the draws of `_draw_block` on partition `index`."""
-        if index not in self._blocks:
-            self._blocks[index] = [
-                [self._atom(a) for a in _atoms(b)] for b in self._partitions[index].blocks
-            ]
-        reads = 1.0
-        for atoms, (weights, ids) in zip(self._blocks[index], draws):
-            block = atoms[0][ids[:, 0]]
-            for a in range(1, len(atoms)):
-                block = block * atoms[a][ids[:, a]]
-            # the weights sum to 1 only up to rounding; ConditionalDistribution
-            # divides a block's mixture by its row sums, and this by their sum
-            reads = reads * ((weights @ block) / weights.sum())
-        return float(self._table.coefficients @ reads)
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """LHS of the sample of each row of uniforms, from one gather."""
+        _, weights, ids, first = self.draws(u)
+        # atoms, slots and blocks lead: no product or sum order depends on the chunk's size
+        reads = self._stack[(ids + first[:, :, None, :]).T].prod(axis=0)
+        weights = weights.T[..., None]
+        # the weights sum to 1 only up to rounding; ConditionalDistribution
+        # divides a block's mixture by its row sums, and this by their sum
+        blocks = (weights * reads).sum(axis=0) / weights.sum(axis=0)
+        return (blocks.prod(axis=0) * self._expr.table.coefficients).sum(axis=1)
 
 
 def _sampled_models(expr: BellExpression, samples: int, seed):
-    """Yield (partition, draws, LHS) for each of `samples` samples.
-
-    Sample i draws, with the i-th child seed spawned from `seed`, the
-    partition (uniform over the enumerated list), then one `_draw_block`
-    per block in block order, so any sample can be replayed from (seed, i).
-    The pool lengths are read once per block size, of which there are
-    n - m + 1.
-    """
+    """Yield (first sample, uniforms, LHS values) per chunk; no row depends on the chunk size."""
     reader = _TermReader(expr)
-    partitions = _partitions_tuple(expr.n, expr.m)
-    lengths = {size: _atom_pool_lengths(size) for size in range(1, expr.n - expr.m + 2)}
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        rng = np.random.default_rng(child)
-        index = int(rng.integers(len(partitions)))
-        part = partitions[index]
-        draws = [_draw_block(lengths[len(b)], rng) for b in part.blocks]
-        yield part, draws, reader.value(index, draws)
+    rows = max(1, _GATHER_CAP // (expr.m * MIXTURE_MAX * reader.atoms * len(expr.table.coefficients)))
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, rows):
+        u = rng.random((min(rows, samples - start), reader.width))
+        yield start, u, reader.values(u)
 
 
 def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
     """Sample nonsignaling m-local product models and check LHS <= tolerance.
 
-    Each sample draws a partition of the parties into m blocks (uniform over
-    the enumerated list), independent nonsignaling distributions per block,
-    and evaluates the product from the T entries its terms read (see
-    `_TermReader`), without building the product table.  Returns the
+    Sample i reads row i of D uniforms of `default_rng(seed)` (see the
+    module docstring): a partition into m blocks (uniform over the
+    enumerated list) and a nonsignaling distribution per block.  A chunk of
+    samples is evaluated with one gather of the T entries its terms read
+    (see `_TermReader`), without building product tables.  Returns the
     maximum observed LHS.  The first sample above the tolerance raises
     CertificationError with a full dump, whose block tables and LHS are
     rebuilt as `sample_nonsignaling_block` and `product_distribution` would
-    give them.  Every sample has its own spawned seed, so the dump's
-    sample_index replays it.  Refuses n > CERTIFY_MAX_PARTIES and more
-    than CERTIFY_MAX_PARTITIONS partitions before sampling starts.
+    give them; its sample_index i is replayed by `default_rng(seed)`,
+    `bit_generator.advance(i * D)`, `random(D)`.  Refuses n >
+    CERTIFY_MAX_PARTIES and more than CERTIFY_MAX_PARTITIONS partitions
+    before sampling starts.
     """
     if expr.n > CERTIFY_MAX_PARTIES:
         raise ParameterDomainError(
@@ -508,13 +518,20 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     worst = -math.inf
-    for index, (part, draws, value) in enumerate(_sampled_models(expr, samples, seed)):
-        if value > CERT_TOL:
-            blocks = [_block_sample(len(b), *d).relabel(b) for b, d in zip(part.blocks, draws)]
+    for start, u, values in _sampled_models(expr, samples, seed):
+        over = np.flatnonzero(values > CERT_TOL)
+        if over.size:
+            index = start + int(over[0])
+            drawn, weights, ids, _ = _TermReader(expr).draws(u[over[0], None])
+            part = Partition(_partitions_tuple(expr.n, expr.m)[drawn[0]])
+            blocks = [
+                _block_sample(len(b), w, i[:, : len(_atoms(b))]).relabel(b)
+                for b, w, i in zip(part.blocks, weights[0], ids[0])
+            ]
             value = distribution_lhs(expr, product_distribution(part, blocks))
             raise CertificationError(
                 f"m-local bound violated at sample {index}: LHS = {value!r}",
                 certification_failure_report(expr, part, blocks, value, seed, index),
             )
-        worst = max(worst, value)
+        worst = max(worst, float(values.max()))
     return worst

@@ -1,5 +1,6 @@
 """Tests for the deterministic bound, partitions, nonsignaling sampling, and certification."""
 
+import itertools
 import json
 import math
 
@@ -167,6 +168,20 @@ class TestPartitions:
     def test_closed_form_count_matches_recurrence(self, n):
         for m in range(2, n + 1):
             assert lhv._partition_count(n, m) == stirling(n, m)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_order_is_restricted_growth_order(self, n):
+        # party i joins block a_i, a new block taking the next label, with
+        # the label strings in lexicographic order; each partition is then
+        # put in canonical block order
+        for m in range(2, n + 1):
+            want = []
+            for labels in itertools.product(*(range(min(i + 1, m)) for i in range(n))):
+                grows = all(a <= max(labels[:i], default=-1) + 1 for i, a in enumerate(labels))
+                if grows and max(labels) == m - 1:
+                    blocks = [[p + 1 for p in range(n) if labels[p] == b] for b in range(m)]
+                    want.append(Partition(tuple(map(tuple, blocks))))
+            assert list(enumerate_partitions(n, m)) == want
 
     def test_canonical_order(self):
         for p in enumerate_partitions(5, 3):
@@ -429,34 +444,108 @@ class TestCertification:
     )
     def test_each_sample_equals_materialised_product(self, n, m):
         expr = build_hierarchy_inequality(n, m, 1)
-        fast = lhv._sampled_models(expr, 40, 19)
+        u, values = sampled(expr, 40, 19)
+        index = lhv._TermReader(expr).draws(u)[0]
         largest = 0
-        for (part, _, value), (want_part, _, want) in zip(fast, materialised_samples(expr, 40, 19)):
-            assert part == want_part
-            assert value == pytest.approx(want, abs=1e-12)
+        for i, (part, _, want) in enumerate(materialised_samples(expr, 40, 19)):
+            assert part.blocks == lhv._partitions_tuple(n, m)[index[i]]
+            assert values[i] == pytest.approx(want, abs=1e-12)
             largest = max(largest, max(len(b) for b in part.blocks))
         if n - m >= 3:
             assert largest >= 4  # products of several pool vertices were read too
 
     def test_sample_protocol_golden(self):
         # the seed -> sample map is what lets a failure report's sample_index
-        # be replayed: sample i draws from the i-th seed spawned from the run's
-        # seed.  These values were recorded from the implementation; a
-        # deliberate change to the vertex pools or to the draws must update them.
+        # be replayed: sample i reads row i of the uniforms of the run's seed.
+        # These values were recorded from the implementation; a deliberate
+        # change to the vertex pools or to the row protocol must update them.
+        # Per block: the ids of the k mixed slots and their weights.
         golden = [
-            ([(3,), (1, 2), (4, 5)], [[[1], [0], [2]], [[20], [4], [14]], [[16], [16]]], 0.0),
-            ([(2,), (1, 3), (4, 5)], [[[2], [0]], [[8], [7], [1]], [[18], [22], [9]]], 0.0),
-            ([(2,), (3,), (1, 4, 5)], [[[2]], [[1], [1]], [[37], [43]]], 0.0),
-            ([(3,), (5,), (1, 2, 4)], [[[2], [2], [3]], [[3], [3]], [[62]]], -0.2669611794663497),
-            ([(3,), (5,), (1, 2, 4)], [[[3]], [[0]], [[24], [51]]], 0.0),
-            ([(5,), (1, 4), (2, 3)], [[[0], [1], [2]], [[7], [19], [11]], [[11], [7]]], -0.053620400276221836),
+            ([(2,), (1, 3), (4, 5)], [[[1], [0], [1]], [[21]], [[10], [10]]],
+             [[0.355886084052, 0.426703611723, 0.217410304225], [1.0], [0.980716310923, 0.019283689077]],
+             -0.25),
+            ([(3,), (1, 5), (2, 4)], [[[3], [2]], [[2], [4]], [[20], [10], [3]]],
+             [[0.870295406967, 0.129704593033], [0.394333948792, 0.605666051208],
+              [0.541540599916, 0.210612994863, 0.247846405221]],
+             -0.515025005446),
+            ([(1,), (5,), (2, 3, 4)], [[[2]], [[2], [2]], [[3]]],
+             [[1.0], [0.060950418764, 0.939049581236], [1.0]], 0.0),
+            ([(5,), (1, 4), (2, 3)], [[[0], [2], [3]], [[4], [9], [20]], [[10], [7]]],
+             [[0.058809157554, 0.719641411864, 0.221549430582], [0.444150019341, 0.221266142176, 0.334583838483],
+              [0.525017121643, 0.474982878357]],
+             -0.154556138271),
+            ([(1,), (2,), (3, 4, 5)], [[[2], [0], [3]], [[3], [3], [3]], [[6]]],
+             [[0.543226889369, 0.072609254828, 0.384163855803], [0.153777301778, 0.339385396515, 0.506837301707],
+              [1.0]],
+             0.0),
+            ([(2,), (3,), (1, 4, 5)], [[[3]], [[3], [3], [1]], [[15]]],
+             [[1.0], [0.265189626748, 0.404087415116, 0.330722958135], [1.0]], -1.330722958135),
         ]
-        samples = list(lhv._sampled_models(build_hierarchy_inequality(5, 3, 1), 6, 19))
-        assert len(samples) == len(golden)
-        for (part, draws, value), (blocks, ids, lhs) in zip(samples, golden):
-            assert list(part.blocks) == blocks
-            assert [d[1].tolist() for d in draws] == ids
-            assert value == pytest.approx(lhs, abs=1e-12)
+        expr = build_hierarchy_inequality(5, 3, 1)
+        u, values = sampled(expr, 6, 19)
+        index, weights, ids, _ = lhv._TermReader(expr).draws(u)
+        assert len(values) == len(golden)
+        for i, (blocks, want_ids, want_weights, lhs) in enumerate(golden):
+            part = lhv._partitions_tuple(5, 3)[index[i]]
+            assert list(part) == blocks
+            for j, b in enumerate(part):
+                k = len(want_weights[j])
+                assert (weights[i, j, k:] == 0).all()
+                assert weights[i, j, :k] == pytest.approx(want_weights[j], abs=1e-12)
+                assert ids[i, j, :k, : len(lhv._atoms(b))].tolist() == want_ids[j]
+            assert values[i] == pytest.approx(lhs, abs=1e-12)
+
+    def test_fewer_samples_are_a_prefix(self):
+        expr = build_hierarchy_inequality(5, 3, 1)
+        np.testing.assert_array_equal(sampled(expr, 500, 3)[1], sampled(expr, 10_000, 3)[1][:500])
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (7, 2)])
+    def test_chunk_size_leaves_values_unchanged(self, monkeypatch, n, m):
+        expr = build_hierarchy_inequality(n, m, 1)
+        chunked = sampled(expr, 60, 8)
+        monkeypatch.setattr(lhv, "_GATHER_CAP", 7)  # one sample per chunk
+        assert len(list(lhv._sampled_models(expr, 60, 8))) == 60
+        u, values = sampled(expr, 60, 8)
+        np.testing.assert_array_equal(u, chunked[0])
+        np.testing.assert_array_equal(values, chunked[1])
+
+    @pytest.mark.parametrize("n,m", [(5, 3), (7, 2)])
+    def test_sample_is_replayed_from_its_row(self, n, m):
+        # default_rng(seed), advance(i * D), random(D) gives sample i's row;
+        # it is read here one uniform at a time, as the protocol states
+        expr = build_hierarchy_inequality(n, m, 1)
+        atoms = -(-(n - m + 1) // 3)
+        width = 1 + 3 * atoms + 3
+        u, values = sampled(expr, 300, 23)
+        index, weights, ids, _ = lhv._TermReader(expr).draws(u)
+        partitions = lhv._partitions_tuple(n, m)
+        for i in (0, 1, 150, 299):
+            rng = np.random.default_rng(23)
+            rng.bit_generator.advance(i * (1 + m * width))
+            row = rng.random(1 + m * width)
+            np.testing.assert_array_equal(row, u[i])
+            assert lhv._TermReader(expr).values(row[None])[0] == values[i]
+            assert index[i] == math.floor(row[0] * len(partitions))
+            for j, b in enumerate(partitions[index[i]]):
+                cols = row[1 + j * width : 1 + (j + 1) * width]
+                k = 1 + math.floor(3 * cols[0])
+                e = [-math.log1p(-x) for x in cols[-3:][:k]]
+                want = [x / sum(e) for x in e] + [0.0] * (3 - k)
+                assert weights[i, j].tolist() == pytest.approx(want, abs=1e-15)
+                for slot in range(k):
+                    for a, parties in enumerate(lhv._atoms(b)):
+                        pool = len(nonsignaling_vertex_pool(len(parties)))
+                        assert ids[i, j, slot, a] == math.floor(cols[1 + slot * atoms + a] * pool)
+
+    def test_uniform_index_stays_below_its_length(self):
+        # u <= 1 - 2^-53 and floor(u * L) < L for every L < 2^53
+        u = np.nextafter(1.0, 0.0)
+        lengths = np.arange(1, lhv.CERTIFY_MAX_PARTITIONS + 1)
+        assert (lhv._uniform_index(u, lengths) == lengths - 1).all()
+        pools = np.array([len(nonsignaling_vertex_pool(s)) for s in (1, 2, 3)])
+        weights, ids = lhv._mixtures(np.full(1 + 3 * (len(pools) + 1), u), pools)
+        assert (ids == pools - 1).all()
+        assert (weights > 0).all()  # k = 3
 
     def test_passing_run_builds_no_tables(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -468,11 +557,26 @@ class TestCertification:
             assert certify_m_local_bound(build_hierarchy_inequality(n, m, 1), 100, 23) <= 1e-9
 
 
+def sampled(expr, samples, seed):
+    """The rows of uniforms and the LHS values of certification's samples."""
+    chunks = list(lhv._sampled_models(expr, samples, seed))
+    return np.concatenate([u for _, u, _ in chunks]), np.concatenate([v for _, _, v in chunks])
+
+
 def materialised_samples(expr, samples, seed):
-    """Yield (partition, block distributions, LHS) of each sample, built as full tables."""
+    """Yield (partition, block distributions, LHS) of each sample, built as full tables.
+
+    The rows come from one `random((samples, D))` call, and each block's
+    columns are read on their own, with pool length 1 for absent atoms.
+    """
     partitions = list(enumerate_partitions(expr.n, expr.m))
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        rng = np.random.default_rng(child)
-        part = partitions[int(rng.integers(len(partitions)))]
-        blocks = [sample_nonsignaling_block(len(b), rng).relabel(b) for b in part.blocks]
+    atoms = -(-(expr.n - expr.m + 1) // 3)
+    width = 1 + 3 * (atoms + 1)
+    for row in np.random.default_rng(seed).random((samples, 1 + expr.m * width)):
+        part = partitions[int(row[0] * len(partitions))]
+        blocks = []
+        for b, cols in zip(part.blocks, row[1:].reshape(expr.m, width)):
+            pools = [len(lhv.nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(b)]
+            weights, ids = lhv._mixtures(cols, np.array(pools + [1] * (atoms - len(pools))))
+            blocks.append(lhv._block_sample(len(b), weights, ids[:, : len(pools)]).relabel(b))
         yield part, blocks, distribution_lhs(expr, product_distribution(part, blocks))
