@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Sequence
 
 from .inequality import (
@@ -48,7 +48,6 @@ from .search import (
     find_threshold,
     reproduce_table,
     state_for_family,
-    thresholds_to_csv,
 )
 
 DEFAULT_SEED = 20230
@@ -203,38 +202,30 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _emit_threshold_results(results, args: argparse.Namespace, seed: int) -> None:
+    rows = [
+        {"family": r.state_family, "n": r.n, "i": r.m - 1, "m": r.m, "p_threshold": r.p_threshold,
+         "max_lhs_at_p1": r.max_lhs_at_p1, "angles": asdict(r.best_angles)}
+        for r in results
+    ]
     if args.format == "csv":
-        _write_output(thresholds_to_csv(results, seed), args.output)
-    elif args.format == "structured":
-        doc = {
-            "seed": seed,
-            "results": [
-                {
-                    "family": r.state_family,
-                    "n": r.n,
-                    "i": r.m - 1,
-                    "m": r.m,
-                    "p_threshold": round(r.p_threshold, 6),
-                    "max_lhs_at_p1": r.max_lhs_at_p1,
-                    "angles": {
-                        "theta_a1": r.best_angles.theta_a1,
-                        "theta_b1": r.best_angles.theta_b1,
-                        "theta_a_rest": r.best_angles.theta_a_rest,
-                        "theta_b_rest": r.best_angles.theta_b_rest,
-                    },
-                }
-                for r in results
-            ],
-        }
-        _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        lines = [f"# seed = {seed}"]
-        for r in results:
+        lines = ["family,n,i,m,p_i,max_lhs_at_p1,theta_a1,theta_b1,theta_a,theta_b,seed"]
+        for r in rows:
+            angles = ",".join(f"{a:.12g}" for a in r["angles"].values())
             lines.append(
-                f"{r.state_family} n={r.n} m={r.m}: p_{r.m - 1} = {r.p_threshold:.4f} "
-                f"(max LHS at p=1: {r.max_lhs_at_p1:.6g})"
+                f"{r['family']},{r['n']},{r['i']},{r['m']},{r['p_threshold']:.6f},"
+                f"{r['max_lhs_at_p1']:.12g},{angles},{seed}"
             )
-        _write_output("\n".join(lines) + "\n", args.output)
+    elif args.format == "structured":
+        for r in rows:
+            r["p_threshold"] = round(r["p_threshold"], 6)
+        lines = [json.dumps({"seed": seed, "results": rows}, indent=2, sort_keys=True)]
+    else:
+        lines = [f"# seed = {seed}"] + [
+            f"{r['family']} n={r['n']} m={r['m']}: p_{r['i']} = {r['p_threshold']:.4f} "
+            f"(max LHS at p=1: {r['max_lhs_at_p1']:.6g})"
+            for r in rows
+        ]
+    _write_output("\n".join(lines) + "\n", args.output)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ table is built unless a sample exceeds the bound and is reported.
 Sample i reads row i of D = 1 + m (1 + K A + K) uniforms of
 `default_rng(seed)`, K = 3 the largest mixture and A = ceil((n - m + 1) / 3)
 the most atoms in a block: the partition, then per block its mixture size,
-K A vertex ids and K weights (`_mixtures`), used or not.  So
+K A vertex ids and K weights (`_mixtures`), used or not.  The partition is
+the one of rank floor(u S(n, m)) in the lexicographic order of restricted
+growth strings, unranked on its own (`_partition`).  So
 `default_rng(seed)`, `bit_generator.advance(i * D)`, `random(D)` replays it.
 """
 
@@ -59,10 +61,6 @@ NS_TOL = 1e-9
 CLAMP_TOL = -1e-12
 CERT_TOL = 1e-9
 CERTIFY_MAX_PARTIES = 12
-# Sampling builds every partition before its first sample.  The largest
-# count at n <= 11 is S(11, 5) = 246,730; S(12, m) exceeds it for m = 4..7
-# (S(12, 6) = 1,323,652 took 22-30 s and 760 MB on a 2-vCPU VM).
-CERTIFY_MAX_PARTITIONS = 250_000
 VERTEX_MAX_BLOCK = 3
 MIXTURE_MAX = 3
 # Entries gathered per chunk of samples; keeps a chunk's temporaries near 0.5 MB.
@@ -180,45 +178,50 @@ class Partition:
         return len(self.blocks)
 
 
+@lru_cache(maxsize=None)
+def _ways(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """ways[i][j]: the ways to place parties i+1..n, with j blocks open after
+    the first i, so that exactly m blocks end up open."""
+    if not 2 <= m <= n:
+        raise ParameterDomainError(f"need 2 <= m <= n, got m={m}, n={n}")
+    ways = [tuple(int(j == m) for j in range(m + 2))]
+    for _ in range(n):
+        after = ways[0]
+        ways.insert(0, tuple(j * after[j] + after[j + 1] for j in range(m + 1)) + (0,))
+    return tuple(ways)
+
+
 def _partition_count(n: int, m: int) -> int:
     """S(n, m), the number of partitions of n parties into m nonempty blocks."""
-    return sum((-1) ** j * math.comb(m, j) * (m - j) ** n for j in range(m + 1)) // math.factorial(m)
+    return _ways(n, m)[0][0]
 
 
 def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
-    """All S(n, m) set partitions of {1..n} into exactly m nonempty blocks."""
-    yield from map(Partition, _partitions_tuple(n, m))
+    """All S(n, m) set partitions of {1..n} into exactly m nonempty blocks,
+    in the order of `_partition`'s ranks."""
+    for index in range(_partition_count(n, m)):
+        yield Partition(_partition.__wrapped__(n, m, index))
 
 
-@lru_cache(maxsize=None)
-def _partitions_tuple(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The blocks of every partition, in `Partition`'s canonical order and unvalidated."""
-    if not 2 <= m <= n:
-        raise ParameterDomainError(f"need 2 <= m <= n, got m={m}, n={n}")
-
-    out: list[tuple[tuple[int, ...], ...]] = []
+# bounded, so that a long run at n = 12 does not hold every partition it drew
+@lru_cache(maxsize=1 << 12)
+def _partition(n: int, m: int, index: int) -> tuple[tuple[int, ...], ...]:
+    """The blocks of the partition of rank `index`, in `Partition`'s canonical
+    order and unvalidated.  Ranks follow the lexicographic order of restricted
+    growth strings: party i joins an open block, by label, or opens the next one.
+    """
+    ways = _ways(n, m)
     blocks: list[list[int]] = []
-
-    def assign(item: int) -> None:
-        remaining = n - item + 1
-        if remaining == 0:
-            if len(blocks) == m:
-                # blocks are built in order of their smallest element, each ascending
-                out.append(tuple(sorted(map(tuple, blocks), key=len)))
-            return
-        if len(blocks) + remaining < m:
-            return
-        for b in blocks:
-            b.append(item)
-            assign(item + 1)
-            b.pop()
-        if len(blocks) < m:
-            blocks.append([item])
-            assign(item + 1)
-            blocks.pop()
-
-    assign(1)
-    return tuple(out)
+    for party in range(1, n + 1):
+        rest = ways[party][len(blocks)]
+        if index < len(blocks) * rest:
+            blocks[index // rest].append(party)
+            index %= rest
+        else:
+            index -= len(blocks) * rest
+            blocks.append([party])
+    # blocks are built in order of their smallest element, each ascending
+    return tuple(sorted(map(tuple, blocks), key=len))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +432,7 @@ class _TermReader:
 
     def __init__(self, expr: BellExpression):
         self._expr = expr
-        self._partitions = _partitions_tuple(expr.n, expr.m)
+        self._count = _partition_count(expr.n, expr.m)
         self.atoms = -(-(expr.n - expr.m + 1) // VERTEX_MAX_BLOCK)
         self.width = 1 + expr.m * (1 + MIXTURE_MAX * (self.atoms + 1))
         sizes = range(1, min(VERTEX_MAX_BLOCK, expr.n - expr.m + 1) + 1)
@@ -457,13 +460,15 @@ class _TermReader:
     def draws(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Partition indices, weights, vertex ids and the atoms' first rows
         in the stack of the samples of a (rows, width) array of uniforms."""
-        index = _uniform_index(u[:, 0], len(self._partitions))
+        n, m = self._expr.n, self._expr.m
+        index = _uniform_index(u[:, 0], self._count)
         drawn, inverse = np.unique(index, return_inverse=True)
-        layout = np.stack([self._block(b) for p in drawn.tolist() for b in self._partitions[p]])
-        layout = layout.reshape(len(drawn), self._expr.m, self.atoms, 2)[inverse]
+        layout = np.stack([self._block(b) for p in drawn.tolist() for b in _partition(n, m, p)])
+        layout = layout.reshape(len(drawn), m, self.atoms, 2)[inverse]
         if len(self._stack) < self._height:
             self._stack = np.concatenate(self._matrices)
-        weights, ids = _mixtures(u[:, 1:].reshape(len(u), self._expr.m, -1), layout[..., 1])
+            self._matrices = [self._stack]
+        weights, ids = _mixtures(u[:, 1:].reshape(len(u), m, -1), layout[..., 1])
         return index, weights, ids, layout[..., 0]
 
     def values(self, u: np.ndarray) -> np.ndarray:
@@ -492,28 +497,21 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
     """Sample nonsignaling m-local product models and check LHS <= tolerance.
 
     Sample i reads row i of D uniforms of `default_rng(seed)` (see the
-    module docstring): a partition into m blocks (uniform over the
-    enumerated list) and a nonsignaling distribution per block.  A chunk of
-    samples is evaluated with one gather of the T entries its terms read
-    (see `_TermReader`), without building product tables.  Returns the
-    maximum observed LHS.  The first sample above the tolerance raises
-    CertificationError with a full dump, whose block tables and LHS are
-    rebuilt as `sample_nonsignaling_block` and `product_distribution` would
-    give them; its sample_index i is replayed by `default_rng(seed)`,
-    `bit_generator.advance(i * D)`, `random(D)`.  Refuses n >
-    CERTIFY_MAX_PARTIES and more than CERTIFY_MAX_PARTITIONS partitions
-    before sampling starts.
+    module docstring): a partition into m blocks, unranked from a rank
+    uniform over 0..S(n, m)-1 (`_partition`), and a nonsignaling
+    distribution per block.  A chunk of samples is evaluated with one gather
+    of the T entries its terms read (see `_TermReader`), without building
+    product tables.  Returns the maximum observed LHS.  The first sample
+    above the tolerance raises CertificationError with a full dump, whose
+    block tables and LHS are rebuilt as `sample_nonsignaling_block` and
+    `product_distribution` would give them; its sample_index i is replayed
+    by `default_rng(seed)`, `bit_generator.advance(i * D)`, `random(D)`.
+    Refuses n > CERTIFY_MAX_PARTIES before sampling starts.
     """
     if expr.n > CERTIFY_MAX_PARTIES:
         raise ParameterDomainError(
             f"a failing sample is reported with its block tables and their 2^n x 2^n "
             f"product, so sampled certification supports n <= {CERTIFY_MAX_PARTIES}, got n={expr.n}"
-        )
-    count = _partition_count(expr.n, expr.m)
-    if count > CERTIFY_MAX_PARTITIONS:
-        raise ParameterDomainError(
-            f"sampling builds all S(n, m) partitions first, so sampled certification supports "
-            f"at most {CERTIFY_MAX_PARTITIONS} of them, got S({expr.n}, {expr.m}) = {count}"
         )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -523,7 +521,7 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
         if over.size:
             index = start + int(over[0])
             drawn, weights, ids, _ = _TermReader(expr).draws(u[over[0], None])
-            part = Partition(_partitions_tuple(expr.n, expr.m)[drawn[0]])
+            part = Partition(_partition(expr.n, expr.m, int(drawn[0])))
             blocks = [
                 _block_sample(len(b), w, i[:, : len(_atoms(b))]).relabel(b)
                 for b, w, i in zip(part.blocks, weights[0], ids[0])

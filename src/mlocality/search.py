@@ -369,15 +369,3 @@ def reproduce_table(
     """Thresholds p_i for every requested n, i = m-1 running over 1..n-1."""
     return [find_threshold(n, m, state_family, config) for n in n_list for m in range(2, n + 1)]
 
-
-def thresholds_to_csv(results: Sequence[ThresholdResult], seed: int) -> str:
-    """CSV rendering with one row per threshold cell."""
-    lines = ["family,n,i,m,p_i,max_lhs_at_p1,theta_a1,theta_b1,theta_a,theta_b,seed"]
-    for r in results:
-        ang = r.best_angles
-        lines.append(
-            f"{r.state_family},{r.n},{r.m - 1},{r.m},{r.p_threshold:.6f},"
-            f"{r.max_lhs_at_p1:.12g},{ang.theta_a1:.12g},{ang.theta_b1:.12g},"
-            f"{ang.theta_a_rest:.12g},{ang.theta_b_rest:.12g},{seed}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Command-line interface tests (direct main() invocation)."""
 
+import argparse
 import json
 import math
 import os
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import mlocality.cli as cli
+import mlocality.lhv as lhv
 from mlocality.inequality import parse_expression
 from mlocality.lhv import CertificationError
 from mlocality.quantum import NoisyState, ghz_state, w_state
-from mlocality.search import OptimizerConfig, maximize_violation
+from mlocality.search import OptimizerConfig, SymmetricAngles, ThresholdResult, maximize_violation
 from mlocality.inequality import build_hierarchy_inequality
 
 
@@ -136,13 +138,19 @@ class TestCertify:
         code, _, _ = run(capsys, ["certify", "--n", "13", "--m", "2", "--samples", "10"])
         assert code == 2
 
-    def test_partition_count_guard_exit_code(self, capsys):
+    def test_twelve_parties_in_six_blocks(self, capsys):
+        # S(12, 6) = 1,323,652 partitions; each sample unranks only its own
         start = time.perf_counter()
-        code, out, err = run(capsys, ["certify", "--n", "12", "--m", "6", "--samples", "1"])
+        code, out, _ = run(capsys, ["certify", "--n", "12", "--m", "6", "--samples", "20", "--seed", "1"])
         assert time.perf_counter() - start < 5.0
-        assert code == 2
-        assert out == ""
-        assert "S(12, 6) = 1323652" in err
+        assert code == 0
+        assert "bound_satisfied = true" in out
+
+    def test_only_drawn_partitions_are_cached(self, capsys):
+        lhv._partition.cache_clear()
+        code, _, _ = run(capsys, ["certify", "--n", "12", "--m", "6", "--samples", "20", "--seed", "1"])
+        assert code == 0
+        assert lhv._partition.cache_info().currsize <= 20
 
     def test_failure_dump(self, capsys, monkeypatch):
         report = {"kind": "certification_failure", "observed_lhs": 0.5}
@@ -183,6 +191,15 @@ class TestThresholdAndTable:
         p1 = float(lines[1].split(",")[4])
         assert abs(p1 - 0.948) < 0.02
         assert lines[1].split(",")[-1] == "77"
+
+    def test_csv_rendering(self, capsys):
+        angles = SymmetricAngles(0.1, 0.2, 0.3, 0.4)
+        rows = [ThresholdResult(4, 2, "ghz", 0.9475, angles, 0.0208)]
+        cli._emit_threshold_results(rows, argparse.Namespace(format="csv", output=None), 99)
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "family,n,i,m,p_i,max_lhs_at_p1,theta_a1,theta_b1,theta_a,theta_b,seed"
+        assert lines[1].startswith("ghz,4,1,2,0.947500,0.0208,")
+        assert lines[1].endswith(",99")
 
     def test_structured_output_is_byte_identical_across_runs(self, capsys):
         args = ["threshold", "--family", "ghz", "--n", "2", "--m", "2", "--seed", "9",

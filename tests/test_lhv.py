@@ -183,6 +183,19 @@ class TestPartitions:
                     want.append(Partition(tuple(map(tuple, blocks))))
             assert list(enumerate_partitions(n, m)) == want
 
+    def test_unranking_at_twelve_parties(self):
+        # ranks 0, S - 1 and evenly spaced ones between unrank to valid
+        # partitions whose restricted growth strings strictly increase
+        count = lhv._partition_count(12, 5)
+        strings = []
+        for index in sorted({0, count - 1, *range(0, count, count // 300)}):
+            part = Partition(lhv._partition(12, 5, index))
+            assert part.m == 5 and part.n == 12
+            labels = {p: j for j, b in enumerate(sorted(part.blocks)) for p in b}
+            strings.append([labels[p] for p in range(1, 13)])
+        assert len(strings) > 300
+        assert all(a < b for a, b in zip(strings, strings[1:]))
+
     def test_canonical_order(self):
         for p in enumerate_partitions(5, 3):
             sizes = [len(b) for b in p.blocks]
@@ -418,21 +431,6 @@ class TestCertification:
         with pytest.raises(ParameterDomainError):
             certify_m_local_bound(expr, 1, seed=1)
 
-    @pytest.mark.parametrize("n,m", [(12, 4), (12, 6), (12, 7)])
-    def test_partition_count_guard(self, monkeypatch, n, m):
-        # S(12, m) for m = 4..7 is over CERTIFY_MAX_PARTITIONS; the guard
-        # fires before the partitions are built
-        monkeypatch.setattr(lhv, "_partitions_tuple", lambda *args: pytest.fail("partitions built"))
-        expr = build_hierarchy_inequality(n, m, 1)
-        with pytest.raises(ParameterDomainError, match="partitions"):
-            certify_m_local_bound(expr, 1, seed=1)
-
-    def test_partition_count_guard_passes_the_largest_cell_below_twelve(self):
-        counts = {(n, m): lhv._partition_count(n, m) for n in range(2, 12) for m in range(2, n + 1)}
-        assert max(counts.values()) == counts[(11, 5)] == 246_730 <= lhv.CERTIFY_MAX_PARTITIONS
-        refused = [m for m in range(2, 13) if lhv._partition_count(12, m) > lhv.CERTIFY_MAX_PARTITIONS]
-        assert refused == [4, 5, 6, 7]
-
     def test_sample_count_validation(self):
         expr = build_hierarchy_inequality(3, 2, 1)
         with pytest.raises(ValueError):
@@ -448,7 +446,7 @@ class TestCertification:
         index = lhv._TermReader(expr).draws(u)[0]
         largest = 0
         for i, (part, _, want) in enumerate(materialised_samples(expr, 40, 19)):
-            assert part.blocks == lhv._partitions_tuple(n, m)[index[i]]
+            assert part.blocks == lhv._partition(n, m, index[i])
             assert values[i] == pytest.approx(want, abs=1e-12)
             largest = max(largest, max(len(b) for b in part.blocks))
         if n - m >= 3:
@@ -486,7 +484,7 @@ class TestCertification:
         index, weights, ids, _ = lhv._TermReader(expr).draws(u)
         assert len(values) == len(golden)
         for i, (blocks, want_ids, want_weights, lhs) in enumerate(golden):
-            part = lhv._partitions_tuple(5, 3)[index[i]]
+            part = lhv._partition(5, 3, index[i])
             assert list(part) == blocks
             for j, b in enumerate(part):
                 k = len(want_weights[j])
@@ -518,15 +516,15 @@ class TestCertification:
         width = 1 + 3 * atoms + 3
         u, values = sampled(expr, 300, 23)
         index, weights, ids, _ = lhv._TermReader(expr).draws(u)
-        partitions = lhv._partitions_tuple(n, m)
+        count = lhv._partition_count(n, m)
         for i in (0, 1, 150, 299):
             rng = np.random.default_rng(23)
             rng.bit_generator.advance(i * (1 + m * width))
             row = rng.random(1 + m * width)
             np.testing.assert_array_equal(row, u[i])
             assert lhv._TermReader(expr).values(row[None])[0] == values[i]
-            assert index[i] == math.floor(row[0] * len(partitions))
-            for j, b in enumerate(partitions[index[i]]):
+            assert index[i] == math.floor(row[0] * count)
+            for j, b in enumerate(lhv._partition(n, m, index[i])):
                 cols = row[1 + j * width : 1 + (j + 1) * width]
                 k = 1 + math.floor(3 * cols[0])
                 e = [-math.log1p(-x) for x in cols[-3:][:k]]
@@ -540,7 +538,10 @@ class TestCertification:
     def test_uniform_index_stays_below_its_length(self):
         # u <= 1 - 2^-53 and floor(u * L) < L for every L < 2^53
         u = np.nextafter(1.0, 0.0)
-        lengths = np.arange(1, lhv.CERTIFY_MAX_PARTITIONS + 1)
+        # the largest S(n, m) at n <= 12 is S(12, 5)
+        largest = max(lhv._partition_count(n, m) for n in range(2, 13) for m in range(2, n + 1))
+        assert largest == lhv._partition_count(12, 5) == 1_379_400
+        lengths = np.arange(1, largest + 1)
         assert (lhv._uniform_index(u, lengths) == lengths - 1).all()
         pools = np.array([len(nonsignaling_vertex_pool(s)) for s in (1, 2, 3)])
         weights, ids = lhv._mixtures(np.full(1 + 3 * (len(pools) + 1), u), pools)
@@ -569,11 +570,11 @@ def materialised_samples(expr, samples, seed):
     The rows come from one `random((samples, D))` call, and each block's
     columns are read on their own, with pool length 1 for absent atoms.
     """
-    partitions = list(enumerate_partitions(expr.n, expr.m))
+    count = lhv._partition_count(expr.n, expr.m)
     atoms = -(-(expr.n - expr.m + 1) // 3)
     width = 1 + 3 * (atoms + 1)
     for row in np.random.default_rng(seed).random((samples, 1 + expr.m * width)):
-        part = partitions[int(row[0] * len(partitions))]
+        part = Partition(lhv._partition(expr.n, expr.m, int(row[0] * count)))
         blocks = []
         for b, cols in zip(part.blocks, row[1:].reshape(expr.m, width)):
             pools = [len(lhv.nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(b)]

@@ -28,7 +28,6 @@ from mlocality.search import (
     maximize_violation,
     reproduce_table,
     state_for_family,
-    thresholds_to_csv,
 )
 
 QUICK = OptimizerConfig(grid_resolution=12, restarts=4)
@@ -541,15 +540,6 @@ class TestTable:
         assert [(r.n, r.m) for r in results] == [(4, 2), (4, 3), (4, 4)]
         for r, expected in zip(results, (0.948, 0.914, 0.822)):
             assert abs(r.p_threshold - expected) < 0.02
-
-    def test_csv_rendering(self):
-        angles = SymmetricAngles(0.1, 0.2, 0.3, 0.4)
-        rows = [ThresholdResult(4, 2, "ghz", 0.9475, angles, 0.0208)]
-        text = thresholds_to_csv(rows, seed=99)
-        lines = text.strip().split("\n")
-        assert lines[0] == "family,n,i,m,p_i,max_lhs_at_p1,theta_a1,theta_b1,theta_a,theta_b,seed"
-        assert lines[1].startswith("ghz,4,1,2,0.947500,0.0208,")
-        assert lines[1].endswith(",99")
 
 
 class TestOptimizerConfig:
