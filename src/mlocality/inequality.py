@@ -15,6 +15,10 @@ hidden-variable model; a positive value therefore witnesses nonlocality at
 depth ``m``.  ``m = 2`` tests genuine multipartite nonlocality, ``m = n``
 is the Hardy-type test for standard multipartite nonlocality.
 
+An expression is thus determined by (n, m, k'): its `TermTable`, which every
+computation reads, is built directly from them once, `BellExpression.terms`
+is a view of it for serialization, and only `parse_expression` checks terms.
+
 Party indices are 1-based in every public interface.  Settings/outcomes
 strings are ordered by party, position ``k`` holding party ``k + 1``.
 """
@@ -26,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -120,36 +124,37 @@ def tabulate_terms(terms: Sequence[Term]) -> TermTable:
 class BellExpression:
     """A complete inequality expression; ``sum(term) <= 0`` is the claimed bound.
 
-    The terms must be those of ``_canonical_terms(n, m, k_prime)`` in any
-    order, each exactly once.
+    (n, m, k') determine every term and are the whole identity: the table is
+    built directly from them, shared by equal expressions, and ``terms`` is a view.
     """
 
     n: int
     m: int
     k_prime: int
-    terms: tuple[Term, ...]
 
     def __post_init__(self) -> None:
         _check_domain(self.n, self.m, self.k_prime)
-        object.__setattr__(self, "terms", tuple(self.terms))
-        canonical = Counter(_canonical_terms(self.n, self.m, self.k_prime))
-        given = Counter(self.terms)
-        if given != canonical:
-            missing = canonical - given
-            what = "missing" if missing else "unexpected"
-            term = next(iter(missing or given - canonical))
-            raise ValueError(f"(n={self.n}, m={self.m}, k'={self.k_prime}) expression: {what} term {term}")
+        if len(self) > MAX_TERMS:
+            raise ParameterDomainError(
+                f"the (n={self.n}, m={self.m}) expression has {len(self)} terms, "
+                f"more than the {MAX_TERMS} that are built"
+            )
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return term_count(self.n, self.m)
 
     @cached_property
     def table(self) -> TermTable:
-        """The terms as arrays, derived once per expression."""
-        return tabulate_terms(self.terms)
+        """The terms as arrays, in their serialization order; read-only."""
+        return _canonical_table(self.n, self.m, self.k_prime)
 
-    def coefficient_sum(self) -> int:
-        return sum(t.coefficient for t in self.terms)
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """The rows of the table as Term objects, for serialization."""
+        table = self.table
+        settings = np.array(SETTINGS)[table.settings].view(f"U{self.n}").ravel().tolist()
+        outcomes = np.array(OUTCOMES)[table.slots & 1].view(f"U{self.n}").ravel().tolist()
+        return tuple(Term(int(c), s, o) for c, s, o in zip(table.coefficients.tolist(), settings, outcomes))
 
 
 def term_count(n: int, m: int) -> int:
@@ -159,30 +164,21 @@ def term_count(n: int, m: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _canonical_terms(n: int, m: int, k_prime: int) -> tuple[Term, ...]:
-    """The terms of the (n, m, k') expression in their serialization order.
-
-    Raises ParameterDomainError, before any term is made, when there would
-    be more than MAX_TERMS of them.
-    """
-    _check_domain(n, m, k_prime)
-    count = term_count(n, m)
-    if count > MAX_TERMS:
-        raise ParameterDomainError(
-            f"the (n={n}, m={m}) expression has {count} terms, more than the {MAX_TERMS} that are built"
-        )
-    all_zero = "0" * n
-    terms = [Term(+1, SETTING_A * n, all_zero)]
-    for k in range(1, n + 1):
-        settings = "".join(SETTING_B if j == k else SETTING_A for j in range(1, n + 1))
-        terms.append(Term(-1, settings, all_zero))
-    others = [k for k in range(1, n + 1) if k != k_prime]
-    for subset in combinations(others, m - 1):
-        b_set = {k_prime, *subset}
-        settings = "".join(SETTING_B if j in b_set else SETTING_A for j in range(1, n + 1))
-        outcomes = "".join("1" if j in b_set else "0" for j in range(1, n + 1))
-        terms.append(Term(-1, settings, outcomes))
-    return tuple(terms)
+def _canonical_table(n: int, m: int, k_prime: int) -> TermTable:
+    """The (n, m, k') TermTable, read-only, its rows in serialization order: the
+    all-``a`` term, the single-``b`` terms, then k' plus each (m-1)-subset of the others."""
+    others = [k for k in range(n) if k != k_prime - 1]
+    subsets = np.fromiter(chain.from_iterable(combinations(others, m - 1)), np.int64).reshape(-1, m - 1)
+    second = np.zeros((len(subsets), n), dtype=np.int64)
+    np.put_along_axis(second, subsets, 1, axis=1)
+    second[:, k_prime - 1] = 1
+    settings = np.concatenate([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64), second])
+    coefficients = np.append(1.0, np.full(n + len(second), -1.0))
+    slots = 2 * (n * settings + np.arange(n))
+    slots[1 + n :] += second
+    for array in (settings, coefficients, slots):
+        array.flags.writeable = False
+    return TermTable(settings, coefficients, slots)
 
 
 def build_hierarchy_inequality(n: int, m: int, k_prime: int = 1) -> BellExpression:
@@ -192,7 +188,7 @@ def build_hierarchy_inequality(n: int, m: int, k_prime: int = 1) -> BellExpressi
     then the second-sum terms in lexicographic order of their subset of
     ``I \\ {k'}``.  The order is part of the serialization contract.
     """
-    return BellExpression(n=n, m=m, k_prime=k_prime, terms=_canonical_terms(n, m, k_prime))
+    return BellExpression(n=n, m=m, k_prime=k_prime)
 
 
 def serialize_expression(expr: BellExpression, format: str = "structured") -> bytes:
@@ -217,12 +213,17 @@ def serialize_expression(expr: BellExpression, format: str = "structured") -> by
 
 
 def parse_expression(data: bytes | str) -> BellExpression:
-    """Inverse of ``serialize_expression(..., 'structured')``."""
+    """Inverse of ``serialize_expression(..., 'structured')``.  The terms may come
+    in any order, each canonical one exactly once; they return in canonical order."""
     if isinstance(data, bytes):
         data = data.decode()
     doc = json.loads(data)
-    terms = tuple(
-        Term(coefficient=int(t["coefficient"]), settings=t["settings"], outcomes=t["outcomes"])
-        for t in doc["terms"]
-    )
-    return BellExpression(n=int(doc["n"]), m=int(doc["m"]), k_prime=int(doc["k_prime"]), terms=terms)
+    expr = BellExpression(n=int(doc["n"]), m=int(doc["m"]), k_prime=int(doc["k_prime"]))
+    given = Counter(Term(int(t["coefficient"]), t["settings"], t["outcomes"]) for t in doc["terms"])
+    canonical = Counter(expr.terms)
+    if given != canonical:
+        missing = canonical - given
+        what = "missing" if missing else "unexpected"
+        term = next(iter(missing or given - canonical))
+        raise ValueError(f"(n={expr.n}, m={expr.m}, k'={expr.k_prime}) expression: {what} term {term}")
+    return expr

@@ -92,8 +92,7 @@ def max_strategy_lhs(expr: BellExpression) -> int:
     The maximum thus runs over k''s 4 pairs and the O(n^3) vectors of those
     counts instead of the 4^n strategies, for any n; all but O(n^2) of the
     vectors are known to give 0 (see `_response_count_max`).  The count is
-    exact for every expression, since `BellExpression` accepts only the
-    canonical terms of its (n, m, k').
+    exact for every expression, since (n, m, k') determine its terms.
     """
     return _response_count_max(expr.n, expr.m)
 
@@ -424,10 +423,12 @@ class _TermReader:
     product of block samples that entry is, block by block, the mixture over
     the slots of the product over the block's atoms of each vertex's entry
     at t's settings and outcomes on the atom.  The (V, T) matrices of those
-    entries for the V vertices of each atom's pool are stacked below a row
-    of ones, which absent atoms read.  The stored tables are exact,
-    nonnegative and with rows that sum to exactly 1, so they are read as
-    they stand.  An atom is gathered when a sample first draws it.
+    entries for the V vertices of each atom's pool fill a stack allocated
+    once, below a row of ones that absent atoms read, with room for the
+    1 + sum_s C(n, s) |pool_s| rows of every atom the parties can form; an
+    atom's rows are written when a sample first draws it.  The stored tables
+    are exact, nonnegative and with rows that sum to exactly 1, so they are
+    read as they stand.
     """
 
     def __init__(self, expr: BellExpression):
@@ -437,9 +438,10 @@ class _TermReader:
         self.width = 1 + expr.m * (1 + MIXTURE_MAX * (self.atoms + 1))
         sizes = range(1, min(VERTEX_MAX_BLOCK, expr.n - expr.m + 1) + 1)
         self._pools = {s: np.stack(nonsignaling_vertex_pool(s)) for s in sizes}
-        self._matrices = [np.ones((1, len(expr.table.coefficients)))]
-        self._stack = self._matrices[0]
-        self._height = 1  # rows of the stack once every gathered matrix joins it
+        height = 1 + sum(math.comb(expr.n, s) * len(pool) for s, pool in self._pools.items())
+        self._stack = np.empty((height, len(expr.table.coefficients)))
+        self._stack[0] = 1.0
+        self._height = 1  # rows of the stack written so far
         self._first: dict[tuple[int, ...], int] = {}
         self._blocks: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -450,10 +452,10 @@ class _TermReader:
             for a, parties in enumerate(_atoms(block)):
                 pool = self._pools[len(parties)]
                 if parties not in self._first:
+                    rows, outcomes = _term_entries(self._expr.table, [p - 1 for p in parties])
                     self._first[parties] = self._height
                     self._height += len(pool)
-                    rows, outcomes = _term_entries(self._expr.table, [p - 1 for p in parties])
-                    self._matrices.append(pool[:, rows, outcomes])
+                    self._stack[self._first[parties] : self._height] = pool[:, rows, outcomes]
                 layout[a] = self._first[parties], len(pool)
         return self._blocks[block]
 
@@ -465,9 +467,6 @@ class _TermReader:
         drawn, inverse = np.unique(index, return_inverse=True)
         layout = np.stack([self._block(b) for p in drawn.tolist() for b in _partition(n, m, p)])
         layout = layout.reshape(len(drawn), m, self.atoms, 2)[inverse]
-        if len(self._stack) < self._height:
-            self._stack = np.concatenate(self._matrices)
-            self._matrices = [self._stack]
         weights, ids = _mixtures(u[:, 1:].reshape(len(u), m, -1), layout[..., 1])
         return index, weights, ids, layout[..., 0]
 

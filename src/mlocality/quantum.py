@@ -181,7 +181,7 @@ def _lhs_values(expr: BellExpression, state: NoisyState, theta: np.ndarray) -> n
     table = expr.table
     amp = _term_amplitudes(table, state.psi, _half_angle_pairs(theta))
     pure = np.abs(amp) ** 2 @ table.coefficients
-    return state.p * pure + expr.coefficient_sum() * (1.0 - state.p) / 2**expr.n
+    return state.p * pure + mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p)
 
 
 def term_probability(state: NoisyState, term: Term, angles: MeasurementAngles) -> float:

@@ -217,7 +217,7 @@ def _best_candidates(
         arg_part, best_part = _party1_maxima(q00, q01, q11, features)
         arg[:, part] = arg_part.reshape(2, -1, resolution)
         best[:, part] = best_part.reshape(2, -1, resolution)
-    total = best.sum(axis=0).reshape(-1) + expr.coefficient_sum() * (1.0 - state.p) / 2**n
+    total = best.sum(axis=0).reshape(-1) + mixed_state_lhs(n, expr.m) * (1.0 - state.p)
     arg = arg.reshape(2, -1)
     # the top_k cells in the order of a full stable argsort reversed: descending
     # value, the higher index first among ties; only cells >= the k-th largest are sorted

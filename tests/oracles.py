@@ -1,5 +1,9 @@
-"""Test oracles: explicit deterministic strategies, LP-found nonsignaling vertices,
-dense quantum behaviors and reference searches.
+"""Test oracles: the terms built one by one, explicit deterministic strategies,
+LP-found nonsignaling vertices, dense quantum behaviors and reference searches.
+
+`canonical_terms` builds an expression's terms as `Term` objects, one
+string at a time, and so stays independent of the numpy table of
+`mlocality.inequality.BellExpression`.
 
 The strategy oracles enumerate the 4^n strategies one by one (or as one
 vectorized sweep) and so stay independent of the response-type count in
@@ -44,6 +48,7 @@ from mlocality.inequality import (
     BellExpression,
     DimensionMismatchError,
     ParameterDomainError,
+    Term,
 )
 from mlocality.lhv import VERTEX_MAX_BLOCK, ConditionalDistribution
 from mlocality.quantum import MeasurementAngles, NoisyState
@@ -69,6 +74,24 @@ def insert_bit(index: int, pos: int, bit: int, width: int) -> int:
     shift = width - 1 - pos
     high, low = divmod(index, 1 << shift)
     return ((high << 1 | bit) << shift) | low
+
+
+def canonical_terms(n: int, m: int, k_prime: int) -> tuple[Term, ...]:
+    """The terms of the (n, m, k') expression in their serialization order:
+    the all-a term, the single-b terms by party, then k' plus each
+    (m-1)-subset of the other parties in lexicographic order."""
+    all_zero = "0" * n
+    terms = [Term(+1, SETTING_A * n, all_zero)]
+    for k in range(1, n + 1):
+        settings = "".join(SETTING_B if j == k else SETTING_A for j in range(1, n + 1))
+        terms.append(Term(-1, settings, all_zero))
+    others = [k for k in range(1, n + 1) if k != k_prime]
+    for subset in itertools.combinations(others, m - 1):
+        b_set = {k_prime, *subset}
+        settings = "".join(SETTING_B if j in b_set else SETTING_A for j in range(1, n + 1))
+        outcomes = "".join("1" if j in b_set else "0" for j in range(1, n + 1))
+        terms.append(Term(-1, settings, outcomes))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Structural tests for the inequality family and its serialization."""
 
+import dataclasses
 import json
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mlocality.inequality as inequality
@@ -16,8 +19,11 @@ from mlocality.inequality import (
     build_hierarchy_inequality,
     parse_expression,
     serialize_expression,
+    tabulate_terms,
     term_count,
 )
+from mlocality.quantum import mixed_state_lhs
+from oracles import canonical_terms
 
 
 def test_binary_alphabets():
@@ -54,15 +60,15 @@ class TestSizeGuard:
         with pytest.raises(ParameterDomainError, match="more than the 100000"):
             build_hierarchy_inequality(60, 30, 1)
         with pytest.raises(ParameterDomainError):
-            BellExpression(60, 30, 1, terms=())
+            BellExpression(60, 30, 1)
 
     def test_limit_counts_terms(self, monkeypatch):
         monkeypatch.setattr(inequality, "MAX_TERMS", term_count(5, 3))
-        inequality._canonical_terms.cache_clear()
+        inequality._canonical_table.cache_clear()
         assert len(build_hierarchy_inequality(5, 3, 2)) == 12
         with pytest.raises(ParameterDomainError):
             build_hierarchy_inequality(6, 3, 2)  # 17 terms
-        inequality._canonical_terms.cache_clear()
+        inequality._canonical_table.cache_clear()
 
     def test_sizes_in_use_are_below_the_limit(self):
         assert term_count(200, 2) == 400
@@ -120,7 +126,7 @@ class TestBuildExpression:
         second = [t for t in expr.terms if len(t.b_parties()) == m and t.coefficient == -1]
         subsets = {frozenset(t.b_parties()) - {k} for t in second if k in t.b_parties()}
         assert len(subsets) == math.comb(n - 1, m - 1)
-        assert expr.coefficient_sum() == 1 - n - math.comb(n - 1, m - 1)
+        assert expr.table.coefficients.sum() == 2**n * mixed_state_lhs(n, m)
 
     def test_k_prime_changes_only_second_sum(self):
         base = build_hierarchy_inequality(5, 3, 1)
@@ -136,22 +142,44 @@ class TestBuildExpression:
             build_hierarchy_inequality(n, m, k)
 
 
+def _document_4_2_1():
+    """The structured document of the (4, 2, 1) expression, as a dict."""
+    return json.loads(serialize_expression(build_hierarchy_inequality(4, 2, 1)))
+
+
 class TestExpressionValidation:
     def test_rejects_duplicate_terms(self):
-        expr = build_hierarchy_inequality(4, 2, 1)
-        terms = expr.terms[:-1] + (expr.terms[-2],)
-        with pytest.raises(ValueError):
-            BellExpression(4, 2, 1, terms)
+        doc = _document_4_2_1()
+        doc["terms"][-1] = doc["terms"][-2]
+        with pytest.raises(ValueError, match="missing term"):
+            parse_expression(json.dumps(doc))
 
     def test_rejects_wrong_term_count(self):
-        expr = build_hierarchy_inequality(4, 2, 1)
-        with pytest.raises(ValueError):
-            BellExpression(4, 2, 1, expr.terms[:-1])
+        doc = _document_4_2_1()
+        del doc["terms"][-1]
+        with pytest.raises(ValueError, match="missing term"):
+            parse_expression(json.dumps(doc))
 
     def test_rejects_foreign_k_prime(self):
-        expr = build_hierarchy_inequality(4, 2, 1)
-        with pytest.raises(ValueError):
-            BellExpression(4, 2, 2, expr.terms)
+        doc = _document_4_2_1()
+        doc["k_prime"] = 2
+        with pytest.raises(ValueError, match="missing term"):
+            parse_expression(json.dumps(doc))
+
+    def test_same_parameters_share_one_read_only_table(self):
+        first, second = build_hierarchy_inequality(6, 3, 2), BellExpression(6, 3, 2)
+        assert first.table is second.table
+        for array in (first.table.settings, first.table.coefficients, first.table.slots):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_identity_is_n_m_k_prime(self):
+        assert [f.name for f in dataclasses.fields(BellExpression)] == ["n", "m", "k_prime"]
+        assert BellExpression(5, 3, 2) == build_hierarchy_inequality(5, 3, 2)
+        assert hash(BellExpression(5, 3, 2)) == hash(build_hierarchy_inequality(5, 3, 2))
+        assert BellExpression(5, 3, 2) != BellExpression(5, 3, 1)
+        assert BellExpression(5, 3, 2) != BellExpression(5, 2, 2)
 
     def test_term_validation(self):
         with pytest.raises(ValueError):
@@ -194,3 +222,21 @@ class TestSerialization:
         expr = build_hierarchy_inequality(4, 2, 1)
         with pytest.raises(ValueError):
             serialize_expression(expr, "yaml")
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_table_matches_term_oracle(n):
+    for m in range(2, n + 1):
+        for k in range(1, n + 1):
+            expr = build_hierarchy_inequality(n, m, k)
+            terms = canonical_terms(n, m, k)
+            assert expr.terms == terms
+            oracle = tabulate_terms(terms)
+            for field in ("settings", "coefficients", "slots"):
+                got, want = getattr(expr.table, field), getattr(oracle, field)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+            # serialize_expression reads n, m, k_prime and terms alone
+            reference = SimpleNamespace(n=n, m=m, k_prime=k, terms=terms)
+            for format in ("structured", "text"):
+                assert serialize_expression(expr, format) == serialize_expression(reference, format)

@@ -507,6 +507,18 @@ class TestCertification:
         np.testing.assert_array_equal(u, chunked[0])
         np.testing.assert_array_equal(values, chunked[1])
 
+    def test_stack_is_allocated_once(self):
+        # every atom's matrix is written into rows set aside up front, so no
+        # chunk of samples copies the stack of the atoms drawn before it
+        expr = build_hierarchy_inequality(12, 6, 1)
+        reader = lhv._TermReader(expr)
+        stack = reader._stack
+        u = np.random.default_rng(5).random((200, reader.width))
+        for row in u:
+            reader.values(row[None])
+        assert reader._stack is stack
+        assert reader._height > 1
+
     @pytest.mark.parametrize("n,m", [(5, 3), (7, 2)])
     def test_sample_is_replayed_from_its_row(self, n, m):
         # default_rng(seed), advance(i * D), random(D) gives sample i's row;

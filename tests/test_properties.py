@@ -1,5 +1,7 @@
 """Property tests (hypothesis) of identities the rest of the package rests on."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 import mlocality.lhv as lhv
 from mlocality.inequality import (
-    BellExpression,
     Term,
     build_hierarchy_inequality,
     parse_expression,
@@ -137,11 +138,18 @@ def shuffled_canonical_terms(draw):
     return n, m, k_prime, draw(st.permutations(build_hierarchy_inequality(n, m, k_prime).terms))
 
 
+def _document(n, m, k_prime, terms):
+    """The structured document of the (n, m, k') expression with its terms replaced."""
+    doc = json.loads(serialize_expression(build_hierarchy_inequality(n, m, k_prime)))
+    doc["terms"] = [{"coefficient": t.coefficient, "settings": t.settings, "outcomes": t.outcomes} for t in terms]
+    return json.dumps(doc)
+
+
 @settings(deadline=None, max_examples=100)
 @given(shuffled_canonical_terms())
 def test_any_order_of_the_canonical_terms_is_accepted(case):
     n, m, k_prime, terms = case
-    assert BellExpression(n, m, k_prime, terms).terms == tuple(terms)
+    assert parse_expression(_document(n, m, k_prime, terms)) == build_hierarchy_inequality(n, m, k_prime)
 
 
 @settings(deadline=None, max_examples=300)
@@ -149,7 +157,7 @@ def test_any_order_of_the_canonical_terms_is_accepted(case):
 def test_one_broken_term_is_rejected(case):
     n, m, k_prime, terms = case
     with pytest.raises(ValueError, match="(missing|unexpected) term"):
-        BellExpression(n, m, k_prime, terms)
+        parse_expression(_document(n, m, k_prime, terms))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Tests for state construction, projective settings, and LHS evaluation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -191,7 +192,8 @@ class TestEvaluateLhs:
                 )
                 for t in expr.terms
             )
-            p_expr = type(expr)(n, m, new_k, p_terms)
+            p_expr = build_hierarchy_inequality(n, m, new_k)
+            assert Counter(p_terms) == Counter(p_expr.terms)
             value = evaluate_lhs(p_expr, NoisyState(p_psi, 0.9), p_angles)
             assert value == pytest.approx(reference, abs=1e-12)
 
