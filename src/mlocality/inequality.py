@@ -17,7 +17,8 @@ is the Hardy-type test for standard multipartite nonlocality.
 
 An expression is thus determined by (n, m, k'): its `TermTable`, which every
 computation reads, is built directly from them once, `BellExpression.terms`
-is a view of it for serialization, and only `parse_expression` checks terms.
+is a view of it for parsing, serialization writes the table's rows straight
+to text, and only `parse_expression` checks terms.
 
 Party indices are 1-based in every public interface.  Settings/outcomes
 strings are ordered by party, position ``k`` holding party ``k + 1``.
@@ -31,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,8 +92,11 @@ class Term:
         return tuple(k + 1 for k, c in enumerate(self.settings) if c == SETTING_B)
 
     def __str__(self) -> str:
-        sign = "+" if self.coefficient > 0 else "-"
-        return f"{sign}P({self.outcomes}|{self.settings})"
+        return _term_text(self.coefficient, self.settings, self.outcomes)
+
+
+def _term_text(coefficient: int, settings: str, outcomes: str) -> str:
+    return f"{'+' if coefficient > 0 else '-'}P({outcomes}|{settings})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +154,16 @@ class BellExpression:
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
-        """The rows of the table as Term objects, for serialization."""
-        table = self.table
-        settings = np.array(SETTINGS)[table.settings].view(f"U{self.n}").ravel().tolist()
-        outcomes = np.array(OUTCOMES)[table.slots & 1].view(f"U{self.n}").ravel().tolist()
-        return tuple(Term(int(c), s, o) for c, s, o in zip(table.coefficients.tolist(), settings, outcomes))
+        """The rows of the table as Term objects, for parsing and tests."""
+        return tuple(Term(*row) for row in _term_rows(self))
+
+
+def _term_rows(expr: BellExpression) -> Iterator[tuple[int, str, str]]:
+    """(coefficient, settings, outcomes) of each row of the table, as int and strings."""
+    table = expr.table
+    settings = np.array(SETTINGS)[table.settings].view(f"U{expr.n}").ravel().tolist()
+    outcomes = np.array(OUTCOMES)[table.slots & 1].view(f"U{expr.n}").ravel().tolist()
+    return zip(table.coefficients.astype(np.int64).tolist(), settings, outcomes)
 
 
 def term_count(n: int, m: int) -> int:
@@ -198,15 +207,12 @@ def serialize_expression(expr: BellExpression, format: str = "structured") -> by
             "n": expr.n,
             "m": expr.m,
             "k_prime": expr.k_prime,
-            "terms": [
-                {"coefficient": t.coefficient, "settings": t.settings, "outcomes": t.outcomes}
-                for t in expr.terms
-            ],
+            "terms": [{"coefficient": c, "settings": s, "outcomes": o} for c, s, o in _term_rows(expr)],
         }
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     if format == "text":
         lines = [f"# Bell-type inequality: n={expr.n}, m={expr.m}, k'={expr.k_prime}"]
-        lines.extend(str(t) for t in expr.terms)
+        lines.extend(_term_text(*row) for row in _term_rows(expr))
         lines.append("<= 0")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {format!r}; expected 'structured' or 'text'")

@@ -39,7 +39,11 @@ from .inequality import BellExpression, DimensionMismatchError, Term, TermTable,
 
 NORM_TOL = 1e-12
 
-_BATCH_ELEMENTS = 1 << 20  # array entries per chunk of gathered factors, about 8 MB of float64
+# Array entries per chunk of gathered factors, about 8 MB of float64: the
+# kernel's terms, the refinement's points and the symmetric grid's angle
+# rows are chunked by it.  The grid's forms go in smaller blocks of cells
+# (search._GRID_BLOCK_CELLS) and are held within it too.
+_BATCH_ELEMENTS = 1 << 20
 
 
 @dataclass

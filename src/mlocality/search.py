@@ -11,8 +11,15 @@ factor over (a, b): at each basis state of the support a term's factor is a
 product of the a-measured parties' components at a, the b-measured ones' at
 b and party 1's, so over all (a, b) they are one matrix product per term,
 O(T*S*R^2) for T terms, support size S and R points per angle.  Each form is
-a sinusoid in x whose grid maximum lies at one of the two grid points
-bracketing its peak, so no scan over x is needed.
+a sinusoid a + r*cos(x - phi) in x whose grid maximum lies at one of the two
+grid points bracketing its peak, so no scan over x is needed, and lies in
+[a + r*cos(pi/R), a + r], so it is bounded without locating the peak.
+
+The (a, b) cells are streamed in cache-sized blocks of a rows.  Each block's
+bounds are checked against the running top-k-th largest lower bound, and
+only the few cells whose upper bound reaches it are kept; the exact party-1
+maxima are taken on those at the end, so no array over all R^2 cells is
+built and the best cells come out as if every cell had been evaluated.
 
 The best grid cells are then refined by a compass search run on all
 restarts in lockstep: each round gathers the +/-step polls of every restart
@@ -41,6 +48,16 @@ from .quantum import _BATCH_ELEMENTS, _OUTCOME_VECTORS, _half_angle_pairs, _lhs_
 
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
+
+# Cells per block of the symmetric grid (11 alpha rows at 360 points per
+# angle), so a block's forms and bounds stay in a core's cache; the
+# amplitude temporaries are held within _BATCH_ELEMENTS as well.  Blocks
+# of 2k-8k cells ran fastest on a 360-point grid, 1k and 32k+ slower.
+_GRID_BLOCK_CELLS = 1 << 12
+# Rounding allowance of the grid bounds, per unit of the size of a cell's
+# forms: a party-1 maximum lies within 2 ulps of that size of its bounds in
+# exact arithmetic, and the bounds and totals add a few roundings more.
+_BOUND_SLACK = 64 * np.finfo(float).eps
 
 
 class NoViolationError(RuntimeError):
@@ -157,13 +174,8 @@ def _party1_maxima(
     return np.where(up, high, low), np.where(up, at_high, at_low)
 
 
-def _best_candidates(
-    expr: BellExpression,
-    state: NoisyState,
-    resolution: int,
-    top_k: int,
-) -> tuple[float, list[SymmetricAngles]]:
-    """Coarse-grid maximum and the top-k grid cells as refinement starts.
+def _grid_forms(expr: BellExpression, state: NoisyState, resolution: int, block_cells: int):
+    """Party 1's quadratic form at every (alpha, beta) cell of the grid, in blocks of alpha rows.
 
     Party 1's vectors are linear in u(x) = (cos(x/2), sin(x/2)), so with
     party 1 opened on basis vector h every term's amplitude is a component
@@ -175,18 +187,18 @@ def _best_candidates(
     component table plus a ones column (a 1 for each party measured with
     the other setting), and M_{t,h} over all (alpha, beta) is one matrix
     product (alpha x z) . diag(psi_z P1_{t,h,z}) . (z x beta), batched over
-    (t, h); the real and imaginary parts of psi enter as separate rows.  The terms measuring party 1 with one setting then sum
-    to the form Q = p*sum_t c_t Re(M_t M_t^*), and the LHS half of that
-    setting, u(x)^T Q u(x), peaks over the grid at one of the two grid
-    points bracketing its peak (`_party1_maxima`).  alpha is taken in
-    chunks of rows that keep every temporary within _BATCH_ELEMENTS entries.
+    (t, h); the real and imaginary parts of psi enter as separate rows.  The
+    terms measuring party 1 with one setting then sum to the form
+    Q = p*sum_t c_t Re(M_t M_t^*) of that half of the LHS, u(x)^T Q u(x).
+
+    A block holds at most block_cells cells, and at least one alpha row,
+    and keeps every temporary within _BATCH_ELEMENTS entries.  Yields the
+    block's first alpha row and q of shape (3, 2, cells): the entries q00,
+    q01 and q11 of each half's form, cells in row-major (alpha, beta) order.
     """
-    n = expr.n
     table = expr.table
     bits, psi = state.psi.support
-    axis = _grid_axis(resolution)
-    u = _half_angle_pairs(axis)
-    features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
+    u = _half_angle_pairs(_grid_axis(resolution))
     # components[r, 2*o + bit]: the vector for outcome o at axis[r], then a 1
     components = np.ones((resolution, 5))
     components[:, :4] = u @ _OUTCOME_VECTORS
@@ -207,26 +219,72 @@ def _best_candidates(
     weights = state.p * table.coefficients[:, None] * (table.settings[:, :1] == [0, 1])
     weights = np.repeat(weights, len(parts), axis=0).T
     rows = weights.shape[1]
-    best = np.empty((2, resolution, resolution))
-    arg = np.empty((2, resolution, resolution), dtype=np.int64)
-    for part in _chunks(resolution, 2 * rows * max(resolution, len(psi))):
-        amp = (a_rows[:, None, None, part] * scale[..., None, :]) @ b_cols[:, None, None]
+    width = 2 * rows * max(resolution, len(psi))  # entries of the largest temporary per alpha row
+    step = max(1, min(block_cells // resolution, _BATCH_ELEMENTS // width))
+    for start in range(0, resolution, step):
+        amp = (a_rows[:, None, None, start : start + step] * scale[..., None, :]) @ b_cols[:, None, None]
         amp = amp.reshape((rows, 2, -1))  # (term and part, h, alpha and beta)
         m0, m1 = amp[:, 0], amp[:, 1]
-        q00, q01, q11 = weights @ (m0 * m0), weights @ (m0 * m1), weights @ (m1 * m1)
-        arg_part, best_part = _party1_maxima(q00, q01, q11, features)
-        arg[:, part] = arg_part.reshape(2, -1, resolution)
-        best[:, part] = best_part.reshape(2, -1, resolution)
-    total = best.sum(axis=0).reshape(-1) + mixed_state_lhs(n, expr.m) * (1.0 - state.p)
-    arg = arg.reshape(2, -1)
-    # the top_k cells in the order of a full stable argsort reversed: descending
-    # value, the higher index first among ties; only cells >= the k-th largest are sorted
-    kth = max(total.size - top_k, 0)
-    cand = np.flatnonzero(total >= np.partition(total, kth)[kth])
-    order = cand[np.argsort(total[cand], kind="stable")[::-1][:top_k]]
-    alpha_beta = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    candidates = [SymmetricAngles(*axis[arg[:, i]].tolist(), *alpha_beta[i].tolist()) for i in order]
-    return float(total[order[0]]), candidates
+        yield start, np.stack([weights @ (m0 * m0), weights @ (m0 * m1), weights @ (m1 * m1)])
+
+
+def _best_candidates(
+    expr: BellExpression,
+    state: NoisyState,
+    resolution: int,
+    top_k: int,
+) -> tuple[float, list[SymmetricAngles]]:
+    """Coarse-grid maximum and the top-k grid cells as refinement starts.
+
+    A cell's total is the sum of its two halves' grid maxima over party 1's
+    angle x, plus the mixed part.  Each half u(x)^T Q u(x) is the sinusoid
+    a + r*cos(x - phi), with a = (q00+q11)/2 and r = |((q00-q11)/2, q01)|,
+    and the grid point nearest its peak lies within pi/R of it, so its grid
+    maximum lies in [a + r*cos(pi/R), a + r].  Summing these over the halves
+    bounds the total from both sides, with no arctan2 and no gather.
+
+    The blocks of `_grid_forms` stream past a floor, the top_k-th largest
+    lower bound so far.  A cell whose upper bound is below the floor cannot
+    be among the top_k; the floor only rises, so it could not be at the end
+    either, and is dropped.  The cells left at the end, the few that can
+    reach the top, get their exact party-1 maxima (`_party1_maxima`), so no
+    array over all R^2 cells is built.  The bounds carry a rounding
+    allowance (_BOUND_SLACK), so the result is bit for bit the one every
+    cell evaluated exactly would give.  The top_k cells come in descending
+    order of value, the higher (alpha, beta) index first among ties.
+    """
+    axis = _grid_axis(resolution)
+    u = _half_angle_pairs(axis)
+    features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
+    mixed = mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p)
+    shortfall = 1.0 - math.cos(math.pi / resolution)
+    # the bounds are on twice a cell's total less the mixed part: the sum of 2a + 2r over the halves
+    lows = np.empty(0)  # the top_k largest lower bounds so far
+    floor = -np.inf
+    kept = []  # per block: flat indices, upper bounds and forms of the cells that can still win
+    for start, q in _grid_forms(expr, state, resolution, _GRID_BLOCK_CELLS):
+        diff, cross = q[0] - q[2], q[1] + q[1]
+        radius = np.sqrt(diff * diff + cross * cross)
+        top = (q[0] + q[2] + radius).sum(axis=0)
+        # 12*max|q| bounds the sum of |2a| + 2r over the halves
+        slack = _BOUND_SLACK * (12.0 * max(q.max(), -q.min()) + 2.0 * abs(mixed))
+        keep = np.flatnonzero(top >= floor - slack)
+        lower = top[keep] - shortfall * radius[:, keep].sum(axis=0) - slack
+        lows = np.concatenate([lows, lower[lower > floor]])
+        if len(lows) >= top_k:
+            lows = np.partition(lows, len(lows) - top_k)[len(lows) - top_k :]
+            floor = lows[0]
+        keep = keep[top[keep] >= floor - slack]
+        kept.append((start * resolution + keep, top[keep] + slack, q[..., keep]))
+    cells, upper, q = (np.concatenate(parts, axis=-1) for parts in zip(*kept))
+    live = upper >= floor
+    cells = cells[live]
+    arg, best = _party1_maxima(*q[..., live], features)
+    total = best.sum(axis=0) + mixed
+    # a stable argsort reversed; cells are in ascending order, so ties go to the higher index
+    order = np.argsort(total, kind="stable")[::-1][:top_k]
+    angles = axis[np.vstack([arg[:, order], *np.divmod(cells[order], resolution)])]
+    return float(total[order[0]]), [SymmetricAngles(*a) for a in angles.T.tolist()]
 
 
 def exhaustive_symmetric_max(
@@ -234,7 +292,8 @@ def exhaustive_symmetric_max(
 ) -> tuple[float, SymmetricAngles]:
     """Exact maximum of the LHS over the full 4-angle product grid.
 
-    Brute-force oracle: every grid point is covered (the party-1 maxima
+    Brute-force oracle: every grid cell is bounded, and each one whose
+    bound can reach the maximum is evaluated exactly (the party-1 maxima
     separate, so no 4-dimensional array is ever materialized).
     """
     value, candidates = _best_candidates(expr, state, resolution, top_k=1)

@@ -3,7 +3,8 @@ LP-found nonsignaling vertices, dense quantum behaviors and reference searches.
 
 `canonical_terms` builds an expression's terms as `Term` objects, one
 string at a time, and so stays independent of the numpy table of
-`mlocality.inequality.BellExpression`.
+`mlocality.inequality.BellExpression`; `serialize_terms` writes them in
+both serialization formats from those objects.
 
 The strategy oracles enumerate the 4^n strategies one by one (or as one
 vectorized sweep) and so stay independent of the response-type count in
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -51,7 +53,7 @@ from mlocality.inequality import (
     Term,
 )
 from mlocality.lhv import VERTEX_MAX_BLOCK, ConditionalDistribution
-from mlocality.quantum import MeasurementAngles, NoisyState
+from mlocality.quantum import MeasurementAngles, NoisyState, _half_angle_pairs, mixed_state_lhs
 from mlocality.search import OptimizerConfig, SymmetricAngles
 from mlocality.simplex import solve_lp_max
 
@@ -92,6 +94,16 @@ def canonical_terms(n: int, m: int, k_prime: int) -> tuple[Term, ...]:
         outcomes = "".join("1" if j in b_set else "0" for j in range(1, n + 1))
         terms.append(Term(-1, settings, outcomes))
     return tuple(terms)
+
+
+def serialize_terms(n: int, m: int, k_prime: int, terms: Sequence[Term], format: str) -> bytes:
+    """The bytes `serialize_expression` writes for these terms, built from the Term objects."""
+    if format == "structured":
+        rows = [{"coefficient": t.coefficient, "settings": t.settings, "outcomes": t.outcomes} for t in terms]
+        doc = {"n": n, "m": m, "k_prime": k_prime, "terms": rows}
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    lines = [f"# Bell-type inequality: n={n}, m={m}, k'={k_prime}", *map(str, terms), "<= 0"]
+    return ("\n".join(lines) + "\n").encode()
 
 
 @dataclass(frozen=True)
@@ -390,3 +402,34 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
         if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
             best_val, best_vec = fx, x
     return max(best_val, float(values.max())), MeasurementAngles(tuple(best_vec[:n]), tuple(best_vec[n:]))
+
+
+def full_grid_totals(expr: BellExpression, state: NoisyState, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's total on the symmetric 4-angle grid, with no cell pruned.
+
+    Takes party 1's forms from `search._grid_forms` in the blocks the search
+    uses (a form's last bits depend on the width of its block's matrix
+    products), and runs `search._party1_maxima` on every (alpha, beta)
+    cell.  Returns the totals, shape (R*R,), and the party-1 grid indices of
+    each half, shape (2, R*R), cells in row-major order.
+    """
+    u = _half_angle_pairs(search._grid_axis(resolution))
+    features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
+    blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+    forms = np.concatenate([q for _, q in blocks], axis=-1)
+    arg, best = search._party1_maxima(*forms, features)
+    return best.sum(axis=0) + mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p), arg
+
+
+def full_grid_selection(
+    expr: BellExpression, state: NoisyState, resolution: int, top_k: int
+) -> tuple[float, list[SymmetricAngles]]:
+    """The top_k cells of a full stable argsort of `full_grid_totals`, reversed:
+    descending total, the higher cell index first among ties.  Returns the
+    best total and each cell's SymmetricAngles, as `search._best_candidates` does."""
+    total, arg = full_grid_totals(expr, state, resolution)
+    order = np.argsort(total, kind="stable")[::-1][:top_k]
+    axis = search._grid_axis(resolution)
+    alpha_beta = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    candidates = [SymmetricAngles(*axis[arg[:, i]].tolist(), *alpha_beta[i].tolist()) for i in order]
+    return float(total[order[0]]), candidates

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from mlocality.inequality import (
     term_count,
 )
 from mlocality.quantum import mixed_state_lhs
-from oracles import canonical_terms
+from oracles import canonical_terms, serialize_terms
 
 
 def test_binary_alphabets():
@@ -236,7 +235,5 @@ def test_table_matches_term_oracle(n):
                 got, want = getattr(expr.table, field), getattr(oracle, field)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
-            # serialize_expression reads n, m, k_prime and terms alone
-            reference = SimpleNamespace(n=n, m=m, k_prime=k, terms=terms)
             for format in ("structured", "text"):
-                assert serialize_expression(expr, format) == serialize_expression(reference, format)
+                assert serialize_expression(expr, format) == serialize_terms(n, m, k, terms, format)

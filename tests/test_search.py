@@ -8,14 +8,15 @@ optimization.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mlocality.search as search
-from oracles import full_angle_search, sequential_compass_search
+from oracles import full_angle_search, full_grid_selection, full_grid_totals, sequential_compass_search
 from mlocality.inequality import build_hierarchy_inequality
-from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state
+from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state, w_state
 from mlocality.search import (
     VIOLATION_TOL,
     NoViolationError,
@@ -46,6 +47,13 @@ def brute_force_symmetric_values(expr, state, resolution):
         evaluate_lhs(expr, state, SymmetricAngles(*point).expand(n))
         for point in itertools.product(axis, repeat=4)
     ]).reshape((resolution,) * 4)
+
+
+def grid_features(resolution):
+    """Rows (c^2, cs, sc, s^2) of u = (cos(x/2), sin(x/2)) at the grid angles x."""
+    axis = search._grid_axis(resolution)
+    u = np.stack([np.cos(axis / 2), np.sin(axis / 2)], axis=-1)
+    return (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
 
 
 def w_with_phases(n, rng):
@@ -136,26 +144,92 @@ class TestGridEvaluation:
         fast, _ = exhaustive_symmetric_max(expr, state, 7)
         assert fast == pytest.approx(brute, abs=1e-12)
 
-    def test_top_cells_keep_the_order_of_a_full_sort(self, monkeypatch):
+    def test_top_cells_keep_the_order_of_a_full_sort(self):
         # GHZ n=4 m=2 ties at many grid values.  The candidates must come in
         # the order of a full stable argsort of the grid totals, reversed:
         # descending, the higher (alpha, beta) cell index first among ties.
-        # The totals are read from the partition call that picks the k-th value.
+        # The totals are the unpruned oracle's, one per cell.
         resolution = 24
         expr = build_hierarchy_inequality(4, 2, 1)
         state = NoisyState(ghz_state(4), 1.0)
         cell = {x: i for i, x in enumerate(search._grid_axis(resolution).tolist())}
-        seen = []
-        partition = np.partition
-        monkeypatch.setattr(np, "partition", lambda a, kth: seen.append(a.copy()) or partition(a, kth))
+        total, _ = full_grid_totals(expr, state, resolution)
+        assert total.size - len(np.unique(total)) > 100  # many exact ties
         for top_k in (1, 2, 4, 5, 8, 100, resolution**2 - 1, resolution**2, resolution**2 + 3):
             best, candidates = search._best_candidates(expr, state, resolution, top_k)
-            total = seen[-1]
-            assert total.size - len(np.unique(total)) > 100  # many exact ties
             want = np.argsort(total, kind="stable")[::-1][:top_k]
             got = [cell[c.theta_a_rest] * resolution + cell[c.theta_b_rest] for c in candidates]
             assert got == want.tolist()
             assert best == total[want[0]]
+
+    @pytest.mark.parametrize("p", [1.0, 0.6])
+    @pytest.mark.parametrize(
+        "family,n,m,k_prime,seed",
+        [
+            ("random", 3, 2, 1, 61),
+            ("random", 4, 3, 3, 62),
+            ("w-phases", 4, 3, 1, 63),
+            ("w-phases", 5, 4, 3, 64),
+            ("ghz", 4, 2, 1, None),
+        ],
+        ids=["random-n3", "random-n4-k3", "w-phases-n4", "w-phases-n5-k3", "ghz-n4"],
+    )
+    def test_pruned_grid_equals_full_grid(self, monkeypatch, family, n, m, k_prime, seed, p):
+        # pruning drops only cells that cannot reach the top_k, so the value
+        # and every candidate equal those of the unpruned selection bit for
+        # bit, ties included (GHZ has many).  With one alpha row per block
+        # the floor rises across blocks; by default one block holds the grid.
+        if family == "ghz":
+            psi = ghz_state(n)
+        else:
+            psi = (random_state if family == "random" else w_with_phases)(n, np.random.default_rng(seed))
+        state = NoisyState(psi, p)
+        expr = build_hierarchy_inequality(n, m, k_prime)
+
+        def bits(selection):
+            value, candidates = selection
+            return value.hex(), [[x.hex() for x in c.as_tuple()] for c in candidates]
+
+        for block_cells in (1, search._GRID_BLOCK_CELLS):
+            monkeypatch.setattr(search, "_GRID_BLOCK_CELLS", block_cells)
+            for resolution in (2, 3, 6, 7, 24):
+                for top_k in (1, 2, 8, resolution**2, resolution**2 + 3):
+                    pruned = search._best_candidates(expr, state, resolution, top_k)
+                    assert bits(pruned) == bits(full_grid_selection(expr, state, resolution, top_k))
+
+    def test_grid_holds_no_array_over_all_cells(self):
+        # the 360-point grid has 129,600 cells; blocks of them are streamed
+        # and only those that can win are kept, so the traced peak stays
+        # far below the 25 MiB that arrays over every cell took
+        expr = build_hierarchy_inequality(6, 6, 1)
+        state = NoisyState(w_state(6), 1.0)
+        tracemalloc.start()
+        try:
+            exhaustive_symmetric_max(expr, state, 360)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("resolution", [2, 3, 6, 7, 24, 360])
+    def test_party1_maximum_lies_within_its_bounds(self, resolution):
+        # a + r*cos(x - phi) peaks within pi/R of a grid point, so its grid
+        # maximum lies in [a + r*cos(pi/R), a + r]; a peak on a grid point
+        # reaches the upper end and one halfway between reaches the lower
+        rng = np.random.default_rng(resolution)
+        step = 2 * np.pi / resolution
+        peaks = np.concatenate([rng.uniform(0, 2 * np.pi, 2000), np.arange(2 * resolution) * step / 2])
+        peaks = np.tile(peaks, 3)
+        size = 10.0 ** rng.uniform(-8, 2, (2, len(peaks)))
+        mean, amplitude = rng.uniform(-1, 1, len(peaks)) * size[0], rng.uniform(0, 1, len(peaks)) * size[1]
+        q00 = mean + amplitude * np.cos(peaks)
+        q11 = mean - amplitude * np.cos(peaks)
+        q01 = amplitude * np.sin(peaks)
+        _, value = search._party1_maxima(q00, q01, q11, grid_features(resolution))
+        a, r = (q00 + q11) / 2, np.hypot((q00 - q11) / 2, q01)
+        ulps = 4 * np.finfo(float).eps * (np.abs(a) + r)
+        assert np.all(value <= a + r + ulps)
+        assert np.all(value >= a + r * math.cos(math.pi / resolution) - ulps)
 
     @pytest.mark.parametrize("resolution", [2, 3, 6, 7, 24, 360])
     def test_party1_maximum_equals_full_scan(self, resolution):
@@ -174,9 +248,7 @@ class TestGridEvaluation:
                 q01 = amplitude * math.sin(peak)
                 forms.append(np.array([[q00, q01], [q01, q11]]))
         forms = np.array(forms)
-        axis = search._grid_axis(resolution)
-        u = np.stack([np.cos(axis / 2), np.sin(axis / 2)], axis=-1)
-        features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
+        features = grid_features(resolution)
         scan = forms.reshape(-1, 4) @ features.T
         index, value = search._party1_maxima(forms[:, 0, 0], forms[:, 0, 1], forms[:, 1, 1], features)
         np.testing.assert_allclose(value, scan.max(axis=1), rtol=0, atol=1e-15)
