@@ -203,13 +203,14 @@ def build_hierarchy_inequality(n: int, m: int, k_prime: int = 1) -> BellExpressi
 def serialize_expression(expr: BellExpression, format: str = "structured") -> bytes:
     """Serialize to UTF-8 bytes, either ``structured`` (JSON) or ``text``."""
     if format == "structured":
-        doc = {
-            "n": expr.n,
-            "m": expr.m,
-            "k_prime": expr.k_prime,
-            "terms": [{"coefficient": c, "settings": s, "outcomes": o} for c, s, o in _term_rows(expr)],
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        # the text of json.dumps(doc, indent=2, sort_keys=True), written row by
+        # row: the rows hold only integers and strings of a, b, 0 and 1
+        head = f'{{\n  "k_prime": {expr.k_prime},\n  "m": {expr.m},\n  "n": {expr.n},\n  "terms": [\n'
+        rows = (
+            f'    {{\n      "coefficient": {c},\n      "outcomes": "{o}",\n      "settings": "{s}"\n    }}'
+            for c, s, o in _term_rows(expr)
+        )
+        return (head + ",\n".join(rows) + "\n  ]\n}\n").encode()
     if format == "text":
         lines = [f"# Bell-type inequality: n={expr.n}, m={expr.m}, k'={expr.k_prime}"]
         lines.extend(_term_text(*row) for row in _term_rows(expr))

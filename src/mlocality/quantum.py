@@ -20,9 +20,10 @@ it for every term of a table at a batch of angle points of any leading
 shape: it gathers each party's vector component at each nonzero amplitude
 of the state (its support), multiplies across parties and sums over the
 support.  A dense state is a support of size 2^n.  `evaluate_lhs`,
-`term_probability` and the refinement of the search module all call it;
-the search module's grid factors the same amplitudes over its two shared
-angles instead.  The tests check the kernel against a dense density-matrix
+`term_probability` and the refinement of the search module all call it,
+and the search module's grid calls it once on a small sample grid and
+interpolates the forms built from those samples as trigonometric
+polynomials.  The tests check the kernel against a dense density-matrix
 oracle that shares none of its code.
 """
 
@@ -40,9 +41,9 @@ from .inequality import BellExpression, DimensionMismatchError, Term, TermTable,
 NORM_TOL = 1e-12
 
 # Array entries per chunk of gathered factors, about 8 MB of float64: the
-# kernel's terms, the refinement's points and the symmetric grid's angle
-# rows are chunked by it.  The grid's forms go in smaller blocks of cells
-# (search._GRID_BLOCK_CELLS) and are held within it too.
+# kernel's terms and the refinement's points are chunked by it, and so are
+# the symmetric grid's samples, which go through the kernel.  The grid's
+# forms go in far smaller blocks of cells (search._GRID_BLOCK_CELLS).
 _BATCH_ELEMENTS = 1 << 20
 
 

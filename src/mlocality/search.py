@@ -6,14 +6,17 @@ four free angles.  Every term measures party 1 with exactly one of its two
 settings, so on a product grid the LHS splits as Sa[x, a, b] + Sb[y, a, b]
 with x, y the two party-1 angles, and the maximum over (x, y) is separable.
 Each half is a quadratic form in (cos(x/2), sin(x/2)) whose coefficients
-come from the term amplitudes with party 1 left open.  Those amplitudes
-factor over (a, b): at each basis state of the support a term's factor is a
-product of the a-measured parties' components at a, the b-measured ones' at
-b and party 1's, so over all (a, b) they are one matrix product per term,
-O(T*S*R^2) for T terms, support size S and R points per angle.  Each form is
-a sinusoid a + r*cos(x - phi) in x whose grid maximum lies at one of the two
-grid points bracketing its peak, so no scan over x is needed, and lies in
-[a + r*cos(pi/R), a + r], so it is bounded without locating the peak.
+come from the term amplitudes with party 1 left open.  Every other party's
+vector is linear in the half-angle pair of a or b, so each coefficient is a
+trigonometric polynomial in (a, b) of degree at most D_a in a and D_b in b,
+the most parties 2..n that one term measures with each setting.  Their
+Fourier coefficients come from one kernel call on a (2*D_a+1) x (2*D_b+1)
+sample grid, and the forms at all (a, b) grid cells are two small matrix
+products per block, O(R*D_b*(D_a + R)) for R points per angle whatever the
+number of terms.  Each form is a sinusoid a + r*cos(x - phi) in x whose
+grid maximum lies at one of the two grid points bracketing its peak, so no
+scan over x is needed, and lies in [a + r*cos(pi/R), a + r], so it is
+bounded without locating the peak.
 
 The (a, b) cells are streamed in cache-sized blocks of a rows.  Each block's
 bounds are checked against the running top-k-th largest lower bound, and
@@ -44,15 +47,14 @@ import numpy as np
 
 from .inequality import BellExpression, DimensionMismatchError, build_hierarchy_inequality
 from .quantum import MeasurementAngles, NoisyState, StateVector, mixed_state_lhs
-from .quantum import _BATCH_ELEMENTS, _OUTCOME_VECTORS, _half_angle_pairs, _lhs_values, ghz_state, w_state
+from .quantum import _BATCH_ELEMENTS, _half_angle_pairs, _lhs_values, _term_amplitudes, ghz_state, w_state
 
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
 # Cells per block of the symmetric grid (11 alpha rows at 360 points per
-# angle), so a block's forms and bounds stay in a core's cache; the
-# amplitude temporaries are held within _BATCH_ELEMENTS as well.  Blocks
-# of 2k-8k cells ran fastest on a 360-point grid, 1k and 32k+ slower.
+# angle), so a block's six forms and their bounds stay in a core's cache.
+# Blocks of 2k-8k cells ran fastest on a 360-point grid, 1k and 32k+ slower.
 _GRID_BLOCK_CELLS = 1 << 12
 # Rounding allowance of the grid bounds, per unit of the size of a cell's
 # forms: a party-1 maximum lies within 2 ulps of that size of its bounds in
@@ -174,58 +176,83 @@ def _party1_maxima(
     return np.where(up, high, low), np.where(up, at_high, at_low)
 
 
+def _trig_basis(theta: np.ndarray, degree: int) -> np.ndarray:
+    """Rows (1, cos x, sin x, cos 2x, sin 2x, ..., cos Dx, sin Dx) at the angles x, shape (len(x), 2D+1)."""
+    multiples = np.multiply.outer(theta, np.arange(1, degree + 1))
+    basis = np.ones((len(theta), 2 * degree + 1))
+    basis[:, 1::2] = np.cos(multiples)
+    basis[:, 2::2] = np.sin(multiples)
+    return basis
+
+
+def _form_degrees(expr: BellExpression) -> tuple[int, int]:
+    """Degrees (D_a, D_b) of party 1's forms in alpha and beta: the most parties
+    2..n that one term measures with setting a, and with setting b."""
+    rest = expr.table.settings[:, 1:]
+    return int((rest == 0).sum(axis=1).max()), int((rest == 1).sum(axis=1).max())
+
+
+def _form_coefficients(expr: BellExpression, state: NoisyState, degrees: tuple[int, int]) -> np.ndarray:
+    """Fourier coefficients of party 1's forms in (alpha, beta), shape (3, 2, 2*D_a+1, 2*D_b+1).
+
+    The forms are sampled on the (2*D_a+1) x (2*D_b+1) equispaced grid by
+    `_term_amplitudes`, with party 1's (cos, sin) pair set to (1, 0) and to
+    (0, 1) under both settings: its amplitudes M_{t,h}, h = 0, 1.  On such a
+    grid the sampled trig basis F of degree D has orthogonal columns, F^T F
+    = diag(N, N/2, ..., N/2) with N = 2D+1, so F^-1 is a scaled transpose
+    and the coefficients are F_a^-1 S F_b^-T with no solve.  Entry [i, half]
+    holds q00, q01 or q11 of that half; a degree above the forms' own gives
+    zeros in the extra coefficients.
+    """
+    table = expr.table
+    alpha, beta = (_half_angle_pairs(_grid_axis(2 * d + 1)) for d in degrees)
+    pairs = np.empty((len(alpha), len(beta), 2, 2, expr.n, 2))  # (alpha, beta, h, setting, party, (c, s))
+    pairs[..., 0, :] = np.eye(2)[:, None, :]
+    pairs[..., 0, 1:, :] = alpha[:, None, None, None, :]
+    pairs[..., 1, 1:, :] = beta[None, :, None, None, :]
+    amp = _term_amplitudes(table, state.psi, pairs)
+    m0, m1 = amp[..., 0, :], amp[..., 1, :]
+    # weights[t, half] = p*c_t when term t measures party 1 with setting half
+    weights = state.p * table.coefficients[:, None] * (table.settings[:, :1] == [0, 1])
+    samples = np.stack([(m0 * m0.conj()).real, (m0 * m1.conj()).real, (m1 * m1.conj()).real]) @ weights
+    sampled_a, sampled_b = (_trig_basis(_grid_axis(2 * d + 1), d) for d in degrees)
+    # F^-1 = (F^T F)^-1 F^T, and F^T F is the diagonal of F's squared column norms
+    inverse_a, inverse_b = (f / (f * f).sum(axis=0) for f in (sampled_a, sampled_b))
+    return inverse_a.T @ np.moveaxis(samples, -1, 1) @ inverse_b
+
+
 def _grid_forms(expr: BellExpression, state: NoisyState, resolution: int, block_cells: int):
     """Party 1's quadratic form at every (alpha, beta) cell of the grid, in blocks of alpha rows.
 
     Party 1's vectors are linear in u(x) = (cos(x/2), sin(x/2)), so with
-    party 1 opened on basis vector h every term's amplitude is a component
-    M_{t,h}, and A_t(x) = u(x).M_t.  Parties 2..n share alpha under setting a
-    and beta under setting b, so at support state z the factor of term t
-    splits as psi_z * P1_{t,h,z} * A_{t,z}(alpha) * B_{t,z}(beta), with A
-    (B) the product of the components of the a- (b-) measured parties and
-    P1 party 1's component.  A and B come from one gather of the grid's
-    component table plus a ones column (a 1 for each party measured with
-    the other setting), and M_{t,h} over all (alpha, beta) is one matrix
-    product (alpha x z) . diag(psi_z P1_{t,h,z}) . (z x beta), batched over
-    (t, h); the real and imaginary parts of psi enter as separate rows.  The
-    terms measuring party 1 with one setting then sum to the form
-    Q = p*sum_t c_t Re(M_t M_t^*) of that half of the LHS, u(x)^T Q u(x).
+    party 1 opened on basis vector h every term's amplitude is a number
+    M_{t,h}, and A_t(x) = u(x).M_t.  The terms measuring party 1 with one
+    setting sum to the form Q = p*sum_t c_t Re(M_t M_t^*) of that half of
+    the LHS, u(x)^T Q u(x).  Every other party's vector is linear in the
+    half-angle pair of alpha or beta, so M_{t,h} is homogeneous of degree
+    d_a(t) in u(alpha) and d_b(t) in u(beta), the numbers of parties 2..n
+    that t measures with a and with b, and each product M M^* is a
+    trigonometric polynomial of degree d_a(t) in alpha and d_b(t) in beta.
+    Q's entries are therefore fixed by their Fourier coefficients C up to
+    degree (D_a, D_b) = `_form_degrees`, taken once from (2*D_a+1) x
+    (2*D_b+1) samples (`_form_coefficients`), and a block of alpha rows is
+    (B_a[block] @ C) @ B_b^T with B_a, B_b the trig bases at the grid
+    angles: O(R*D_b*(D_a + R)) for the whole grid, whatever the number of
+    terms.
 
-    A block holds at most block_cells cells, and at least one alpha row,
-    and keeps every temporary within _BATCH_ELEMENTS entries.  Yields the
-    block's first alpha row and q of shape (3, 2, cells): the entries q00,
-    q01 and q11 of each half's form, cells in row-major (alpha, beta) order.
+    A block holds at most block_cells cells, and at least one alpha row.
+    Yields the block's first alpha row and q of shape (3, 2, cells): the
+    entries q00, q01 and q11 of each half's form, cells in row-major
+    (alpha, beta) order.
     """
-    table = expr.table
-    bits, psi = state.psi.support
-    u = _half_angle_pairs(_grid_axis(resolution))
-    # components[r, 2*o + bit]: the vector for outcome o at axis[r], then a 1
-    components = np.ones((resolution, 5))
-    components[:, :4] = u @ _OUTCOME_VECTORS
-    outcomes = table.slots % 2
-    # parties 2..n read their component under their own setting and a 1 under the other
-    column = 2 * outcomes[:, None, 1:] + bits[:, 1:]
-    index = np.stack([np.where(table.settings[:, None, 1:] == s, column, 4) for s in (0, 1)])
-    factors = np.empty((resolution,) + index.shape[:-1])  # (angle, setting, term, z)
-    for part in _chunks(resolution, index.size):
-        factors[part] = components[part][:, index].prod(axis=-1)
-    a_rows = factors[:, 0].transpose(1, 0, 2)  # (term, alpha, z)
-    b_cols = np.ascontiguousarray(factors[:, 1].transpose(1, 2, 0))  # (term, z, beta)
-    # scale[t, k, h, z]: part k (real, imaginary) of psi_z times party 1's component on vector h
-    party1 = _OUTCOME_VECTORS[:, 2 * outcomes[:, :1] + bits[:, 0]].swapaxes(0, 1)
-    parts = (psi.real, psi.imag) if np.iscomplexobj(psi) else (psi,)
-    scale = np.stack([part * party1 for part in parts], axis=1)
-    # weights[t, half] = p*c_t when term t measures party 1 with setting half
-    weights = state.p * table.coefficients[:, None] * (table.settings[:, :1] == [0, 1])
-    weights = np.repeat(weights, len(parts), axis=0).T
-    rows = weights.shape[1]
-    width = 2 * rows * max(resolution, len(psi))  # entries of the largest temporary per alpha row
-    step = max(1, min(block_cells // resolution, _BATCH_ELEMENTS // width))
+    degrees = _form_degrees(expr)
+    coefficients = _form_coefficients(expr, state, degrees)
+    axis = _grid_axis(resolution)
+    basis_a, basis_b = (_trig_basis(axis, d) for d in degrees)
+    step = max(1, block_cells // resolution)
     for start in range(0, resolution, step):
-        amp = (a_rows[:, None, None, start : start + step] * scale[..., None, :]) @ b_cols[:, None, None]
-        amp = amp.reshape((rows, 2, -1))  # (term and part, h, alpha and beta)
-        m0, m1 = amp[:, 0], amp[:, 1]
-        yield start, np.stack([weights @ (m0 * m0), weights @ (m0 * m1), weights @ (m1 * m1)])
+        q = basis_a[start : start + step] @ coefficients @ basis_b.T
+        yield start, q.reshape(3, 2, -1)
 
 
 def _best_candidates(

@@ -237,3 +237,11 @@ def test_table_matches_term_oracle(n):
                 np.testing.assert_array_equal(got, want)
             for format in ("structured", "text"):
                 assert serialize_expression(expr, format) == serialize_terms(n, m, k, terms, format)
+
+
+def test_structured_bytes_equal_json_dumps_at_the_largest_size():
+    # the structured rows are written directly, not by json.dumps; at the
+    # largest expression in use they must still be its bytes exactly
+    expr = build_hierarchy_inequality(20, 10, 1)
+    want = serialize_terms(20, 10, 1, expr.terms, "structured")
+    assert serialize_expression(expr, "structured") == want

@@ -13,7 +13,6 @@ from mlocality.inequality import (
     build_hierarchy_inequality,
 )
 import mlocality.quantum as quantum
-import mlocality.search as search
 from mlocality.lhv import check_nonsignaling, distribution_lhs
 from mlocality.quantum import (
     MeasurementAngles,
@@ -198,8 +197,8 @@ class TestEvaluateLhs:
             assert value == pytest.approx(reference, abs=1e-12)
 
     def test_term_chunks_equal_one_gather(self, monkeypatch):
-        # a cap of a few entries puts every term of the kernel, and every
-        # alpha row of the symmetric grid, in a chunk of its own
+        # a cap of a few entries puts every term of the kernel in a chunk of
+        # its own, also in the call that samples the symmetric grid's forms
         rng = np.random.default_rng(59)
         n = 5
         state = NoisyState(random_state(n, rng), 0.8)
@@ -208,7 +207,6 @@ class TestEvaluateLhs:
         whole = [evaluate_lhs(expr, state, angles) for expr in exprs]
         grid_whole, _ = exhaustive_symmetric_max(exprs[1], state, 6)
         monkeypatch.setattr(quantum, "_BATCH_ELEMENTS", 7)
-        monkeypatch.setattr(search, "_BATCH_ELEMENTS", 7)
         chunked = [evaluate_lhs(expr, state, angles) for expr in exprs]
         grid_chunked, _ = exhaustive_symmetric_max(exprs[1], state, 6)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)

@@ -17,6 +17,7 @@ import mlocality.search as search
 from oracles import full_angle_search, full_grid_selection, full_grid_totals, sequential_compass_search
 from mlocality.inequality import build_hierarchy_inequality
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state, w_state
+from mlocality.quantum import _half_angle_pairs, _term_amplitudes
 from mlocality.search import (
     VIOLATION_TOL,
     NoViolationError,
@@ -62,6 +63,39 @@ def w_with_phases(n, rng):
     for k in range(n):
         amp[1 << k] = np.exp(1j * rng.uniform(0, 2 * np.pi)) / math.sqrt(n)
     return StateVector(n, amp)
+
+
+def make_state(family, n, seed):
+    """A random complex full-support state, W with random phases, or the named family."""
+    if family == "random":
+        return random_state(n, np.random.default_rng(seed))
+    if family == "w-phases":
+        return w_with_phases(n, np.random.default_rng(seed))
+    return state_for_family(family, n)
+
+
+def kernel_forms(expr, state, resolution):
+    """Party 1's forms at every (alpha, beta) cell from the amplitude kernel, shape (3, 2, R*R).
+
+    Party 1 is opened on basis vector h by setting its (cos, sin) pair to
+    e_h under both settings; q = p * sum_t c_t Re(M_{t,h} M_{t,h'}^*) over
+    the terms measuring party 1 with each setting.
+    """
+    table, n = expr.table, expr.n
+    u = _half_angle_pairs(search._grid_axis(resolution))
+    pairs = np.empty((resolution, resolution, 2, 2, n, 2))
+    pairs[..., 0, :] = np.eye(2)[:, None, :]
+    pairs[..., 0, 1:, :] = u[:, None, None, None, :]
+    pairs[..., 1, 1:, :] = u[None, :, None, None, :]
+    amp = _term_amplitudes(table, state.psi, pairs)
+    m0, m1 = amp[..., 0, :], amp[..., 1, :]
+    forms = np.empty((3, 2, resolution, resolution))
+    for half in (0, 1):
+        weights = state.p * table.coefficients * (table.settings[:, 0] == half)
+        forms[0, half] = np.abs(m0) ** 2 @ weights
+        forms[1, half] = (m0 * m1.conj()).real @ weights
+        forms[2, half] = np.abs(m1) ** 2 @ weights
+    return forms.reshape(3, 2, -1)
 
 
 def bisection_threshold(expr, psi, config, tolerance):
@@ -113,14 +147,8 @@ class TestGridEvaluation:
         # At seed 53 the two party-1 angles of the maximum differ, so the
         # angle check also sees which half each came from.  With k' = 3
         # the expression is not symmetric in parties 2..n.
-        if family == "random":
-            psi = random_state(n, np.random.default_rng(seed))
-        elif family == "w-phases":
-            psi = w_with_phases(n, np.random.default_rng(seed))
-        else:
-            psi = state_for_family(family, n)
         expr = build_hierarchy_inequality(n, m, k_prime)
-        state = NoisyState(psi, p)
+        state = NoisyState(make_state(family, n, seed), p)
         brute = brute_force_symmetric_values(expr, state, 6)
         fast, angles = exhaustive_symmetric_max(expr, state, 6)
         assert fast == pytest.approx(brute.max(), abs=1e-12)
@@ -148,8 +176,10 @@ class TestGridEvaluation:
         # GHZ n=4 m=2 ties at many grid values.  The candidates must come in
         # the order of a full stable argsort of the grid totals, reversed:
         # descending, the higher (alpha, beta) cell index first among ties.
-        # The totals are the unpruned oracle's, one per cell.
-        resolution = 24
+        # The totals are the unpruned oracle's, one per cell.  At 48 points
+        # about 270 of the 2304 totals tie exactly; at 24 points only about 70
+        # of 576 do, since the forms are interpolated from their samples.
+        resolution = 48
         expr = build_hierarchy_inequality(4, 2, 1)
         state = NoisyState(ghz_state(4), 1.0)
         cell = {x: i for i, x in enumerate(search._grid_axis(resolution).tolist())}
@@ -179,11 +209,7 @@ class TestGridEvaluation:
         # and every candidate equal those of the unpruned selection bit for
         # bit, ties included (GHZ has many).  With one alpha row per block
         # the floor rises across blocks; by default one block holds the grid.
-        if family == "ghz":
-            psi = ghz_state(n)
-        else:
-            psi = (random_state if family == "random" else w_with_phases)(n, np.random.default_rng(seed))
-        state = NoisyState(psi, p)
+        state = NoisyState(make_state(family, n, seed), p)
         expr = build_hierarchy_inequality(n, m, k_prime)
 
         def bits(selection):
@@ -210,6 +236,66 @@ class TestGridEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize(
+        "family,n,m,k_prime,seed",
+        [
+            ("random", 3, 2, 1, 71),
+            ("random", 5, 3, 3, 72),
+            ("w-phases", 6, 4, 3, 73),
+            ("w-phases", 10, 5, 1, 74),
+            ("w-phases", 10, 10, 3, 75),
+            ("w", 10, 10, 1, None),
+            ("ghz", 10, 2, 1, None),
+        ],
+        ids=["random-n3", "random-n5-k3", "w-phases-n6-k3", "w-phases-n10", "w-phases-n10-k3", "w-n10", "ghz-n10"],
+    )
+    def test_forms_equal_kernel_forms_cell_by_cell(self, family, n, m, k_prime, seed):
+        # the forms interpolated from (2*D_a+1) x (2*D_b+1) samples equal those
+        # computed from the amplitude kernel at every cell; each entry is two
+        # sums over the samples of one axis, hence (N_a + N_b) ulps of the
+        # forms' largest magnitude
+        state = NoisyState(make_state(family, n, seed), 0.8)
+        expr = build_hierarchy_inequality(n, m, k_prime)
+        size = sum(2 * d + 1 for d in search._form_degrees(expr))
+        for resolution in (2, 3, 7, 24):
+            blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+            forms = np.concatenate([q for _, q in blocks], axis=-1)
+            want = kernel_forms(expr, state, resolution)
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(forms, want, rtol=0, atol=size * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize(
+        "family,n,m,k_prime,seed",
+        [
+            ("random", 4, 2, 1, 81),
+            ("random", 5, 4, 3, 82),
+            ("w-phases", 7, 3, 1, 83),
+            ("w-phases", 10, 6, 3, 84),
+            ("ghz", 6, 6, 1, None),
+        ],
+        ids=["random-n4", "random-n5-k3", "w-phases-n7", "w-phases-n10-k3", "ghz-n6"],
+    )
+    def test_form_degrees_bound_the_forms(self, family, n, m, k_prime, seed):
+        # two more sample points per axis give the same coefficients, and the
+        # extra ones are zero: the forms have no term above (D_a, D_b)
+        state = NoisyState(make_state(family, n, seed), 0.9)
+        expr = build_hierarchy_inequality(n, m, k_prime)
+        degree_a, degree_b = search._form_degrees(expr)
+        low = search._form_coefficients(expr, state, (degree_a, degree_b))
+        high = search._form_coefficients(expr, state, (degree_a + 1, degree_b + 1))
+        assert high.shape == (3, 2, 2 * degree_a + 3, 2 * degree_b + 3)
+        atol = high.shape[2] + high.shape[3]
+        atol *= np.finfo(float).eps * np.abs(low).max()
+        np.testing.assert_allclose(high[..., : 2 * degree_a + 1, : 2 * degree_b + 1], low, rtol=0, atol=atol)
+        high[..., : 2 * degree_a + 1, : 2 * degree_b + 1] = 0.0
+        np.testing.assert_allclose(high, 0.0, rtol=0, atol=atol)
+
+    def test_form_degrees_of_k_prime_1(self):
+        # the all-a term measures parties 2..n with a; with k' = 1 the
+        # second-sum terms measure m-1 of them with b, a single-b term one
+        for n, m in [(2, 2), (3, 2), (4, 3), (7, 7), (12, 6)]:
+            assert search._form_degrees(build_hierarchy_inequality(n, m, 1)) == (n - 1, max(1, m - 1))
 
     @pytest.mark.parametrize("resolution", [2, 3, 6, 7, 24, 360])
     def test_party1_maximum_lies_within_its_bounds(self, resolution):
