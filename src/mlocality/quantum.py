@@ -42,8 +42,8 @@ NORM_TOL = 1e-12
 
 # Array entries per chunk of gathered factors, about 8 MB of float64: the
 # kernel's terms and the refinement's points are chunked by it, and so are
-# the symmetric grid's samples, which go through the kernel.  The grid's
-# forms go in far smaller blocks of cells (search._GRID_BLOCK_CELLS).
+# the symmetric grid's Fourier samples, which go through the kernel.  The
+# grid's cells go in far smaller blocks of beta rows (search._GRID_BLOCK_CELLS).
 _BATCH_ELEMENTS = 1 << 20
 
 

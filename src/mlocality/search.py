@@ -5,24 +5,25 @@ keeps its own pair of X-Z angles while parties 2..n share one pair, giving
 four free angles.  Every term measures party 1 with exactly one of its two
 settings, so on a product grid the LHS splits as Sa[x, a, b] + Sb[y, a, b]
 with x, y the two party-1 angles, and the maximum over (x, y) is separable.
-Each half is a quadratic form in (cos(x/2), sin(x/2)) whose coefficients
-come from the term amplitudes with party 1 left open.  Every other party's
-vector is linear in the half-angle pair of a or b, so each coefficient is a
+Each half is a quadratic form in (cos(x/2), sin(x/2)), a mean plus a
+sinusoid a_h + Re(Z_h*e^(-ix)), so a cell is three numbers: the sum S of
+the means and the complex amplitudes Z_a and Z_b.  Every other party's
+vector is linear in the half-angle pair of a or b, so each is a
 trigonometric polynomial in (a, b) of degree at most D_a in a and D_b in b,
 the most parties 2..n that one term measures with each setting.  Their
 Fourier coefficients come from one kernel call on a (2*D_a+1) x (2*D_b+1)
-sample grid, and the forms at all (a, b) grid cells are two small matrix
-products per block, O(R*D_b*(D_a + R)) for R points per angle whatever the
-number of terms.  Each form is a sinusoid a + r*cos(x - phi) in x whose
-grid maximum lies at one of the two grid points bracketing its peak, so no
-scan over x is needed, and lies in [a + r*cos(pi/R), a + r], so it is
+sample grid; with the a side contracted once, each block of b rows is one
+real matrix product, O(R*D_b*(D_a + R)) for R points per angle whatever
+the number of terms.  A sinusoid's grid maximum lies at one of the two grid
+points bracketing its peak angle(Z), and in [|Z|*cos(pi/R), |Z|], so it is
 bounded without locating the peak.
 
-The (a, b) cells are streamed in cache-sized blocks of a rows.  Each block's
+The (a, b) cells are streamed in cache-sized blocks of b rows.  Each block's
 bounds are checked against the running top-k-th largest lower bound, and
-only the few cells whose upper bound reaches it are kept; the exact party-1
-maxima are taken on those at the end, so no array over all R^2 cells is
-built and the best cells come out as if every cell had been evaluated.
+only the few cells whose upper bound reaches it are kept, with their three
+numbers; the exact party-1 maxima are taken from those at the end, so no
+array over all R^2 cells is built and the best cells come out as if every
+cell had been evaluated.
 
 The best grid cells are then refined by a compass search run on all
 restarts in lockstep: each round gathers the +/-step polls of every restart
@@ -52,13 +53,16 @@ from .quantum import _BATCH_ELEMENTS, _half_angle_pairs, _lhs_values, _term_ampl
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
-# Cells per block of the symmetric grid (11 alpha rows at 360 points per
-# angle), so a block's six forms and their bounds stay in a core's cache.
-# Blocks of 2k-8k cells ran fastest on a 360-point grid, 1k and 32k+ slower.
+# Cells per block of the symmetric grid (11 beta rows, 3,960 cells, at 360
+# points per angle), so a block's five numbers per cell and bounds stay in a
+# core's cache; blocks of 8k-32k cells ran slower on a 360-point grid.
 _GRID_BLOCK_CELLS = 1 << 12
-# Rounding allowance of the grid bounds, per unit of the size of a cell's
-# forms: a party-1 maximum lies within 2 ulps of that size of its bounds in
-# exact arithmetic, and the bounds and totals add a few roundings more.
+# Rounding allowance of the grid bounds, per unit of the grid's sum of
+# absolute Fourier coefficients, which bounds |S| + |Z_a| + |Z_b|.  A cell's
+# bounds and exact total come from the same computed (S, Z_a, Z_b), so it
+# covers only: |Z| and the sums of each bound and of the total (1 ulp each),
+# the cos/sin table and products of a party-1 value (3 ulps), and the grid
+# angles' and angle(Z)'s errors (~16 ulps of radians): 32 ulps, doubled.
 _BOUND_SLACK = 64 * np.finfo(float).eps
 
 
@@ -151,27 +155,22 @@ def _chunks(total: int, width: int):
     return (slice(start, start + step) for start in range(0, total, step))
 
 
-def _party1_maxima(
-    q00: np.ndarray, q01: np.ndarray, q11: np.ndarray, features: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid maximum over party 1's angle x of u(x)^T Q u(x), Q = [[q00, q01], [q01, q11]].
+def _party1_maxima(z: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid maximum over party 1's angle x of Re(z*e^(-ix)), a half's form less its mean.
 
-    features holds the rows (c^2, cs, sc, s^2) of u = (c, s) at the grid
-    angles.  The value is (q00+q11)/2 + (q00-q11)/2*cos x + q01*sin x, a
-    sinusoid peaking at atan2(2*q01, q00-q11), so its grid maximum lies at
-    one of the two grid points bracketing that peak.  Both are evaluated
-    with their features rows, and a tie goes to the smaller index, as it
-    does in argmax.  Returns the indices and the values there, in the
-    shape of the q arrays.
+    u(x)^T Q u(x) with u = (cos(x/2), sin(x/2)) is (q00+q11)/2 + Re(Z*e^(-ix)),
+    Z = (q00-q11)/2 + i*q01.  The sinusoid Re(z)*cos x + Im(z)*sin x peaks
+    at angle(z), so its grid maximum lies at one of the two grid points
+    bracketing that peak.  Both are evaluated, and a tie goes to the smaller
+    index, as it does in argmax.  Returns the indices and the values there,
+    in the shape of z.
     """
-    resolution = len(features)
-    twice = q01 + q01
-    peak = np.arctan2(twice, q00 - q11) % TWO_PI
-    low = np.floor(peak * (resolution / TWO_PI)).astype(np.int64) % resolution
+    axis = _grid_axis(resolution)
+    cos, sin = np.cos(axis), np.sin(axis)
+    low = np.floor(np.angle(z) % TWO_PI * (resolution / TWO_PI)).astype(np.int64) % resolution
     high = (low + 1) % resolution
-    cc, cs, _, ss = features.T
-    at_low = q00 * cc[low] + twice * cs[low] + q11 * ss[low]
-    at_high = q00 * cc[high] + twice * cs[high] + q11 * ss[high]
+    at_low = z.real * cos[low] + z.imag * sin[low]
+    at_high = z.real * cos[high] + z.imag * sin[high]
     up = (at_high > at_low) | ((at_high == at_low) & (high < low))
     return np.where(up, high, low), np.where(up, at_high, at_low)
 
@@ -222,95 +221,96 @@ def _form_coefficients(expr: BellExpression, state: NoisyState, degrees: tuple[i
 
 
 def _grid_forms(expr: BellExpression, state: NoisyState, resolution: int, block_cells: int):
-    """Party 1's quadratic form at every (alpha, beta) cell of the grid, in blocks of alpha rows.
+    """Every (alpha, beta) cell's S, Z_a and Z_b on the grid, in blocks of beta rows.
 
     Party 1's vectors are linear in u(x) = (cos(x/2), sin(x/2)), so with
     party 1 opened on basis vector h every term's amplitude is a number
-    M_{t,h}, and A_t(x) = u(x).M_t.  The terms measuring party 1 with one
-    setting sum to the form Q = p*sum_t c_t Re(M_t M_t^*) of that half of
-    the LHS, u(x)^T Q u(x).  Every other party's vector is linear in the
-    half-angle pair of alpha or beta, so M_{t,h} is homogeneous of degree
-    d_a(t) in u(alpha) and d_b(t) in u(beta), the numbers of parties 2..n
-    that t measures with a and with b, and each product M M^* is a
-    trigonometric polynomial of degree d_a(t) in alpha and d_b(t) in beta.
-    Q's entries are therefore fixed by their Fourier coefficients C up to
-    degree (D_a, D_b) = `_form_degrees`, taken once from (2*D_a+1) x
-    (2*D_b+1) samples (`_form_coefficients`), and a block of alpha rows is
-    (B_a[block] @ C) @ B_b^T with B_a, B_b the trig bases at the grid
-    angles: O(R*D_b*(D_a + R)) for the whole grid, whatever the number of
-    terms.
+    M_{t,h}.  The terms measuring party 1 with one setting sum to the form
+    Q = p*sum_t c_t Re(M_t M_t^*) of that half of the LHS, u(x)^T Q u(x) =
+    a + Re(Z*e^(-ix)), a = (q00+q11)/2 and Z = (q00-q11)/2 + i*q01.  Each
+    M M^* is a trigonometric polynomial of degree d_a(t) in alpha and d_b(t)
+    in beta, the numbers of parties 2..n that t measures with a and with b,
+    and so are S = a_a + a_b + the mixed part, Re Z_h and Im Z_h: their
+    Fourier coefficients C up to degree (D_a, D_b) = `_form_degrees` are
+    linear combinations of `_form_coefficients`.  As D_b <= D_a (the all-a
+    term has D_a = n-1), the alpha side is contracted once, W = (B_a @ C)^T
+    of shape (N_b, 5R) with B_a, B_b the trig bases at the grid angles, and
+    a block of beta rows is one product B_b[block] @ W: O(R*D_b*(D_a + R))
+    for the whole grid, whatever the number of terms.
 
-    A block holds at most block_cells cells, and at least one alpha row.
-    Yields the block's first alpha row and q of shape (3, 2, cells): the
-    entries q00, q01 and q11 of each half's form, cells in row-major
-    (alpha, beta) order.
+    Returns the rounding allowance, _BOUND_SLACK times the sum of absolute
+    coefficients (basis entries are at most 1 in magnitude), and the blocks,
+    of at most block_cells cells and at least one beta row: the first beta
+    row, S of shape (rows, R) and (Z_a, Z_b) of shape (rows, 2, R), alpha last.
     """
     degrees = _form_degrees(expr)
-    coefficients = _form_coefficients(expr, state, degrees)
-    axis = _grid_axis(resolution)
-    basis_a, basis_b = (_trig_basis(axis, d) for d in degrees)
+    q00, q01, q11 = _form_coefficients(expr, state, degrees)
+    half = (q00 - q11) / 2
+    coefficients = np.stack([(q00 + q11).sum(axis=0) / 2, half[0], q01[0], half[1], q01[1]])
+    coefficients[0, 0, 0] += mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p)
+    basis_a, basis_b = (_trig_basis(_grid_axis(resolution), d) for d in degrees)
+    wide = np.moveaxis(basis_a @ coefficients, -1, 0)  # beta x (S, Re Z_a, Im Z_a, Re Z_b, Im Z_b) x alpha
+    # C-order columns (twice as fast as a transpose): S at each alpha, then Z_a and Z_b as (re, im) pairs
+    amplitudes = wide[:, 1:].reshape(len(wide), 2, 2, resolution).swapaxes(2, 3)
+    columns = np.concatenate([wide[:, 0], amplitudes.reshape(len(wide), -1)], axis=1)
     step = max(1, block_cells // resolution)
-    for start in range(0, resolution, step):
-        q = basis_a[start : start + step] @ coefficients @ basis_b.T
-        yield start, q.reshape(3, 2, -1)
+
+    def blocks():
+        for start in range(0, resolution, step):
+            out = basis_b[start : start + step] @ columns
+            z = out[:, resolution:].view(complex).reshape(len(out), 2, resolution)
+            yield start, out[:, :resolution], z
+
+    return _BOUND_SLACK * np.abs(coefficients).sum(), blocks()
 
 
 def _best_candidates(
-    expr: BellExpression,
-    state: NoisyState,
-    resolution: int,
-    top_k: int,
+    expr: BellExpression, state: NoisyState, resolution: int, top_k: int
 ) -> tuple[float, list[SymmetricAngles]]:
     """Coarse-grid maximum and the top-k grid cells as refinement starts.
 
-    A cell's total is the sum of its two halves' grid maxima over party 1's
-    angle x, plus the mixed part.  Each half u(x)^T Q u(x) is the sinusoid
-    a + r*cos(x - phi), with a = (q00+q11)/2 and r = |((q00-q11)/2, q01)|,
-    and the grid point nearest its peak lies within pi/R of it, so its grid
-    maximum lies in [a + r*cos(pi/R), a + r].  Summing these over the halves
-    bounds the total from both sides, with no arctan2 and no gather.
+    A cell's total is S plus the grid maxima over party 1's angle x of its
+    halves' sinusoids Re(Z*e^(-ix)).  The grid point nearest a peak lies
+    within pi/R of it, so the total lies in [S + (|Z_a|+|Z_b|)*cos(pi/R),
+    S + |Z_a| + |Z_b|], bounded with no arctan2 and no gather.
 
     The blocks of `_grid_forms` stream past a floor, the top_k-th largest
     lower bound so far.  A cell whose upper bound is below the floor cannot
     be among the top_k; the floor only rises, so it could not be at the end
     either, and is dropped.  The cells left at the end, the few that can
-    reach the top, get their exact party-1 maxima (`_party1_maxima`), so no
-    array over all R^2 cells is built.  The bounds carry a rounding
-    allowance (_BOUND_SLACK), so the result is bit for bit the one every
-    cell evaluated exactly would give.  The top_k cells come in descending
-    order of value, the higher (alpha, beta) index first among ties.
+    reach the top, get their exact party-1 maxima (`_party1_maxima`) from
+    the same S and Z the bounds came from, so no array over all R^2 cells
+    is built.  The bounds carry the grid's rounding allowance, so the result
+    is bit for bit the one every cell evaluated exactly would give.  The
+    top_k cells come in descending order of value, the higher (alpha, beta)
+    index first among ties.
     """
-    axis = _grid_axis(resolution)
-    u = _half_angle_pairs(axis)
-    features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
-    mixed = mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p)
     shortfall = 1.0 - math.cos(math.pi / resolution)
-    # the bounds are on twice a cell's total less the mixed part: the sum of 2a + 2r over the halves
-    lows = np.empty(0)  # the top_k largest lower bounds so far
-    floor = -np.inf
-    kept = []  # per block: flat indices, upper bounds and forms of the cells that can still win
-    for start, q in _grid_forms(expr, state, resolution, _GRID_BLOCK_CELLS):
-        diff, cross = q[0] - q[2], q[1] + q[1]
-        radius = np.sqrt(diff * diff + cross * cross)
-        top = (q[0] + q[2] + radius).sum(axis=0)
-        # 12*max|q| bounds the sum of |2a| + 2r over the halves
-        slack = _BOUND_SLACK * (12.0 * max(q.max(), -q.min()) + 2.0 * abs(mixed))
+    slack, blocks = _grid_forms(expr, state, resolution, _GRID_BLOCK_CELLS)
+    lows, floor = np.empty(0), -np.inf  # the top_k largest lower bounds so far, and the least of them
+    kept = []  # per block: row-major cell indices, tops, S and (Z_a, Z_b) of the cells that can still win
+    for start, s, z in blocks:
+        magnitude = np.abs(z)
+        radius = magnitude[:, 0] + magnitude[:, 1]
+        top = (s + radius).ravel()
+        if top.max() < floor - slack:  # most blocks, once the floor is near the top
+            continue
         keep = np.flatnonzero(top >= floor - slack)
-        lower = top[keep] - shortfall * radius[:, keep].sum(axis=0) - slack
+        lower = top[keep] - shortfall * radius.ravel()[keep] - slack
         lows = np.concatenate([lows, lower[lower > floor]])
         if len(lows) >= top_k:
             lows = np.partition(lows, len(lows) - top_k)[len(lows) - top_k :]
             floor = lows[0]
         keep = keep[top[keep] >= floor - slack]
-        kept.append((start * resolution + keep, top[keep] + slack, q[..., keep]))
-    cells, upper, q = (np.concatenate(parts, axis=-1) for parts in zip(*kept))
-    live = upper >= floor
-    cells = cells[live]
-    arg, best = _party1_maxima(*q[..., live], features)
-    total = best.sum(axis=0) + mixed
-    # a stable argsort reversed; cells are in ascending order, so ties go to the higher index
-    order = np.argsort(total, kind="stable")[::-1][:top_k]
-    angles = axis[np.vstack([arg[:, order], *np.divmod(cells[order], resolution)])]
+        beta, alpha = np.divmod(keep, resolution)
+        kept.append((alpha * resolution + start + beta, top[keep], s[beta, alpha], z[beta, :, alpha]))
+    cells, top, s, z = (np.concatenate(parts) for parts in zip(*kept))
+    cells, s, z = (x[top >= floor - slack] for x in (cells, s, z))
+    arg, value = _party1_maxima(z.T, resolution)
+    total = s + value[0] + value[1]
+    # descending total, the higher cell index first among ties
+    order = np.lexsort((cells, total))[::-1][:top_k]
+    angles = _grid_axis(resolution)[np.vstack([arg[:, order], *np.divmod(cells[order], resolution)])]
     return float(total[order[0]]), [SymmetricAngles(*a) for a in angles.T.tolist()]
 
 

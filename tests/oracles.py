@@ -53,7 +53,7 @@ from mlocality.inequality import (
     Term,
 )
 from mlocality.lhv import VERTEX_MAX_BLOCK, ConditionalDistribution
-from mlocality.quantum import MeasurementAngles, NoisyState, _half_angle_pairs, mixed_state_lhs
+from mlocality.quantum import MeasurementAngles, NoisyState
 from mlocality.search import OptimizerConfig, SymmetricAngles
 from mlocality.simplex import solve_lp_max
 
@@ -407,18 +407,17 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
 def full_grid_totals(expr: BellExpression, state: NoisyState, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's total on the symmetric 4-angle grid, with no cell pruned.
 
-    Takes party 1's forms from `search._grid_forms` in the blocks the search
-    uses (a form's last bits depend on the width of its block's matrix
-    products), and runs `search._party1_maxima` on every (alpha, beta)
-    cell.  Returns the totals, shape (R*R,), and the party-1 grid indices of
-    each half, shape (2, R*R), cells in row-major order.
+    Takes every cell's S, Z_a and Z_b from `search._grid_forms` in the
+    blocks the search uses (their last bits depend on the width of a
+    block's matrix product), and runs `search._party1_maxima` on every
+    (alpha, beta) cell.  Returns the totals, shape (R*R,), and the party-1
+    grid indices of each half, shape (2, R*R), cells in row-major order.
     """
-    u = _half_angle_pairs(search._grid_axis(resolution))
-    features = (u[:, :, None] * u[:, None, :]).reshape(resolution, 4)
-    blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
-    forms = np.concatenate([q for _, q in blocks], axis=-1)
-    arg, best = search._party1_maxima(*forms, features)
-    return best.sum(axis=0) + mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p), arg
+    _, blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+    _, s, z = zip(*blocks)
+    s, z = np.concatenate(s), np.concatenate(z)  # beta rows first
+    arg, value = search._party1_maxima(z.transpose(1, 2, 0).reshape(2, -1), resolution)
+    return s.T.ravel() + value[0] + value[1], arg
 
 
 def full_grid_selection(

@@ -17,7 +17,7 @@ import mlocality.search as search
 from oracles import full_angle_search, full_grid_selection, full_grid_totals, sequential_compass_search
 from mlocality.inequality import build_hierarchy_inequality
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state, w_state
-from mlocality.quantum import _half_angle_pairs, _term_amplitudes
+from mlocality.quantum import _half_angle_pairs, _term_amplitudes, mixed_state_lhs
 from mlocality.search import (
     VIOLATION_TOL,
     NoViolationError,
@@ -177,7 +177,7 @@ class TestGridEvaluation:
         # the order of a full stable argsort of the grid totals, reversed:
         # descending, the higher (alpha, beta) cell index first among ties.
         # The totals are the unpruned oracle's, one per cell.  At 48 points
-        # about 270 of the 2304 totals tie exactly; at 24 points only about 70
+        # about 410 of the 2304 totals tie exactly; at 24 points only about 120
         # of 576 do, since the forms are interpolated from their samples.
         resolution = 48
         expr = build_hierarchy_inequality(4, 2, 1)
@@ -251,19 +251,51 @@ class TestGridEvaluation:
         ids=["random-n3", "random-n5-k3", "w-phases-n6-k3", "w-phases-n10", "w-phases-n10-k3", "w-n10", "ghz-n10"],
     )
     def test_forms_equal_kernel_forms_cell_by_cell(self, family, n, m, k_prime, seed):
-        # the forms interpolated from (2*D_a+1) x (2*D_b+1) samples equal those
-        # computed from the amplitude kernel at every cell; each entry is two
-        # sums over the samples of one axis, hence (N_a + N_b) ulps of the
-        # forms' largest magnitude
+        # the cells' S, Z_a and Z_b interpolated from (2*D_a+1) x (2*D_b+1)
+        # samples equal those of the forms computed from the amplitude kernel
+        # at every cell; each is two sums over the samples of one axis, hence
+        # (N_a + N_b) ulps of their largest magnitude
         state = NoisyState(make_state(family, n, seed), 0.8)
         expr = build_hierarchy_inequality(n, m, k_prime)
         size = sum(2 * d + 1 for d in search._form_degrees(expr))
+        mixed = mixed_state_lhs(n, m) * (1 - state.p)
         for resolution in (2, 3, 7, 24):
-            blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
-            forms = np.concatenate([q for _, q in blocks], axis=-1)
-            want = kernel_forms(expr, state, resolution)
+            _, blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+            _, s, z = zip(*blocks)
+            s, z = np.concatenate(s).T.ravel(), np.concatenate(z).transpose(1, 2, 0).reshape(2, -1)
+            forms = np.stack([s, z[0].real, z[0].imag, z[1].real, z[1].imag])
+            q00, q01, q11 = kernel_forms(expr, state, resolution)
+            half = (q00 - q11) / 2
+            want = np.stack([(q00 + q11).sum(axis=0) / 2 + mixed, half[0], q01[0], half[1], q01[1]])
             scale = np.abs(want).max()
             np.testing.assert_allclose(forms, want, rtol=0, atol=size * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize(
+        "family,n,m,k_prime,seed",
+        [
+            ("random", 3, 2, 3, 91),
+            ("random", 5, 3, 3, 92),
+            ("w-phases", 5, 4, 3, 93),
+            ("w-phases", 7, 3, 3, 94),
+            ("ghz", 4, 2, 3, None),
+        ],
+        ids=["random-n3-k3", "random-n5-k3", "w-phases-n5-k3", "w-phases-n7-k3", "ghz-n4-k3"],
+    )
+    def test_every_cell_lies_in_its_screen_window(self, family, n, m, k_prime, seed):
+        # the screen keeps a cell only if its window [S + (|Z_a|+|Z_b|)*cos(pi/R),
+        # S + |Z_a| + |Z_b|], widened by the grid's rounding allowance, can
+        # reach the top; every cell's exact total must lie in that window
+        state = NoisyState(make_state(family, n, seed), 0.7)
+        expr = build_hierarchy_inequality(n, m, k_prime)
+        for resolution in (2, 3, 7, 24):
+            slack, blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+            for _, s, z in blocks:
+                _, value = search._party1_maxima(z, resolution)
+                total = s + value[:, 0] + value[:, 1]
+                magnitude = np.abs(z)
+                radius = magnitude[:, 0] + magnitude[:, 1]
+                assert np.all(total <= s + radius + slack)
+                assert np.all(total >= s + radius * math.cos(math.pi / resolution) - slack)
 
     @pytest.mark.parametrize(
         "family,n,m,k_prime,seed",
@@ -311,8 +343,9 @@ class TestGridEvaluation:
         q00 = mean + amplitude * np.cos(peaks)
         q11 = mean - amplitude * np.cos(peaks)
         q01 = amplitude * np.sin(peaks)
-        _, value = search._party1_maxima(q00, q01, q11, grid_features(resolution))
-        a, r = (q00 + q11) / 2, np.hypot((q00 - q11) / 2, q01)
+        a, z = (q00 + q11) / 2, (q00 - q11) / 2 + 1j * q01
+        value = a + search._party1_maxima(z, resolution)[1]
+        r = np.hypot((q00 - q11) / 2, q01)
         ulps = 4 * np.finfo(float).eps * (np.abs(a) + r)
         assert np.all(value <= a + r + ulps)
         assert np.all(value >= a + r * math.cos(math.pi / resolution) - ulps)
@@ -336,7 +369,9 @@ class TestGridEvaluation:
         forms = np.array(forms)
         features = grid_features(resolution)
         scan = forms.reshape(-1, 4) @ features.T
-        index, value = search._party1_maxima(forms[:, 0, 0], forms[:, 0, 1], forms[:, 1, 1], features)
+        q00, q01, q11 = forms[:, 0, 0], forms[:, 0, 1], forms[:, 1, 1]
+        index, value = search._party1_maxima((q00 - q11) / 2 + 1j * q01, resolution)
+        value = (q00 + q11) / 2 + value
         np.testing.assert_allclose(value, scan.max(axis=1), rtol=0, atol=1e-15)
         top_two = np.sort(scan, axis=1)[:, -2:]
         clear = top_two[:, 1] - top_two[:, 0] > 1e-12
@@ -346,12 +381,11 @@ class TestGridEvaluation:
         assert (index[200], value[200]) == (0, 0.0)
 
     def test_party1_tie_across_the_wrap_goes_to_index_0(self):
-        # at 2 points the peak of this form (3*pi/2) lies between index 1
-        # and index 0, where both values are exactly 1: argmax keeps 0
-        features = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        q01 = np.array([-1e-300])
-        index, value = search._party1_maxima(np.ones(1), q01, np.ones(1), features)
-        assert (index[0], value[0]) == (0, 1.0)
+        # at 2 points the peak of this amplitude (3*pi/2) lies between index
+        # 1 and index 0, where both values are exactly 0 (Im(z)*sin(pi)
+        # underflows): argmax keeps 0
+        index, value = search._party1_maxima(np.array([-1e-310j]), 2)
+        assert (index[0], value[0]) == (0, 0.0)
 
 
 class TestCompassSearch:
