@@ -15,25 +15,13 @@ from .inequality import (
     serialize_expression,
     term_count,
 )
-from .lhv import (
-    CertificationError,
-    ConditionalDistribution,
-    Partition,
-    certify_m_local_bound,
-    check_nonsignaling,
-    distribution_lhs,
-    enumerate_partitions,
-    max_strategy_lhs,
-    product_distribution,
-    sample_nonsignaling_block,
-)
+from .lhv import CertificationError, certify_m_local_bound, max_strategy_lhs
 from .quantum import (
     MeasurementAngles,
     NoisyState,
     StateVector,
     evaluate_lhs,
     ghz_state,
-    term_probability,
     w_state,
 )
 from .search import (
@@ -52,23 +40,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BellExpression",
     "CertificationError",
-    "ConditionalDistribution",
     "DimensionMismatchError",
     "MeasurementAngles",
     "NoViolationError",
     "NoisyState",
     "OptimizerConfig",
     "ParameterDomainError",
-    "Partition",
     "StateVector",
     "SymmetricAngles",
     "Term",
     "ThresholdResult",
     "build_hierarchy_inequality",
     "certify_m_local_bound",
-    "check_nonsignaling",
-    "distribution_lhs",
-    "enumerate_partitions",
     "evaluate_lhs",
     "exhaustive_symmetric_max",
     "find_threshold",
@@ -76,11 +59,8 @@ __all__ = [
     "max_strategy_lhs",
     "maximize_violation",
     "parse_expression",
-    "product_distribution",
     "reproduce_table",
-    "sample_nonsignaling_block",
     "serialize_expression",
     "term_count",
-    "term_probability",
     "w_state",
 ]

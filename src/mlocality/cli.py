@@ -9,10 +9,13 @@ the command's long options (``k_prime`` or ``k-prime`` for --k-prime), and
 each value is parsed exactly as the flag's value is, with the same type and
 choices; flags given on the command line win.  A key that the command has
 no option for is an error.
-The MLOCALITY_SEED environment variable overrides the built-in default
-seed (--seed still wins); every randomized command logs the seed it used.
+--seed defaults to DEFAULT_SEED; a config file's ``seed = N`` sets it as
+the flag does, and every command that takes it prints the seed it used.
 certify reads sample i from row i of the uniforms seeded by --seed, in
-chunks in one process, so a failure's sample_index replays it (see `lhv`).
+chunks in one process.  A failing sample is written to stderr as a JSON
+report of its draws: seed, sample_index, n, m, k_prime, the observed LHS
+and each block's parties, mixture weights and vertex ids (see `lhv`), from
+which the sample and its tables are rebuilt.
 threshold and table also take --seed, but their search is deterministic:
 the seed is only recorded in the output and does not change the results.
 table computes its cells one after another in one process.
@@ -56,21 +59,6 @@ DEFAULT_SAMPLES = 10000
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
-
-
-def _seed(args: argparse.Namespace) -> int:
-    """The --seed flag, else the MLOCALITY_SEED environment variable (logged), else DEFAULT_SEED."""
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("MLOCALITY_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable MLOCALITY_SEED must be an integer, got {raw!r}") from None
-    print(f"# seed from MLOCALITY_SEED = {value}", file=sys.stderr)
-    return value
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -161,13 +149,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    seed = _seed(args)
     expr = _expression(args)
-    lines = [f"# certify n={args.n} m={args.m} samples={args.samples} seed={seed}"]
+    lines = [f"# certify n={args.n} m={args.m} samples={args.samples} seed={args.seed}"]
     deterministic_max = max_strategy_lhs(expr)
     lines.append(f"deterministic_max = {deterministic_max}")
     try:
-        sampled_max = certify_m_local_bound(expr, args.samples, seed)
+        sampled_max = certify_m_local_bound(expr, args.samples, args.seed)
     except CertificationError as exc:
         lines.append("sampled_certification = FAIL")
         _write_output("\n".join(lines) + "\n", args.output)
@@ -183,21 +170,19 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    seed = _seed(args)
     config = _optimizer_config(args)
     result = find_threshold(args.n, args.m, args.family, config)
-    _emit_threshold_results([result], args, seed)
+    _emit_threshold_results([result], args, args.seed)
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    seed = _seed(args)
     config = _optimizer_config(args)
     n_list = [int(x) for x in args.n_list.split(",")]
     if any(not 2 <= n for n in n_list):
         raise ParameterDomainError(f"party counts must be >= 2, got {n_list}")
     results = reproduce_table(args.family, n_list, config)
-    _emit_threshold_results(results, args, seed)
+    _emit_threshold_results(results, args, args.seed)
     return EXIT_OK
 
 
@@ -269,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check the classical m-local bound numerically")
     _add_expression(p)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(p)
     p.set_defaults(func=cmd_certify)
 
@@ -281,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated party counts")
         p.add_argument("--family", required=True, help="ghz or w")
-        p.add_argument("--seed", type=int, help="only recorded; the search is deterministic")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="only recorded; the search is deterministic")
         for f in fields(OptimizerConfig):
             p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
         p.add_argument("--format", choices=["csv", "structured", "text"], default="csv")

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -113,15 +113,6 @@ class TermTable:
     settings: np.ndarray
     coefficients: np.ndarray
     slots: np.ndarray
-
-
-def tabulate_terms(terms: Sequence[Term]) -> TermTable:
-    """The TermTable of a nonempty sequence of terms over the same parties."""
-    n = terms[0].n
-    settings = np.array([[c == SETTING_B for c in t.settings] for t in terms], dtype=np.int64)
-    outcomes = np.array([[int(c) for c in t.outcomes] for t in terms], dtype=np.int64)
-    coefficients = np.array([float(t.coefficient) for t in terms])
-    return TermTable(settings, coefficients, 2 * (n * settings + np.arange(n)) + outcomes)
 
 
 @dataclass(frozen=True)

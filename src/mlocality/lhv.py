@@ -1,5 +1,5 @@
 """Classical side of the hierarchy: the deterministic bound, set partitions,
-nonsignaling block distributions, and numerical certification of the m-local
+nonsignaling block samples, and numerical certification of the m-local
 bound.
 
 The deterministic bound is found by counting response types.  Whether a
@@ -9,24 +9,20 @@ other parties hold each of the four pairs, so the maximum over the 4^n
 strategies is a maximum over the O(n^3) vectors of those counts (see
 `max_strategy_lhs`).
 
-A conditional distribution over a block of parties is stored as a dense
-table P(r|M) with one row per setting combination and one column per outcome
-string (both indexed party-ascending, first party of the block = most
-significant bit).  Nonsignaling block samples are vertices of the block's
-nonsignaling polytope, plus convex mixtures of such vertices to cover the
-interior.  The vertices come from fixed pools for blocks of 1 to 3 parties,
-stored as exact tables in `_vertices` (all 4 and all 24 vertices at sizes 1
-and 2, 79 at size 3), so all sampling is reproducible given the caller's
-seed.
+A nonsignaling m-local model is a partition of the n parties into m
+blocks with a nonsignaling distribution on each block.  A block sample is
+a mixture sum_j w_j of products of polytope vertices, one per atom (a run
+of at most 3 consecutive parties of the block).  The vertices come from
+fixed pools for atoms of 1 to 3 parties, stored as exact tables in
+`_vertices` (all 4 and all 24 vertices at sizes 1 and 2, 79 at size 3), so
+all sampling is reproducible given the caller's seed.
 
-Certification reads only the entries the terms touch.  A block sample is
-a mixture sum_j w_j of products of pool vertices, one per atom (a run of
-at most 3 consecutive parties of the block), and a term reads the product
-model at one entry.  So its value is
+Certification reads only the entries the terms touch: a term reads the
+product model at one entry, so its value is
 ``coefficients . prod_blocks sum_j w_j prod_atoms touched_atom[vertex_j]``,
 where ``touched_atom`` is the (V, T) matrix of the entries the T terms read
-from the V vertices of the atom's pool (`_TermReader`).  No 2^n x 2^n
-table is built unless a sample exceeds the bound and is reported.
+from the V vertices of the atom's pool (`_TermReader`).  No table of a
+block or of the product is built.
 
 Sample i reads row i of D = 1 + m (1 + K A + K) uniforms of
 `default_rng(seed)`, K = 3 the largest mixture and A = ceil((n - m + 1) / 3)
@@ -35,40 +31,33 @@ K A vertex ids and K weights (`_mixtures`), used or not.  The partition is
 the one of rank floor(u S(n, m)) in the lexicographic order of restricted
 growth strings, unranked on its own (`_partition`).  So
 `default_rng(seed)`, `bit_generator.advance(i * D)`, `random(D)` replays it.
+
+A sample above the bound is reported by its draws, in
+`CertificationError.report`: ``kind``, ``seed``, ``sample_index``,
+``tolerance``, the expression's ``n``, ``m`` and ``k_prime``, the
+``observed_lhs`` and, per block of the partition, its ``parties``, the
+mixture ``weights`` of its slots with positive weight and their
+``vertices``, one pool position per atom.  With the stored pools that is
+enough to rebuild every table of the model.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._bits import bit_extract_map
 from ._vertices import SIXTHS
-from .inequality import (
-    BellExpression,
-    DimensionMismatchError,
-    ParameterDomainError,
-    TermTable,
-    serialize_expression,
-)
+from .inequality import BellExpression, ParameterDomainError, TermTable
 
-NS_TOL = 1e-9
-CLAMP_TOL = -1e-12
 CERT_TOL = 1e-9
 CERTIFY_MAX_PARTIES = 12
 VERTEX_MAX_BLOCK = 3
 MIXTURE_MAX = 3
 # Entries gathered per chunk of samples; keeps a chunk's temporaries near 0.5 MB.
 _GATHER_CAP = 1 << 16
-
-
-class PartitionMismatchError(ValueError):
-    """Block distributions do not line up with the partition's blocks."""
 
 
 class CertificationError(RuntimeError):
@@ -151,32 +140,6 @@ def _response_type_lhs(m: int, alpha: int, beta: int, c00: int, c01: int, c10: i
 # Partitions
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Division of {1..n} into disjoint nonempty blocks, canonically ordered
-    by block size then smallest element."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        blocks = tuple(tuple(sorted(int(p) for p in b)) for b in self.blocks)
-        blocks = tuple(sorted(blocks, key=lambda b: (len(b), b[0])))
-        object.__setattr__(self, "blocks", blocks)
-        flat = [p for b in blocks for p in b]
-        if not blocks or any(not b for b in blocks):
-            raise ValueError("blocks must be nonempty")
-        if sorted(flat) != list(range(1, len(flat) + 1)):
-            raise ValueError(f"blocks must partition 1..n exactly, got {blocks}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
-
-
 @lru_cache(maxsize=None)
 def _ways(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """ways[i][j]: the ways to place parties i+1..n, with j blocks open after
@@ -195,18 +158,11 @@ def _partition_count(n: int, m: int) -> int:
     return _ways(n, m)[0][0]
 
 
-def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
-    """All S(n, m) set partitions of {1..n} into exactly m nonempty blocks,
-    in the order of `_partition`'s ranks."""
-    for index in range(_partition_count(n, m)):
-        yield Partition(_partition.__wrapped__(n, m, index))
-
-
 # bounded, so that a long run at n = 12 does not hold every partition it drew
 @lru_cache(maxsize=1 << 12)
 def _partition(n: int, m: int, index: int) -> tuple[tuple[int, ...], ...]:
-    """The blocks of the partition of rank `index`, in `Partition`'s canonical
-    order and unvalidated.  Ranks follow the lexicographic order of restricted
+    """The blocks of the partition of rank `index`, ordered by size, then by
+    smallest party.  Ranks follow the lexicographic order of restricted
     growth strings: party i joins an open block, by label, or opens the next one.
     """
     ways = _ways(n, m)
@@ -221,61 +177,6 @@ def _partition(n: int, m: int, index: int) -> tuple[tuple[int, ...], ...]:
             blocks.append([party])
     # blocks are built in order of their smallest element, each ascending
     return tuple(sorted(map(tuple, blocks), key=len))
-
-
-# ---------------------------------------------------------------------------
-# Conditional distributions
-
-
-@dataclass
-class ConditionalDistribution:
-    """Dense table P(r|M) for a block of parties; rows are setting combos."""
-
-    parties: tuple[int, ...]
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.parties = tuple(int(p) for p in self.parties)
-        if not self.parties or any(p < 1 for p in self.parties):
-            raise ValueError("parties must be positive 1-based indices")
-        if self.parties != tuple(sorted(set(self.parties))):
-            raise ValueError("parties must be strictly ascending")
-        dim = 2 ** len(self.parties)
-        table = np.asarray(self.table, dtype=float)
-        if table.shape != (dim, dim):
-            raise ValueError(f"table must have shape ({dim}, {dim}), got {table.shape}")
-        if float(table.min()) < CLAMP_TOL:
-            raise ValueError(f"negative entry {table.min()!r} beyond clamp tolerance")
-        table = np.clip(table, 0.0, None)
-        sums = table.sum(axis=1)
-        if float(np.max(np.abs(sums - 1.0))) > 1e-9:
-            raise ValueError("outcome probabilities must sum to 1 for every setting")
-        self.table = table / sums[:, None]
-
-    @property
-    def size(self) -> int:
-        return len(self.parties)
-
-    def relabel(self, parties: Sequence[int]) -> "ConditionalDistribution":
-        """Same table attached to a different (equally sized) party set."""
-        return ConditionalDistribution(tuple(parties), self.table)
-
-
-def check_nonsignaling(dist: ConditionalDistribution) -> tuple[bool, float]:
-    """Whether each party's removal leaves marginals independent of its setting.
-
-    Returns (verdict, worst marginal deviation); vacuously true for one party.
-    """
-    s = dist.size
-    if s == 1:
-        return True, 0.0
-    t = dist.table.reshape((2,) * (2 * s))
-    worst = 0.0
-    for j in range(s):
-        marg = t.sum(axis=s + j)
-        diff = np.abs(np.take(marg, 0, axis=j) - np.take(marg, 1, axis=j))
-        worst = max(worst, float(diff.max()))
-    return worst <= NS_TOL, worst
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +201,6 @@ def _atoms(parties: Sequence[int]) -> list[Sequence[int]]:
     return [parties[i : i + VERTEX_MAX_BLOCK] for i in range(0, len(parties), VERTEX_MAX_BLOCK)]
 
 
-def _product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarray], width: int) -> np.ndarray:
-    dim = 1 << width
-    full = np.ones((dim, dim))
-    for positions, t in zip(groups, tables):
-        sub = bit_extract_map(tuple(positions), width)
-        full *= t[np.ix_(sub, sub)]
-    return full
-
-
 def _uniform_index(u, length):
     """floor(u * length): uniform over 0..length-1 for u uniform in [0, 1 - 2^-53]."""
     return np.floor(u * length).astype(np.intp)
@@ -327,53 +219,6 @@ def _mixtures(u: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return weights / weights.sum(axis=-1, keepdims=True), ids
 
 
-def _block_sample(size: int, weights: np.ndarray, ids: np.ndarray) -> ConditionalDistribution:
-    """The distribution on parties 1..size of a block's mixture weights and vertex ids."""
-    groups = _atoms(range(size))
-    tables = [
-        w * _product_table(groups, [nonsignaling_vertex_pool(len(g))[v] for g, v in zip(groups, row)], size)
-        for w, row in zip(weights, ids) if w > 0
-    ]
-    return ConditionalDistribution(tuple(range(1, size + 1)), sum(tables))
-
-
-def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
-    """Random nonsignaling distribution on `size` parties (labeled 1..size).
-
-    Draws polytope vertices for blocks up to size 3; larger blocks are
-    products of sub-block vertices (nonsignaling is closed under products).
-    Convex combinations of up to three draws are emitted so the interior of
-    the polytope is exercised too.  Its uniforms are mapped as a block's
-    columns of a certification sample are (`_mixtures`).
-    """
-    if size < 1:
-        raise ParameterDomainError(f"block size must be positive, got {size}")
-    lengths = np.array([len(nonsignaling_vertex_pool(len(a))) for a in _atoms(range(size))])
-    u = np.random.default_rng(rng).random(1 + MIXTURE_MAX * (len(lengths) + 1))
-    return _block_sample(size, *_mixtures(u, lengths))
-
-
-# ---------------------------------------------------------------------------
-# Products and evaluation
-
-
-def product_distribution(
-    partition: Partition, blocks: Sequence[ConditionalDistribution]
-) -> ConditionalDistribution:
-    """Combine per-block distributions into the full n-party table."""
-    if len(blocks) != len(partition.blocks):
-        raise PartitionMismatchError(
-            f"partition has {len(partition.blocks)} blocks, got {len(blocks)} distributions"
-        )
-    for want, dist in zip(partition.blocks, blocks):
-        if tuple(want) != dist.parties:
-            raise PartitionMismatchError(f"block {want} does not match distribution over {dist.parties}")
-    n = partition.n
-    groups = [tuple(p - 1 for p in b) for b in partition.blocks]
-    full = _product_table(groups, [d.table for d in blocks], n)
-    return ConditionalDistribution(tuple(range(1, n + 1)), full)
-
-
 def _term_entries(table: TermTable, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The packed settings and outcome indices each term reads on the
     0-based parties `cols`, the first of them the most significant bit."""
@@ -381,39 +226,8 @@ def _term_entries(table: TermTable, cols: Sequence[int]) -> tuple[np.ndarray, np
     return table.settings[:, cols] @ place, (table.slots[:, cols] & 1) @ place
 
 
-def distribution_lhs(expr: BellExpression, dist: ConditionalDistribution) -> float:
-    """LHS of the expression on an explicit behavior table."""
-    if dist.parties != tuple(range(1, expr.n + 1)):
-        raise DimensionMismatchError(
-            f"distribution covers parties {dist.parties}, expression needs 1..{expr.n}"
-        )
-    rows, outcomes = _term_entries(expr.table, list(range(expr.n)))
-    return float(expr.table.coefficients @ dist.table[rows, outcomes])
-
-
 # ---------------------------------------------------------------------------
 # Certification
-
-
-def certification_failure_report(
-    expr: BellExpression,
-    partition: Partition,
-    blocks: Sequence[ConditionalDistribution],
-    value: float,
-    seed,
-    sample_index: int,
-) -> dict:
-    """Structured dump of a bound violation, suitable for JSON output."""
-    return {
-        "kind": "certification_failure",
-        "seed": seed,
-        "sample_index": sample_index,
-        "observed_lhs": value,
-        "tolerance": CERT_TOL,
-        "expression": json.loads(serialize_expression(expr).decode()),
-        "partition": [list(b) for b in partition.blocks],
-        "blocks": [{"parties": list(d.parties), "table": d.table.tolist()} for d in blocks],
-    }
 
 
 class _TermReader:
@@ -460,8 +274,8 @@ class _TermReader:
         return self._blocks[block]
 
     def draws(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Partition indices, weights, vertex ids and the atoms' first rows
-        in the stack of the samples of a (rows, width) array of uniforms."""
+        """The partitions' ranks, the weights, the vertex ids and the atoms'
+        first rows in the stack of the samples of a (rows, width) array of uniforms."""
         n, m = self._expr.n, self._expr.m
         index = _uniform_index(u[:, 0], self._count)
         drawn, inverse = np.unique(index, return_inverse=True)
@@ -476,20 +290,40 @@ class _TermReader:
         # atoms, slots and blocks lead: no product or sum order depends on the chunk's size
         reads = self._stack[(ids + first[:, :, None, :]).T].prod(axis=0)
         weights = weights.T[..., None]
-        # the weights sum to 1 only up to rounding; ConditionalDistribution
-        # divides a block's mixture by its row sums, and this by their sum
+        # the weights sum to 1 only up to rounding, so each block's mixture is divided by their sum
         blocks = (weights * reads).sum(axis=0) / weights.sum(axis=0)
         return (blocks.prod(axis=0) * self._expr.table.coefficients).sum(axis=1)
 
 
-def _sampled_models(expr: BellExpression, samples: int, seed):
+def _sampled_models(reader: _TermReader, samples: int, seed):
     """Yield (first sample, uniforms, LHS values) per chunk; no row depends on the chunk size."""
-    reader = _TermReader(expr)
+    expr = reader._expr
     rows = max(1, _GATHER_CAP // (expr.m * MIXTURE_MAX * reader.atoms * len(expr.table.coefficients)))
     rng = np.random.default_rng(seed)
     for start in range(0, samples, rows):
         u = rng.random((min(rows, samples - start), reader.width))
         yield start, u, reader.values(u)
+
+
+def _failure_report(reader: _TermReader, row: np.ndarray, value: float, seed, index: int) -> dict:
+    """The report of sample `index`, whose uniforms are `row` and LHS `value`, by its draws."""
+    expr = reader._expr
+    drawn, weights, ids, _ = reader.draws(row[None])
+    blocks = [
+        {"parties": list(b), "weights": w[w > 0].tolist(), "vertices": v[w > 0, : len(_atoms(b))].tolist()}
+        for b, w, v in zip(_partition(expr.n, expr.m, int(drawn[0])), weights[0], ids[0])
+    ]
+    return {
+        "kind": "certification_failure",
+        "seed": seed,
+        "sample_index": index,
+        "tolerance": CERT_TOL,
+        "n": expr.n,
+        "m": expr.m,
+        "k_prime": expr.k_prime,
+        "observed_lhs": value,
+        "blocks": blocks,
+    }
 
 
 def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
@@ -499,36 +333,33 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
     module docstring): a partition into m blocks, unranked from a rank
     uniform over 0..S(n, m)-1 (`_partition`), and a nonsignaling
     distribution per block.  A chunk of samples is evaluated with one gather
-    of the T entries its terms read (see `_TermReader`), without building
-    product tables.  Returns the maximum observed LHS.  The first sample
-    above the tolerance raises CertificationError with a full dump, whose
-    block tables and LHS are rebuilt as `sample_nonsignaling_block` and
-    `product_distribution` would give them; its sample_index i is replayed
-    by `default_rng(seed)`, `bit_generator.advance(i * D)`, `random(D)`.
-    Refuses n > CERTIFY_MAX_PARTIES before sampling starts.
+    of the T entries its terms read (see `_TermReader`).  Returns the
+    maximum observed LHS.  The first sample above the tolerance raises
+    CertificationError; its report gives the sample's draws and LHS as the
+    run's reader read them (fields in the module docstring), and its
+    sample_index i is replayed by `default_rng(seed)`,
+    `bit_generator.advance(i * D)`, `random(D)`.
+
+    Refuses n > CERTIFY_MAX_PARTIES before sampling starts: the reader's
+    stack has 1 + sum_s C(n, s) |pool_s| rows of T entries, 19,013 x 475
+    (72 MB) at n=12 m=6.
     """
     if expr.n > CERTIFY_MAX_PARTIES:
         raise ParameterDomainError(
-            f"a failing sample is reported with its block tables and their 2^n x 2^n "
-            f"product, so sampled certification supports n <= {CERTIFY_MAX_PARTIES}, got n={expr.n}"
+            f"the term reader stacks every atom's pool entries, so sampled certification "
+            f"supports n <= {CERTIFY_MAX_PARTIES}, got n={expr.n}"
         )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    reader = _TermReader(expr)
     worst = -math.inf
-    for start, u, values in _sampled_models(expr, samples, seed):
+    for start, u, values in _sampled_models(reader, samples, seed):
         over = np.flatnonzero(values > CERT_TOL)
         if over.size:
-            index = start + int(over[0])
-            drawn, weights, ids, _ = _TermReader(expr).draws(u[over[0], None])
-            part = Partition(_partition(expr.n, expr.m, int(drawn[0])))
-            blocks = [
-                _block_sample(len(b), w, i[:, : len(_atoms(b))]).relabel(b)
-                for b, w, i in zip(part.blocks, weights[0], ids[0])
-            ]
-            value = distribution_lhs(expr, product_distribution(part, blocks))
+            index, value = start + int(over[0]), float(values[over[0]])
             raise CertificationError(
                 f"m-local bound violated at sample {index}: LHS = {value!r}",
-                certification_failure_report(expr, part, blocks, value, seed, index),
+                _failure_report(reader, u[over[0]], value, seed, index),
             )
         worst = max(worst, float(values.max()))
     return worst

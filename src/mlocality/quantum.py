@@ -19,12 +19,11 @@ product of one vector per party.  One kernel, `_term_amplitudes`, computes
 it for every term of a table at a batch of angle points of any leading
 shape: it gathers each party's vector component at each nonzero amplitude
 of the state (its support), multiplies across parties and sums over the
-support.  A dense state is a support of size 2^n.  `evaluate_lhs`,
-`term_probability` and the refinement of the search module all call it,
-and the search module's grid calls it once on a small sample grid and
-interpolates the forms built from those samples as trigonometric
-polynomials.  The tests check the kernel against a dense density-matrix
-oracle that shares none of its code.
+support.  A dense state is a support of size 2^n.  `evaluate_lhs` and the
+refinement of the search module call it, and the search module's grid
+calls it once on a small sample grid and interpolates the forms built from
+those samples as trigonometric polynomials.  The tests check the kernel
+against a dense density-matrix oracle that shares none of its code.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from ._bits import bit_matrix
-from .inequality import BellExpression, DimensionMismatchError, Term, TermTable, tabulate_terms
+from .inequality import BellExpression, DimensionMismatchError, TermTable
 
 NORM_TOL = 1e-12
 
@@ -187,18 +186,6 @@ def _lhs_values(expr: BellExpression, state: NoisyState, theta: np.ndarray) -> n
     amp = _term_amplitudes(table, state.psi, _half_angle_pairs(theta))
     pure = np.abs(amp) ** 2 @ table.coefficients
     return state.p * pure + mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p)
-
-
-def term_probability(state: NoisyState, term: Term, angles: MeasurementAngles) -> float:
-    """Probability assigned to one term by the noisy state under the angles."""
-    n = state.n
-    if term.n != n or angles.n != n:
-        raise DimensionMismatchError(
-            f"term/angles cover {term.n}/{angles.n} parties, state has {n}"
-        )
-    pairs = _half_angle_pairs((angles.theta_a, angles.theta_b))
-    (amp,) = _term_amplitudes(tabulate_terms((term,)), state.psi, pairs)
-    return float(state.p * abs(amp) ** 2 + (1.0 - state.p) / 2**n)
 
 
 def evaluate_lhs(expr: BellExpression, state: NoisyState, angles: MeasurementAngles) -> float:

@@ -3,6 +3,9 @@
 Solves  max c.x  subject to  A x = b,  x >= 0  on a dense tableau.  Sized
 for the tiny nonsignaling-polytope programs of blocks of up to 3 parties
 (<= 64 variables), where an external solver dependency is not justified.
+The package's vertex pools are stored data, so its only callers are the
+test oracles that enumerate those vertices, until it becomes the solver of
+exact certificates (ROADMAP item 1).
 
 The returned solution is a basic feasible point, i.e. a vertex of the
 feasible polytope.  Pivot selection uses the largest reduced cost with a

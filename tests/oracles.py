@@ -1,10 +1,25 @@
-"""Test oracles: the terms built one by one, explicit deterministic strategies,
-LP-found nonsignaling vertices, dense quantum behaviors and reference searches.
+"""Test oracles: the terms built one by one, dense behavior tables, explicit
+deterministic strategies, LP-found nonsignaling vertices, dense quantum
+behaviors and reference searches.
 
 `canonical_terms` builds an expression's terms as `Term` objects, one
 string at a time, and so stays independent of the numpy table of
 `mlocality.inequality.BellExpression`; `serialize_terms` writes them in
-both serialization formats from those objects.
+both serialization formats from those objects, `tabulate_terms` tabulates
+any sequence of them, and `term_probability` evaluates one of them with
+the package's amplitude kernel.
+
+The dense layer lives here, not in the package: `ConditionalDistribution`
+is a 2^s x 2^s table P(r|M) of a block of s parties (`check_nonsignaling`
+tests it), `Partition` and `enumerate_partitions` list the partitions in
+the order of `mlocality.lhv._partition`'s ranks, `block_sample` and
+`sample_nonsignaling_block` build a block's mixture of pool-vertex
+products as one table, `product_distribution` multiplies the blocks into
+the 2^n x 2^n table of an m-local model, and `distribution_lhs` reads the
+LHS off it.  `mlocality.lhv.certify_m_local_bound` builds none of these
+tables: it reads only the entries the terms touch, and these tables check
+it.  `failure_report_product` rebuilds the model of a certification
+failure from its report's draws.
 
 The strategy oracles enumerate the 4^n strategies one by one (or as one
 vectorized sweep) and so stay independent of the response-type count in
@@ -43,7 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from mlocality import search
+from mlocality import lhv, quantum, search
 from mlocality.inequality import (
     SETTING_A,
     SETTING_B,
@@ -51,14 +66,17 @@ from mlocality.inequality import (
     DimensionMismatchError,
     ParameterDomainError,
     Term,
+    TermTable,
 )
-from mlocality.lhv import VERTEX_MAX_BLOCK, ConditionalDistribution
+from mlocality.lhv import MIXTURE_MAX, VERTEX_MAX_BLOCK
 from mlocality.quantum import MeasurementAngles, NoisyState
 from mlocality.search import OptimizerConfig, SymmetricAngles
 from mlocality.simplex import solve_lp_max
 
 STRATEGY_MAX_PARTIES = 12
 DENSE_ORACLE_MAX_PARTIES = 8
+NS_TOL = 1e-9
+CLAMP_TOL = -1e-12
 TWO_PI = 2.0 * math.pi
 
 POOL_SEED = 331190
@@ -104,6 +122,199 @@ def serialize_terms(n: int, m: int, k_prime: int, terms: Sequence[Term], format:
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     lines = [f"# Bell-type inequality: n={n}, m={m}, k'={k_prime}", *map(str, terms), "<= 0"]
     return ("\n".join(lines) + "\n").encode()
+
+
+def tabulate_terms(terms: Sequence[Term]) -> TermTable:
+    """The TermTable of a nonempty sequence of terms over the same parties."""
+    n = terms[0].n
+    settings = np.array([[c == SETTING_B for c in t.settings] for t in terms], dtype=np.int64)
+    outcomes = np.array([[int(c) for c in t.outcomes] for t in terms], dtype=np.int64)
+    coefficients = np.array([float(t.coefficient) for t in terms])
+    return TermTable(settings, coefficients, 2 * (n * settings + np.arange(n)) + outcomes)
+
+
+def term_probability(state: NoisyState, term: Term, angles: MeasurementAngles) -> float:
+    """Probability assigned to one term by the noisy state under the angles."""
+    n = state.n
+    if term.n != n or angles.n != n:
+        raise DimensionMismatchError(
+            f"term/angles cover {term.n}/{angles.n} parties, state has {n}"
+        )
+    pairs = quantum._half_angle_pairs((angles.theta_a, angles.theta_b))
+    (amp,) = quantum._term_amplitudes(tabulate_terms((term,)), state.psi, pairs)
+    return float(state.p * abs(amp) ** 2 + (1.0 - state.p) / 2**n)
+
+
+class PartitionMismatchError(ValueError):
+    """Block distributions do not line up with the partition's blocks."""
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Division of {1..n} into disjoint nonempty blocks, canonically ordered
+    by block size then smallest element."""
+
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        blocks = tuple(tuple(sorted(int(p) for p in b)) for b in self.blocks)
+        blocks = tuple(sorted(blocks, key=lambda b: (len(b), b[0])))
+        object.__setattr__(self, "blocks", blocks)
+        flat = [p for b in blocks for p in b]
+        if not blocks or any(not b for b in blocks):
+            raise ValueError("blocks must be nonempty")
+        if sorted(flat) != list(range(1, len(flat) + 1)):
+            raise ValueError(f"blocks must partition 1..n exactly, got {blocks}")
+
+    @property
+    def n(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    @property
+    def m(self) -> int:
+        return len(self.blocks)
+
+
+def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
+    """All S(n, m) set partitions of {1..n} into exactly m nonempty blocks,
+    in the order of `lhv._partition`'s ranks."""
+    for index in range(lhv._partition_count(n, m)):
+        yield Partition(lhv._partition.__wrapped__(n, m, index))
+
+
+@dataclass
+class ConditionalDistribution:
+    """Dense table P(r|M) for a block of parties; rows are setting combos."""
+
+    parties: tuple[int, ...]
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.parties = tuple(int(p) for p in self.parties)
+        if not self.parties or any(p < 1 for p in self.parties):
+            raise ValueError("parties must be positive 1-based indices")
+        if self.parties != tuple(sorted(set(self.parties))):
+            raise ValueError("parties must be strictly ascending")
+        dim = 2 ** len(self.parties)
+        table = np.asarray(self.table, dtype=float)
+        if table.shape != (dim, dim):
+            raise ValueError(f"table must have shape ({dim}, {dim}), got {table.shape}")
+        if float(table.min()) < CLAMP_TOL:
+            raise ValueError(f"negative entry {table.min()!r} beyond clamp tolerance")
+        table = np.clip(table, 0.0, None)
+        sums = table.sum(axis=1)
+        if float(np.max(np.abs(sums - 1.0))) > 1e-9:
+            raise ValueError("outcome probabilities must sum to 1 for every setting")
+        self.table = table / sums[:, None]
+
+    @property
+    def size(self) -> int:
+        return len(self.parties)
+
+    def relabel(self, parties: Sequence[int]) -> "ConditionalDistribution":
+        """Same table attached to a different (equally sized) party set."""
+        return ConditionalDistribution(tuple(parties), self.table)
+
+
+def check_nonsignaling(dist: ConditionalDistribution) -> tuple[bool, float]:
+    """Whether each party's removal leaves marginals independent of its setting.
+
+    Returns (verdict, worst marginal deviation); vacuously true for one party.
+    """
+    s = dist.size
+    if s == 1:
+        return True, 0.0
+    t = dist.table.reshape((2,) * (2 * s))
+    worst = 0.0
+    for j in range(s):
+        marg = t.sum(axis=s + j)
+        diff = np.abs(np.take(marg, 0, axis=j) - np.take(marg, 1, axis=j))
+        worst = max(worst, float(diff.max()))
+    return worst <= NS_TOL, worst
+
+
+@functools.lru_cache(maxsize=None)
+def bit_extract_map(positions: tuple[int, ...], width: int) -> np.ndarray:
+    """Map each width-bit index to the sub-index read off at `positions`
+    (position 0, party 1, the most significant bit)."""
+    index = np.arange(1 << width)[:, None]
+    bits = (index >> (width - 1 - np.array(positions))) & 1
+    return bits @ (1 << np.arange(len(positions) - 1, -1, -1))
+
+
+def product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """The width-party table of a product of tables on the 0-based party groups."""
+    dim = 1 << width
+    full = np.ones((dim, dim))
+    for positions, t in zip(groups, tables):
+        sub = bit_extract_map(tuple(positions), width)
+        full *= t[np.ix_(sub, sub)]
+    return full
+
+
+def block_sample(size: int, weights: np.ndarray, ids: np.ndarray) -> ConditionalDistribution:
+    """The distribution on parties 1..size of a block's mixture weights and
+    (slot, atom) vertex ids, read from `lhv.nonsignaling_vertex_pool`."""
+    groups = lhv._atoms(range(size))
+    tables = [
+        w * product_table(groups, [lhv.nonsignaling_vertex_pool(len(g))[v] for g, v in zip(groups, row)], size)
+        for w, row in zip(weights, ids) if w > 0
+    ]
+    return ConditionalDistribution(tuple(range(1, size + 1)), sum(tables))
+
+
+def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
+    """Random nonsignaling distribution on `size` parties (labeled 1..size).
+
+    Mixes up to three products of pool vertices, one vertex per atom, with
+    its uniforms mapped as a block's columns of a certification sample are
+    (`lhv._mixtures`); nonsignaling is closed under products and mixtures.
+    """
+    if size < 1:
+        raise ParameterDomainError(f"block size must be positive, got {size}")
+    lengths = np.array([len(lhv.nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(range(size))])
+    u = np.random.default_rng(rng).random(1 + MIXTURE_MAX * (len(lengths) + 1))
+    return block_sample(size, *lhv._mixtures(u, lengths))
+
+
+def product_distribution(
+    partition: Partition, blocks: Sequence[ConditionalDistribution]
+) -> ConditionalDistribution:
+    """Combine per-block distributions into the full n-party table."""
+    if len(blocks) != len(partition.blocks):
+        raise PartitionMismatchError(
+            f"partition has {len(partition.blocks)} blocks, got {len(blocks)} distributions"
+        )
+    for want, dist in zip(partition.blocks, blocks):
+        if tuple(want) != dist.parties:
+            raise PartitionMismatchError(f"block {want} does not match distribution over {dist.parties}")
+    n = partition.n
+    groups = [tuple(p - 1 for p in b) for b in partition.blocks]
+    full = product_table(groups, [d.table for d in blocks], n)
+    return ConditionalDistribution(tuple(range(1, n + 1)), full)
+
+
+def distribution_lhs(expr: BellExpression, dist: ConditionalDistribution) -> float:
+    """LHS of the expression on an explicit behavior table."""
+    if dist.parties != tuple(range(1, expr.n + 1)):
+        raise DimensionMismatchError(
+            f"distribution covers parties {dist.parties}, expression needs 1..{expr.n}"
+        )
+    place = 1 << np.arange(expr.n - 1, -1, -1)
+    rows, outcomes = expr.table.settings @ place, (expr.table.slots & 1) @ place
+    return float(expr.table.coefficients @ dist.table[rows, outcomes])
+
+
+def failure_report_product(report: dict) -> tuple[BellExpression, ConditionalDistribution]:
+    """The expression and the n-party product table of a certification
+    failure report, rebuilt from its blocks' draws and the vertex pools."""
+    expr = BellExpression(report["n"], report["m"], report["k_prime"])
+    parties = [tuple(b["parties"]) for b in report["blocks"]]
+    blocks = [
+        block_sample(len(p), np.array(b["weights"]), np.array(b["vertices"])).relabel(p)
+        for p, b in zip(parties, report["blocks"])
+    ]
+    return expr, product_distribution(Partition(tuple(parties)), blocks)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from mlocality.inequality import build_hierarchy_inequality, term_count
-from mlocality.lhv import certify_m_local_bound, distribution_lhs, max_strategy_lhs
+from mlocality.lhv import certify_m_local_bound, max_strategy_lhs
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state
 from mlocality.search import exhaustive_symmetric_max, find_threshold, maximize_violation
 from oracles import (
     dense_density_oracle,
     density_matrix,
+    distribution_lhs,
     enumerate_strategies,
     measurement_projectors,
     quantum_behavior,

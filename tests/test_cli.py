@@ -386,31 +386,11 @@ class TestConfigAndEnvironment:
         assert code == 2
         assert "restarts" in err
 
-    def test_env_seed_is_used_and_logged(self, capsys, monkeypatch):
-        monkeypatch.setenv("MLOCALITY_SEED", "4242")
-        code, out, err = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "50"])
-        assert code == 0
-        assert "seed=4242" in out
-        assert "MLOCALITY_SEED" in err
-
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MLOCALITY_SEED", "4242")
-        code, out, _ = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "50",
-                                    "--seed", "5"])
-        assert code == 0
-        assert "seed=5" in out
-
-    @pytest.mark.parametrize("variable", ["MLOCALITY_SEED"])
-    def test_malformed_env_integer_is_a_usage_error(self, capsys, monkeypatch, variable):
-        monkeypatch.setenv(variable, "four")
-        code, _, err = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "10"])
-        assert code == 2
-        assert variable in err
-
-    def test_workers_env_variable_is_ignored(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("variable", ["MLOCALITY_SEED", "MLOCALITY_WORKERS"])
+    def test_env_variable_is_ignored(self, capsys, monkeypatch, variable):
         argv = ["certify", "--n", "3", "--m", "2", "--samples", "10"]
         code, plain, _ = run(capsys, argv)
-        monkeypatch.setenv("MLOCALITY_WORKERS", "four")
+        monkeypatch.setenv(variable, "four")
         assert run(capsys, argv)[:2] == (code, plain)
         assert code == 0
 

@@ -18,11 +18,10 @@ from mlocality.inequality import (
     build_hierarchy_inequality,
     parse_expression,
     serialize_expression,
-    tabulate_terms,
     term_count,
 )
 from mlocality.quantum import mixed_state_lhs
-from oracles import canonical_terms, serialize_terms
+from oracles import canonical_terms, serialize_terms, tabulate_terms
 
 
 def test_binary_alphabets():

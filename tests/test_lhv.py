@@ -9,25 +9,22 @@ import pytest
 
 import mlocality.lhv as lhv
 from mlocality.inequality import ParameterDomainError, build_hierarchy_inequality
-from mlocality.lhv import (
-    CertificationError,
+from mlocality.lhv import CertificationError, certify_m_local_bound, max_strategy_lhs, nonsignaling_vertex_pool
+from oracles import (
     ConditionalDistribution,
+    DeterministicStrategy,
     Partition,
     PartitionMismatchError,
-    certify_m_local_bound,
+    block_sample,
     check_nonsignaling,
     distribution_lhs,
     enumerate_partitions,
-    max_strategy_lhs,
-    nonsignaling_vertex_pool,
-    product_distribution,
-    sample_nonsignaling_block,
-)
-from oracles import (
-    DeterministicStrategy,
     enumerate_strategies,
+    failure_report_product,
     lp_vertex_pool,
     nonsignaling_constraints,
+    product_distribution,
+    sample_nonsignaling_block,
     sample_nonsignaling_vertex,
     strategy_distribution,
     strategy_lhs,
@@ -391,42 +388,59 @@ class TestCertification:
         assert certify_m_local_bound(expr, 100, 11) == certify_m_local_bound(expr, 100, 11)
 
     def test_violating_sampler_triggers_failure_dump(self, monkeypatch):
-        # signaling pool: a block outputs all ones as soon as any of its
-        # parties measures b, otherwise all zeros.  Certification reads the
-        # pools, not sample_nonsignaling_block, so the rig sits there.
+        # each pool holds its first stored vertex and a signaling one: a block
+        # outputs all ones as soon as any of its parties measures b, otherwise
+        # all zeros.  Certification reads the pools, so the rig sits there.
+        # At seed 5 sample 11 fails first, with both vertices in its mixtures.
+        stored = lhv.nonsignaling_vertex_pool
+
         def rigged(size):
             dim = 2**size
             t = np.zeros((dim, dim))
             for m_idx in range(dim):
                 t[m_idx, dim - 1 if m_idx else 0] = 1.0
-            return (t,)
+            return (stored(size)[0], t)
 
         monkeypatch.setattr(lhv, "nonsignaling_vertex_pool", rigged)
         expr = build_hierarchy_inequality(4, 2, 1)
         with pytest.raises(CertificationError) as err:
-            certify_m_local_bound(expr, 50, seed=1)
+            certify_m_local_bound(expr, 50, seed=5)
         report = err.value.report
+        assert report["sample_index"] == 11
         assert report["kind"] == "certification_failure"
+        assert (report["n"], report["m"], report["k_prime"]) == (4, 2, 1)
         assert report["observed_lhs"] > 1e-9
-        assert len(report["partition"]) == 2
-        assert {p for b in report["partition"] for p in b} == {1, 2, 3, 4}
         assert len(report["blocks"]) == 2
+        assert {p for b in report["blocks"] for p in b["parties"]} == {1, 2, 3, 4}
         json.dumps(report)  # must be serializable as-is
 
-        # the materialised path fails first at the same sample, with the same tables
-        index, blocks, value = next(
-            (i, blocks, value)
-            for i, (_, blocks, value) in enumerate(materialised_samples(expr, 50, 1))
-            if value > lhv.CERT_TOL
-        )
+        # the report alone replays the sample: default_rng(seed), advance(i * D),
+        # random(D) gives a row whose draws and LHS are the report's
+        reader = lhv._TermReader(expr)
+        rng = np.random.default_rng(report["seed"])
+        rng.bit_generator.advance(report["sample_index"] * reader.width)
+        row = rng.random((1, reader.width))
+        index, weights, ids, _ = reader.draws(row)
+        part = lhv._partition(4, 2, index[0])
+        assert [list(b) for b in part] == [b["parties"] for b in report["blocks"]]
+        for b, w, i, block in zip(part, weights[0], ids[0], report["blocks"]):
+            assert w[w > 0].tolist() == block["weights"]
+            assert i[w > 0, : len(lhv._atoms(b))].tolist() == block["vertices"]
+        assert reader.values(row)[0] == report["observed_lhs"]
+
+        # the dense product rebuilt from the report and the pools has that LHS
+        rebuilt, product = failure_report_product(report)
+        assert rebuilt == expr
+        assert distribution_lhs(rebuilt, product) == pytest.approx(report["observed_lhs"], abs=1e-12)
+
+        # and the materialised path fails first at the same sample
+        index = next(i for i, (_, _, value) in enumerate(materialised_samples(expr, 50, 5)) if value > lhv.CERT_TOL)
         assert report["sample_index"] == index
-        assert report["observed_lhs"] == value
-        assert report["blocks"] == [{"parties": list(d.parties), "table": d.table.tolist()} for d in blocks]
 
     def test_size_guard(self, monkeypatch):
-        # a failing sample is reported with its 2^n x 2^n product table, so
-        # the guard fires before sampling starts
-        monkeypatch.setattr(lhv, "_sampled_models", lambda *args: pytest.fail("sampling started"))
+        # the term reader's stack grows as C(n, 3) times the size-3 pool,
+        # so the guard fires before the reader is built
+        monkeypatch.setattr(lhv, "_TermReader", lambda *args: pytest.fail("the reader was built"))
         expr = build_hierarchy_inequality(13, 2, 1)
         with pytest.raises(ParameterDomainError):
             certify_m_local_bound(expr, 1, seed=1)
@@ -502,7 +516,7 @@ class TestCertification:
         expr = build_hierarchy_inequality(n, m, 1)
         chunked = sampled(expr, 60, 8)
         monkeypatch.setattr(lhv, "_GATHER_CAP", 7)  # one sample per chunk
-        assert len(list(lhv._sampled_models(expr, 60, 8))) == 60
+        assert len(list(lhv._sampled_models(lhv._TermReader(expr), 60, 8))) == 60
         u, values = sampled(expr, 60, 8)
         np.testing.assert_array_equal(u, chunked[0])
         np.testing.assert_array_equal(values, chunked[1])
@@ -560,19 +574,10 @@ class TestCertification:
         assert (ids == pools - 1).all()
         assert (weights > 0).all()  # k = 3
 
-    def test_passing_run_builds_no_tables(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            pytest.fail("a table was built on the success path")
-
-        monkeypatch.setattr(lhv, "_product_table", refuse)
-        monkeypatch.setattr(lhv, "ConditionalDistribution", refuse)
-        for n, m in [(4, 2), (6, 3), (8, 2)]:
-            assert certify_m_local_bound(build_hierarchy_inequality(n, m, 1), 100, 23) <= 1e-9
-
 
 def sampled(expr, samples, seed):
     """The rows of uniforms and the LHS values of certification's samples."""
-    chunks = list(lhv._sampled_models(expr, samples, seed))
+    chunks = list(lhv._sampled_models(lhv._TermReader(expr), samples, seed))
     return np.concatenate([u for _, u, _ in chunks]), np.concatenate([v for _, _, v in chunks])
 
 
@@ -591,5 +596,5 @@ def materialised_samples(expr, samples, seed):
         for b, cols in zip(part.blocks, row[1:].reshape(expr.m, width)):
             pools = [len(lhv.nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(b)]
             weights, ids = lhv._mixtures(cols, np.array(pools + [1] * (atoms - len(pools))))
-            blocks.append(lhv._block_sample(len(b), weights, ids[:, : len(pools)]).relabel(b))
+            blocks.append(block_sample(len(b), weights, ids[:, : len(pools)]).relabel(b))
         yield part, blocks, distribution_lhs(expr, product_distribution(part, blocks))

@@ -16,15 +16,15 @@ from mlocality.inequality import (
     parse_expression,
     serialize_expression,
 )
-from mlocality.lhv import Partition, check_nonsignaling, nonsignaling_vertex_pool, product_distribution
+from mlocality.lhv import nonsignaling_vertex_pool
 from mlocality.quantum import (
     MeasurementAngles,
     NoisyState,
     StateVector,
     evaluate_lhs,
     mixed_state_lhs,
-    term_probability,
 )
+from oracles import Partition, block_sample, check_nonsignaling, product_distribution, term_probability
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 angle = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
@@ -175,7 +175,7 @@ def block_models(draw):
         k = draw(st.integers(1, 3))
         ids = np.array([[draw(st.integers(0, p - 1)) for p in pools] for _ in range(k)])
         weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
-        blocks.append(lhv._block_sample(len(b), weights / weights.sum(), ids).relabel(b))
+        blocks.append(block_sample(len(b), weights / weights.sum(), ids).relabel(b))
     return part, blocks
 
 

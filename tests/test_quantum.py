@@ -13,7 +13,6 @@ from mlocality.inequality import (
     build_hierarchy_inequality,
 )
 import mlocality.quantum as quantum
-from mlocality.lhv import check_nonsignaling, distribution_lhs
 from mlocality.quantum import (
     MeasurementAngles,
     NoisyState,
@@ -21,17 +20,19 @@ from mlocality.quantum import (
     evaluate_lhs,
     ghz_state,
     mixed_state_lhs,
-    term_probability,
     w_state,
 )
 from mlocality.search import exhaustive_symmetric_max
 from oracles import (
+    check_nonsignaling,
     dense_density_oracle,
     density_matrix,
+    distribution_lhs,
     measurement_projectors,
     orthogonal_vector,
     quantum_behavior,
     setting_vector,
+    term_probability,
 )
 
 
