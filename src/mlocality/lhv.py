@@ -44,6 +44,7 @@ enough to rebuild every table of the model.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -326,7 +327,7 @@ def _failure_report(reader: _TermReader, row: np.ndarray, value: float, seed, in
     }
 
 
-def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
+def certify_m_local_bound(expr: BellExpression, samples: int, seed: int) -> float:
     """Sample nonsignaling m-local product models and check LHS <= tolerance.
 
     Sample i reads row i of D uniforms of `default_rng(seed)` (see the
@@ -338,7 +339,10 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
     CertificationError; its report gives the sample's draws and LHS as the
     run's reader read them (fields in the module docstring), and its
     sample_index i is replayed by `default_rng(seed)`,
-    `bit_generator.advance(i * D)`, `random(D)`.
+    `bit_generator.advance(i * D)`, `random(D)`.  So the seed must be an
+    integer: a Generator or a float raises TypeError before any draw, and an
+    integer such as np.int64 is stored as a Python int, so the report
+    replays and serializes.
 
     Refuses n > CERTIFY_MAX_PARTIES before sampling starts: the reader's
     stack has 1 + sum_s C(n, s) |pool_s| rows of T entries, 19,013 x 475
@@ -351,6 +355,7 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed) -> float:
         )
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    seed = operator.index(seed)
     reader = _TermReader(expr)
     worst = -math.inf
     for start, u, values in _sampled_models(reader, samples, seed):

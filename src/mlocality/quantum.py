@@ -19,11 +19,11 @@ product of one vector per party.  One kernel, `_term_amplitudes`, computes
 it for every term of a table at a batch of angle points of any leading
 shape: it gathers each party's vector component at each nonzero amplitude
 of the state (its support), multiplies across parties and sums over the
-support.  A dense state is a support of size 2^n.  `evaluate_lhs` and the
-refinement of the search module call it, and the search module's grid
-calls it once on a small sample grid and interpolates the forms built from
-those samples as trigonometric polynomials.  The tests check the kernel
-against a dense density-matrix oracle that shares none of its code.
+support.  A dense state is a support of size 2^n.  `evaluate_lhs` calls
+it, and the search module calls it once per search, on a small sample
+grid, and reads both its grid and its refinement from the trigonometric
+polynomials fitted to those samples.  The tests check the kernel against
+a dense density-matrix oracle that shares none of its code.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .inequality import BellExpression, DimensionMismatchError, TermTable
 NORM_TOL = 1e-12
 
 # Array entries per chunk of gathered factors, about 8 MB of float64: the
-# kernel's terms and the refinement's points are chunked by it, and so are
-# the symmetric grid's Fourier samples, which go through the kernel.  The
-# grid's cells go in far smaller blocks of beta rows (search._GRID_BLOCK_CELLS).
+# kernel's terms are chunked by it, also when it samples the symmetric
+# search's Fourier forms.  The grid's cells go in far smaller blocks of beta
+# rows (search._GRID_BLOCK_CELLS).
 _BATCH_ELEMENTS = 1 << 20
 
 

@@ -26,10 +26,10 @@ array over all R^2 cells is built and the best cells come out as if every
 cell had been evaluated.
 
 The best grid cells are then refined by a compass search run on all
-restarts in lockstep: each round gathers the +/-step polls of every restart
-still refining and evaluates them in one batched call of the quantum
-module's kernel, taken in chunks of points that bound its memory, with
-the 4 angles placed in the kernel's (points, 2, n) angle array.
+restarts in lockstep, on the same coefficients: each round gathers the
++/-step polls of every restart still refining and evaluates S +
+Re(Z_a*e^(-ix)) + Re(Z_b*e^(-iy)) at all of them with one small matrix
+product, so after the sampling no term amplitude is computed again.
 
 For fixed angles the LHS is affine in the visibility p,
 LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
@@ -48,7 +48,7 @@ import numpy as np
 
 from .inequality import BellExpression, DimensionMismatchError, build_hierarchy_inequality
 from .quantum import MeasurementAngles, NoisyState, StateVector, mixed_state_lhs
-from .quantum import _BATCH_ELEMENTS, _half_angle_pairs, _lhs_values, _term_amplitudes, ghz_state, w_state
+from .quantum import _half_angle_pairs, _term_amplitudes, ghz_state, w_state
 
 VIOLATION_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -149,12 +149,6 @@ def _grid_axis(resolution: int) -> np.ndarray:
     return np.arange(resolution) * (TWO_PI / resolution)
 
 
-def _chunks(total: int, width: int):
-    """Slices of at most _BATCH_ELEMENTS // width rows covering range(total)."""
-    step = max(1, _BATCH_ELEMENTS // max(1, width))
-    return (slice(start, start + step) for start in range(0, total, step))
-
-
 def _party1_maxima(z: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid maximum over party 1's angle x of Re(z*e^(-ix)), a half's form less its mean.
 
@@ -220,35 +214,39 @@ def _form_coefficients(expr: BellExpression, state: NoisyState, degrees: tuple[i
     return inverse_a.T @ np.moveaxis(samples, -1, 1) @ inverse_b
 
 
-def _grid_forms(expr: BellExpression, state: NoisyState, resolution: int, block_cells: int):
+def _symmetric_forms(expr: BellExpression, state: NoisyState) -> np.ndarray:
+    """Fourier coefficients of S, Re Z_a, Im Z_a, Re Z_b and Im Z_b, shape (5, 2*D_a+1, 2*D_b+1).
+
+    The terms measuring party 1 with one setting sum to the form Q of that
+    half of the LHS, u(x)^T Q u(x) = a + Re(Z*e^(-ix)) with u(x) =
+    (cos(x/2), sin(x/2)), a = (q00+q11)/2 and Z = (q00-q11)/2 + i*q01.  Each
+    entry of Q is a trigonometric polynomial of degree at most (D_a, D_b) =
+    `_form_degrees` in (alpha, beta), and so are S = a_a + a_b + the mixed
+    part, Re Z_h and Im Z_h: their coefficients are linear combinations of
+    `_form_coefficients`, the mixed part going into S's constant one.
+    """
+    q00, q01, q11 = _form_coefficients(expr, state, _form_degrees(expr))
+    half = (q00 - q11) / 2
+    coefficients = np.stack([(q00 + q11).sum(axis=0) / 2, half[0], q01[0], half[1], q01[1]])
+    coefficients[0, 0, 0] += mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p)
+    return coefficients
+
+
+def _grid_forms(coefficients: np.ndarray, resolution: int, block_cells: int):
     """Every (alpha, beta) cell's S, Z_a and Z_b on the grid, in blocks of beta rows.
 
-    Party 1's vectors are linear in u(x) = (cos(x/2), sin(x/2)), so with
-    party 1 opened on basis vector h every term's amplitude is a number
-    M_{t,h}.  The terms measuring party 1 with one setting sum to the form
-    Q = p*sum_t c_t Re(M_t M_t^*) of that half of the LHS, u(x)^T Q u(x) =
-    a + Re(Z*e^(-ix)), a = (q00+q11)/2 and Z = (q00-q11)/2 + i*q01.  Each
-    M M^* is a trigonometric polynomial of degree d_a(t) in alpha and d_b(t)
-    in beta, the numbers of parties 2..n that t measures with a and with b,
-    and so are S = a_a + a_b + the mixed part, Re Z_h and Im Z_h: their
-    Fourier coefficients C up to degree (D_a, D_b) = `_form_degrees` are
-    linear combinations of `_form_coefficients`.  As D_b <= D_a (the all-a
-    term has D_a = n-1), the alpha side is contracted once, W = (B_a @ C)^T
-    of shape (N_b, 5R) with B_a, B_b the trig bases at the grid angles, and
-    a block of beta rows is one product B_b[block] @ W: O(R*D_b*(D_a + R))
-    for the whole grid, whatever the number of terms.
+    coefficients are `_symmetric_forms`, C of degree (D_a, D_b).  As D_b <=
+    D_a (the all-a term has D_a = n-1), the alpha side is contracted once,
+    W = (B_a @ C)^T of shape (N_b, 5R) with B_a, B_b the trig bases at the
+    grid angles, and a block of beta rows is one product B_b[block] @ W:
+    O(R*D_b*(D_a + R)) for the whole grid, whatever the number of terms.
 
     Returns the rounding allowance, _BOUND_SLACK times the sum of absolute
     coefficients (basis entries are at most 1 in magnitude), and the blocks,
     of at most block_cells cells and at least one beta row: the first beta
     row, S of shape (rows, R) and (Z_a, Z_b) of shape (rows, 2, R), alpha last.
     """
-    degrees = _form_degrees(expr)
-    q00, q01, q11 = _form_coefficients(expr, state, degrees)
-    half = (q00 - q11) / 2
-    coefficients = np.stack([(q00 + q11).sum(axis=0) / 2, half[0], q01[0], half[1], q01[1]])
-    coefficients[0, 0, 0] += mixed_state_lhs(expr.n, expr.m) * (1.0 - state.p)
-    basis_a, basis_b = (_trig_basis(_grid_axis(resolution), d) for d in degrees)
+    basis_a, basis_b = (_trig_basis(_grid_axis(resolution), size // 2) for size in coefficients.shape[1:])
     wide = np.moveaxis(basis_a @ coefficients, -1, 0)  # beta x (S, Re Z_a, Im Z_a, Re Z_b, Im Z_b) x alpha
     # C-order columns (twice as fast as a transpose): S at each alpha, then Z_a and Z_b as (re, im) pairs
     amplitudes = wide[:, 1:].reshape(len(wide), 2, 2, resolution).swapaxes(2, 3)
@@ -265,7 +263,7 @@ def _grid_forms(expr: BellExpression, state: NoisyState, resolution: int, block_
 
 
 def _best_candidates(
-    expr: BellExpression, state: NoisyState, resolution: int, top_k: int
+    coefficients: np.ndarray, resolution: int, top_k: int
 ) -> tuple[float, list[SymmetricAngles]]:
     """Coarse-grid maximum and the top-k grid cells as refinement starts.
 
@@ -286,7 +284,7 @@ def _best_candidates(
     index first among ties.
     """
     shortfall = 1.0 - math.cos(math.pi / resolution)
-    slack, blocks = _grid_forms(expr, state, resolution, _GRID_BLOCK_CELLS)
+    slack, blocks = _grid_forms(coefficients, resolution, _GRID_BLOCK_CELLS)
     lows, floor = np.empty(0), -np.inf  # the top_k largest lower bounds so far, and the least of them
     kept = []  # per block: row-major cell indices, tops, S and (Z_a, Z_b) of the cells that can still win
     for start, s, z in blocks:
@@ -323,7 +321,7 @@ def exhaustive_symmetric_max(
     bound can reach the maximum is evaluated exactly (the party-1 maxima
     separate, so no 4-dimensional array is ever materialized).
     """
-    value, candidates = _best_candidates(expr, state, resolution, top_k=1)
+    value, candidates = _best_candidates(_symmetric_forms(expr, state), resolution, top_k=1)
     return value, candidates[0]
 
 
@@ -367,11 +365,18 @@ def compass_search(fn, starts, step: float, tol: float, max_rounds: int):
     return x, fx
 
 
-def _lhs_batch(expr: BellExpression, state: NoisyState, theta: np.ndarray) -> np.ndarray:
-    """LHS at a (points, 2, n) angle array, in chunks of points that keep the gathered factors small."""
-    width = expr.table.slots.size * len(state.psi.support[1])
-    parts = _chunks(len(theta), width)
-    return np.concatenate([_lhs_values(expr, state, theta[part]) for part in parts])
+def _symmetric_lhs(forms: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """LHS at (points, 4) angles (x, y, alpha, beta), from the forms' coefficients.
+
+    forms is `_symmetric_forms` with its alpha axis first, shape (2*D_a+1,
+    5, 2*D_b+1).  One product with the alpha basis, one dot with the beta
+    basis per point, then S + Re(Z_a*e^(-ix)) + Re(Z_b*e^(-iy)): the cost
+    depends on neither the number of terms nor the state's support.
+    """
+    x, y, alpha, beta = points.T
+    wide = (_trig_basis(alpha, len(forms) // 2) @ forms.reshape(len(forms), -1)).reshape(len(points), 5, -1)
+    s, re_a, im_a, re_b, im_b = np.einsum("pkj,pj->kp", wide, _trig_basis(beta, forms.shape[2] // 2))
+    return s + re_a * np.cos(x) + im_a * np.sin(x) + re_b * np.cos(y) + im_b * np.sin(y)
 
 
 def maximize_violation(
@@ -383,28 +388,23 @@ def maximize_violation(
 
     Deterministic given the configuration.  Coarse grid first, then one
     lockstep compass search refining the best `restarts` grid cells
-    together.  `layout` places the 4 angles of a search point in the
-    kernel's (2, n) angle array, so every round of polls is one batched
-    evaluation.  The best end point wins, ties going to the smaller angle
-    tuple, and refinement never returns less than the best coarse-grid
-    point.
+    together, both on the Fourier coefficients of party 1's forms, sampled
+    once: every round of polls is one `_symmetric_lhs` call.  The best end
+    point wins, ties going to the smaller angle tuple, and the value
+    returned is the objective at the angles returned.
     """
     config = config or OptimizerConfig()
     if expr.n != state.n:
         raise DimensionMismatchError(f"expression has n={expr.n}, state has n={state.n}")
-    n = expr.n
-    grid_best, candidates = _best_candidates(expr, state, config.grid_resolution, config.restarts)
-    # (theta_a1, theta_b1, theta_a_rest, theta_b_rest) -> rows theta_a, theta_b
-    layout = np.array([[0] + [2] * (n - 1), [1] + [3] * (n - 1)])
+    coefficients = _symmetric_forms(expr, state)
+    _, candidates = _best_candidates(coefficients, config.grid_resolution, config.restarts)
+    forms = np.ascontiguousarray(np.moveaxis(coefficients, 1, 0))  # so each round's reshape is a view
     ends, values = compass_search(
-        lambda vecs: _lhs_batch(expr, state, vecs[:, layout]), [c.as_tuple() for c in candidates],
+        lambda points: _symmetric_lhs(forms, points), [c.as_tuple() for c in candidates],
         TWO_PI / config.grid_resolution, config.local_tolerance, config.refinement_rounds,
     )
-    best_val, best_vec = -np.inf, None
-    for x, fx in zip(ends, values.tolist()):
-        if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
-            best_val, best_vec = fx, x
-    return max(best_val, grid_best), SymmetricAngles(*best_vec.tolist())
+    value, best = min(zip(values.tolist(), ends.tolist()), key=lambda end: (-end[0], end[1]))
+    return value, SymmetricAngles(*best)
 
 
 # ---------------------------------------------------------------------------

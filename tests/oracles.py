@@ -587,9 +587,10 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
     angles (theta_a then theta_b), at most 250,000 points.  Its best
     `config.restarts` points, as many uniform random starts drawn with
     `seed`, and the extra starts (SymmetricAngles or MeasurementAngles) are
-    then refined by one lockstep compass search on the search module's
-    chunked kernel.  The best end point wins, ties going to the smaller
-    angle tuple, and the result is never below the best grid point.
+    then refined by one lockstep compass search, each round one call of the
+    quantum module's kernel on all 2n angles.  The best end point wins, ties
+    going to the smaller angle tuple, and the result is never below the best
+    grid point.
     """
     if expr.n != state.n:
         raise DimensionMismatchError(f"expression has n={expr.n}, state has n={state.n}")
@@ -597,7 +598,7 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
     dims = 2 * n
     resolution = max(2, int(min(config.grid_resolution**4, 250_000) ** (1.0 / dims)))
     points = np.indices((resolution,) * dims).reshape(dims, -1).T * (TWO_PI / resolution)
-    values = search._lhs_batch(expr, state, points.reshape(-1, 2, n))
+    values = quantum._lhs_values(expr, state, points.reshape(-1, 2, n))
     rng = np.random.default_rng(seed)
     starts = [points[int(i)] for i in np.argsort(values, kind="stable")[::-1][: config.restarts]]
     starts += [rng.uniform(0.0, TWO_PI, dims) for _ in range(config.restarts)]
@@ -605,7 +606,7 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
         angles = s.expand(n) if isinstance(s, SymmetricAngles) else s
         starts.append(angles.theta_a + angles.theta_b)
     ends, end_values = search.compass_search(
-        lambda vecs: search._lhs_batch(expr, state, vecs.reshape(-1, 2, n)), starts,
+        lambda vecs: quantum._lhs_values(expr, state, vecs.reshape(-1, 2, n)), starts,
         TWO_PI / resolution, config.local_tolerance, config.refinement_rounds,
     )
     best_val, best_vec = -np.inf, None
@@ -624,7 +625,7 @@ def full_grid_totals(expr: BellExpression, state: NoisyState, resolution: int) -
     (alpha, beta) cell.  Returns the totals, shape (R*R,), and the party-1
     grid indices of each half, shape (2, R*R), cells in row-major order.
     """
-    _, blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+    _, blocks = search._grid_forms(search._symmetric_forms(expr, state), resolution, search._GRID_BLOCK_CELLS)
     _, s, z = zip(*blocks)
     s, z = np.concatenate(s), np.concatenate(z)  # beta rows first
     arg, value = search._party1_maxima(z.transpose(1, 2, 0).reshape(2, -1), resolution)

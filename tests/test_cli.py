@@ -403,6 +403,10 @@ _ANGLES = ["--symmetric-angles", "0.1,0.2,0.3,0.4"]
 _CERTIFY = ["certify", "--n", "3", "--m", "2"]
 _THRESHOLD = ["threshold", "--n", "3", "--m", "3", "--family", "ghz"]
 _TABLE = ["table", "--n-list", "3", "--family", "w"]
+# one restart, not the default eight, gives GHZ n=4 m=2 a smaller Q*
+# (0.0202847, not 0.0208526); at n=3 it changes only angles at tied optima
+_THRESHOLD_GHZ4 = ["threshold", "--n", "4", "--m", "2", "--family", "ghz"]
+_TABLE_GHZ4 = ["table", "--n-list", "4", "--family", "ghz"]
 _REQUIRED = {"n", "m", "family", "n_list"}
 PARITY_CASES = [
     (_BUILD, "n", "5"),
@@ -431,7 +435,7 @@ PARITY_CASES = [
     (_THRESHOLD, "grid_resolution", "12"),
     (_THRESHOLD, "refinement_rounds", "1"),
     (_THRESHOLD, "local_tolerance", "0.1"),
-    (_THRESHOLD, "restarts", "1"),
+    (_THRESHOLD_GHZ4, "restarts", "1"),
     (_THRESHOLD, "format", "structured"),
     (_THRESHOLD, "output", "out.txt"),
     (_TABLE, "n_list", "4"),
@@ -440,7 +444,7 @@ PARITY_CASES = [
     (_TABLE, "grid_resolution", "12"),
     (_TABLE, "refinement_rounds", "1"),
     (_TABLE, "local_tolerance", "0.1"),
-    (_TABLE, "restarts", "1"),
+    (_TABLE_GHZ4, "restarts", "1"),
     (_TABLE, "format", "text"),
     (_TABLE, "output", "out.txt"),
 ]

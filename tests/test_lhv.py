@@ -392,6 +392,7 @@ class TestCertification:
         # outputs all ones as soon as any of its parties measures b, otherwise
         # all zeros.  Certification reads the pools, so the rig sits there.
         # At seed 5 sample 11 fails first, with both vertices in its mixtures.
+        # The seed comes as np.int64 and is reported as a Python int.
         stored = lhv.nonsignaling_vertex_pool
 
         def rigged(size):
@@ -404,8 +405,9 @@ class TestCertification:
         monkeypatch.setattr(lhv, "nonsignaling_vertex_pool", rigged)
         expr = build_hierarchy_inequality(4, 2, 1)
         with pytest.raises(CertificationError) as err:
-            certify_m_local_bound(expr, 50, seed=5)
+            certify_m_local_bound(expr, 50, seed=np.int64(5))
         report = err.value.report
+        assert type(report["seed"]) is int and report["seed"] == 5
         assert report["sample_index"] == 11
         assert report["kind"] == "certification_failure"
         assert (report["n"], report["m"], report["k_prime"]) == (4, 2, 1)
@@ -444,6 +446,14 @@ class TestCertification:
         expr = build_hierarchy_inequality(13, 2, 1)
         with pytest.raises(ParameterDomainError):
             certify_m_local_bound(expr, 1, seed=1)
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(5), 5.0], ids=["generator", "float"])
+    def test_non_integer_seed_raises_before_any_draw(self, monkeypatch, seed):
+        # a report must replay from its seed and serialize, so only integers
+        # are taken; the samples are drawn after the reader is built
+        monkeypatch.setattr(lhv, "_TermReader", lambda *args: pytest.fail("the reader was built"))
+        with pytest.raises(TypeError):
+            certify_m_local_bound(build_hierarchy_inequality(4, 2, 1), 50, seed)
 
     def test_sample_count_validation(self):
         expr = build_hierarchy_inequality(3, 2, 1)

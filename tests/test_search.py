@@ -6,6 +6,7 @@ re-optimizes the angles at every p agrees with it, and it costs a single
 optimization.
 """
 
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mlocality.quantum as quantum
 import mlocality.search as search
 from oracles import full_angle_search, full_grid_selection, full_grid_totals, sequential_compass_search
 from mlocality.inequality import build_hierarchy_inequality
@@ -158,7 +160,7 @@ class TestGridEvaluation:
         # reproduces its grid value, best first
         cell_best = np.sort(brute.max(axis=(0, 1)), axis=None)[::-1]
         top_k = 10
-        grid_best, candidates = search._best_candidates(expr, state, 6, top_k)
+        grid_best, candidates = search._best_candidates(search._symmetric_forms(expr, state), 6, top_k)
         values = [evaluate_lhs(expr, state, c.expand(n)) for c in candidates]
         assert len(candidates) == top_k
         assert values[0] == pytest.approx(grid_best, abs=1e-12)
@@ -185,8 +187,9 @@ class TestGridEvaluation:
         cell = {x: i for i, x in enumerate(search._grid_axis(resolution).tolist())}
         total, _ = full_grid_totals(expr, state, resolution)
         assert total.size - len(np.unique(total)) > 100  # many exact ties
+        forms = search._symmetric_forms(expr, state)
         for top_k in (1, 2, 4, 5, 8, 100, resolution**2 - 1, resolution**2, resolution**2 + 3):
-            best, candidates = search._best_candidates(expr, state, resolution, top_k)
+            best, candidates = search._best_candidates(forms, resolution, top_k)
             want = np.argsort(total, kind="stable")[::-1][:top_k]
             got = [cell[c.theta_a_rest] * resolution + cell[c.theta_b_rest] for c in candidates]
             assert got == want.tolist()
@@ -211,6 +214,7 @@ class TestGridEvaluation:
         # the floor rises across blocks; by default one block holds the grid.
         state = NoisyState(make_state(family, n, seed), p)
         expr = build_hierarchy_inequality(n, m, k_prime)
+        forms = search._symmetric_forms(expr, state)
 
         def bits(selection):
             value, candidates = selection
@@ -220,7 +224,7 @@ class TestGridEvaluation:
             monkeypatch.setattr(search, "_GRID_BLOCK_CELLS", block_cells)
             for resolution in (2, 3, 6, 7, 24):
                 for top_k in (1, 2, 8, resolution**2, resolution**2 + 3):
-                    pruned = search._best_candidates(expr, state, resolution, top_k)
+                    pruned = search._best_candidates(forms, resolution, top_k)
                     assert bits(pruned) == bits(full_grid_selection(expr, state, resolution, top_k))
 
     def test_grid_holds_no_array_over_all_cells(self):
@@ -259,8 +263,9 @@ class TestGridEvaluation:
         expr = build_hierarchy_inequality(n, m, k_prime)
         size = sum(2 * d + 1 for d in search._form_degrees(expr))
         mixed = mixed_state_lhs(n, m) * (1 - state.p)
+        coefficients = search._symmetric_forms(expr, state)
         for resolution in (2, 3, 7, 24):
-            _, blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+            _, blocks = search._grid_forms(coefficients, resolution, search._GRID_BLOCK_CELLS)
             _, s, z = zip(*blocks)
             s, z = np.concatenate(s).T.ravel(), np.concatenate(z).transpose(1, 2, 0).reshape(2, -1)
             forms = np.stack([s, z[0].real, z[0].imag, z[1].real, z[1].imag])
@@ -287,8 +292,9 @@ class TestGridEvaluation:
         # reach the top; every cell's exact total must lie in that window
         state = NoisyState(make_state(family, n, seed), 0.7)
         expr = build_hierarchy_inequality(n, m, k_prime)
+        coefficients = search._symmetric_forms(expr, state)
         for resolution in (2, 3, 7, 24):
-            slack, blocks = search._grid_forms(expr, state, resolution, search._GRID_BLOCK_CELLS)
+            slack, blocks = search._grid_forms(coefficients, resolution, search._GRID_BLOCK_CELLS)
             for _, s, z in blocks:
                 _, value = search._party1_maxima(z, resolution)
                 total = s + value[:, 0] + value[:, 1]
@@ -499,9 +505,10 @@ def oracle_objective(expr, state):
     return lambda v: evaluate_lhs(expr, state, SymmetricAngles(*v).expand(expr.n))
 
 
-def per_point_lhs(expr, state, theta):
-    """search._lhs_values as one evaluate_lhs call per point: the oracle's own arithmetic."""
-    return np.array([evaluate_lhs(expr, state, MeasurementAngles(a, b)) for a, b in theta])
+def per_point_objective(expr, state):
+    """A stand-in for search._symmetric_lhs: one evaluate_lhs call per point, the oracle's own arithmetic."""
+    fn = oracle_objective(expr, state)
+    return lambda forms, points: np.array([fn(point) for point in points])
 
 
 def optimize_with_oracle(monkeypatch, expr, state, config):
@@ -510,8 +517,7 @@ def optimize_with_oracle(monkeypatch, expr, state, config):
     Returns the lockstep search's (value, angle vector, per-start end points
     and values) and the same for the oracle: each start refined on its own
     by the sequential search on evaluate_lhs, then the best end point taken
-    by the same rule (larger value, then smaller angle tuple, never below
-    the coarse grid).
+    by the same rule (larger value, then smaller angle tuple).
     """
     seen = []
     lockstep = search.compass_search
@@ -532,9 +538,8 @@ def optimize_with_oracle(monkeypatch, expr, state, config):
     for x, fx in runs:
         if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
             best_val, best_vec = fx, x
-    grid_best = search._best_candidates(expr, state, config.grid_resolution, config.restarts)[0]
     oracle_ends = (np.array([x for x, _ in runs]), np.array([fx for _, fx in runs]))
-    return (value, angles.as_tuple(), ends), (max(best_val, grid_best), tuple(best_vec), oracle_ends)
+    return (value, angles.as_tuple(), ends), (best_val, tuple(best_vec), oracle_ends)
 
 
 ORACLE_CASES = [
@@ -550,9 +555,9 @@ class TestMaximizeViolationEqualsOracle:
     def test_same_search_as_oracle_on_the_same_values(self, monkeypatch, case, make_state, m):
         # with the polls evaluated point by point, both searches see the same
         # value at every point, so they must take the same steps exactly
-        monkeypatch.setattr(search, "_lhs_values", per_point_lhs)
         state = make_state()
         expr = build_hierarchy_inequality(state.n, m, 1)
+        monkeypatch.setattr(search, "_symmetric_lhs", per_point_objective(expr, state))
         lock, oracle = optimize_with_oracle(monkeypatch, expr, state, QUICK)
         np.testing.assert_array_equal(lock[2][0], oracle[2][0])
         np.testing.assert_array_equal(lock[2][1], oracle[2][1])
@@ -560,49 +565,54 @@ class TestMaximizeViolationEqualsOracle:
 
     @pytest.mark.parametrize("case,make_state,m", ORACLE_CASES, ids=ORACLE_IDS)
     def test_batched_symmetric_search_matches_oracle(self, monkeypatch, case, make_state, m):
-        # the batched kernel rounds differently in the last place, so only
-        # the values are compared; the reported angles reach the value
+        # the objective on the forms' coefficients rounds differently in the
+        # last place, so only the values are compared; the reported angles
+        # reach the value
         state = make_state()
         expr = build_hierarchy_inequality(state.n, m, 1)
         (value, vec, _), (oracle_value, _, _) = optimize_with_oracle(monkeypatch, expr, state, QUICK)
         assert value == pytest.approx(oracle_value, abs=1e-12)
         assert oracle_objective(expr, state)(np.array(vec)) == pytest.approx(value, abs=1e-12)
 
-    def test_point_chunks_keep_the_order(self, monkeypatch):
-        # a cap of a few entries puts every poll in a chunk of its own
-        monkeypatch.setattr(search, "_lhs_values", per_point_lhs)
-        monkeypatch.setattr(search, "_BATCH_ELEMENTS", 7)
-        state = NoisyState(random_state(3, np.random.default_rng(69)), 0.9)
-        expr = build_hierarchy_inequality(3, 2, 1)
-        config = OptimizerConfig(grid_resolution=8, restarts=3, refinement_rounds=60)
-        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, config)
-        np.testing.assert_array_equal(lock[2][0], oracle[2][0])
-        assert lock[:2] == oracle[:2]
+    @pytest.mark.parametrize("k_prime", [1, 3])
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("family,seed", [("random", 101), ("w-phases", 102)])
+    def test_objective_equals_evaluate_lhs_off_the_grid(self, family, seed, n, k_prime):
+        # the refinement's objective reads the grid's Fourier coefficients;
+        # at random angles, none of them on a sample grid and some outside
+        # [0, 2*pi), it must give the kernel's LHS for every m
+        rng = np.random.default_rng(seed + n)
+        state = NoisyState(make_state(family, n, seed + n), 0.7)
+        points = rng.uniform(-2 * np.pi, 4 * np.pi, (16, 4))
+        for m in range(2, n + 1):
+            expr = build_hierarchy_inequality(n, m, k_prime)
+            forms = np.moveaxis(search._symmetric_forms(expr, state), 1, 0)
+            want = [oracle_objective(expr, state)(point) for point in points]
+            np.testing.assert_allclose(search._symmetric_lhs(forms, points), want, rtol=0, atol=1e-12)
 
-    def test_point_chunks_equal_one_batch(self, monkeypatch):
-        state = NoisyState(random_state(3, np.random.default_rng(69)), 0.9)
-        expr = build_hierarchy_inequality(3, 2, 1)
-        points = np.random.default_rng(71).uniform(0, 2 * np.pi, (50, 2, 3))
-        whole = search._lhs_batch(expr, state, points)
-        monkeypatch.setattr(search, "_BATCH_ELEMENTS", 7)
-        np.testing.assert_allclose(search._lhs_batch(expr, state, points), whole, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(per_point_lhs(expr, state, points), whole, rtol=0, atol=1e-15)
+    def test_one_kernel_call_and_one_objective_call_per_round(self, monkeypatch):
+        # the amplitude kernel runs once, to sample party 1's forms; every
+        # objective call after it is a lockstep round, or the first
+        # evaluation of the starts
+        kernel_callers, objective_calls = [], []
+        kernel, objective = quantum._term_amplitudes, search._symmetric_lhs
 
-    def test_one_kernel_call_per_round(self, monkeypatch):
-        # the symmetric grid does not go through _lhs_values, so every call
-        # seen is a lockstep round (or the first evaluation of the starts)
-        calls = []
-        original = search._lhs_values
+        def counting_kernel(*args):
+            kernel_callers.append(inspect.stack()[1].function)
+            return kernel(*args)
 
-        def counting(expr, state, theta):
-            calls.append(theta.shape)
-            return original(expr, state, theta)
+        def counting_objective(forms, points):
+            objective_calls.append(points.shape)
+            return objective(forms, points)
 
-        monkeypatch.setattr(search, "_lhs_values", counting)
+        monkeypatch.setattr(quantum, "_term_amplitudes", counting_kernel)
+        monkeypatch.setattr(search, "_term_amplitudes", counting_kernel)
+        monkeypatch.setattr(search, "_symmetric_lhs", counting_objective)
         expr = build_hierarchy_inequality(4, 3, 1)
         maximize_violation(expr, NoisyState(ghz_state(4), 1.0), QUICK)
-        assert 1 < len(calls) <= 1 + QUICK.refinement_rounds
-        assert all(shape[1:] == (2, 4) for shape in calls)
+        assert kernel_callers == ["_form_coefficients"]
+        assert 1 < len(objective_calls) <= 1 + QUICK.refinement_rounds
+        assert all(shape[1:] == (4,) for shape in objective_calls)
 
 
 class TestMaximizeViolation:
@@ -635,7 +645,7 @@ class TestMaximizeViolation:
     def test_refinement_not_below_coarse_grid(self):
         expr = build_hierarchy_inequality(4, 3, 1)
         state = NoisyState(ghz_state(4), 1.0)
-        grid_best, _ = search._best_candidates(expr, state, QUICK.grid_resolution, 1)
+        grid_best, _ = search._best_candidates(search._symmetric_forms(expr, state), QUICK.grid_resolution, 1)
         value, _ = maximize_violation(expr, state, QUICK)
         assert value >= grid_best - 1e-12
 
@@ -732,6 +742,9 @@ class TestTable:
         assert [(r.n, r.m) for r in results] == [(4, 2), (4, 3), (4, 4)]
         for r, expected in zip(results, (0.948, 0.914, 0.822)):
             assert abs(r.p_threshold - expected) < 0.02
+            # the value reported is the LHS at the angles reported
+            expr, state = build_hierarchy_inequality(4, r.m, 1), NoisyState(ghz_state(4), 1.0)
+            assert evaluate_lhs(expr, state, r.best_angles.expand(4)) == pytest.approx(r.max_lhs_at_p1, abs=1e-12)
 
 
 class TestOptimizerConfig:
