@@ -27,6 +27,7 @@ from .quantum import (
 from .search import (
     NoViolationError,
     OptimizerConfig,
+    SearchTrace,
     SymmetricAngles,
     ThresholdResult,
     exhaustive_symmetric_max,
@@ -46,6 +47,7 @@ __all__ = [
     "NoisyState",
     "OptimizerConfig",
     "ParameterDomainError",
+    "SearchTrace",
     "StateVector",
     "SymmetricAngles",
     "Term",

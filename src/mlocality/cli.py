@@ -268,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", required=True, help="ghz or w")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="only recorded; the search is deterministic")
         for f in fields(OptimizerConfig):
-            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
+            p.add_argument(
+                f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default,
+                help=f"{f.metadata['help']} (default: %(default)s)",
+            )
         p.add_argument("--format", choices=["csv", "structured", "text"], default="csv")
         _add_common(p)
         p.set_defaults(func=cmd_threshold if name == "threshold" else cmd_table)

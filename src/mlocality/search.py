@@ -25,11 +25,16 @@ numbers; the exact party-1 maxima are taken from those at the end, so no
 array over all R^2 cells is built and the best cells come out as if every
 cell had been evaluated.
 
-The best grid cells are then refined by a compass search run on all
-restarts in lockstep, on the same coefficients: each round gathers the
-+/-step polls of every restart still refining and evaluates S +
-Re(Z_a*e^(-ix)) + Re(Z_b*e^(-iy)) at all of them with one small matrix
-product, so after the sampling no term amplitude is computed again.
+The best grid cells are then refined by BFGS ascent on the same
+coefficients, run on all restarts in lockstep.  The objective S +
+Re(Z_a*e^(-ix)) + Re(Z_b*e^(-iy)) and its analytic gradient (the trig
+bases differentiated in a and b, and d/dx Re(Z*e^(-ix)) = Im(Z*e^(-ix)))
+come from one small matrix product per line-search trial, so after the
+sampling no term amplitude is computed again.  Each restart keeps a 4 x 4
+inverse-Hessian estimate and stops on its own once the rise it predicts
+is within the forms' rounding, once its line search finds no rise, or
+once its step is below the tolerance; the search reports whether every
+restart stopped so before the iteration budget ran out.
 
 For fixed angles the LHS is affine in the visibility p,
 LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
@@ -41,7 +46,7 @@ p* = C/(C - Q*), with Q* the optimum at p=1: one optimization per cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -99,15 +104,22 @@ class OptimizerConfig:
     """Budget of maximize_violation.
 
     The coarse grid has grid_resolution points per angle; its best
-    `restarts` cells are refined for at most refinement_rounds compass
-    rounds, each restart stopping once its step drops below
-    local_tolerance.  The search is deterministic, so there is no seed.
+    `restarts` cells are refined by BFGS ascent for at most
+    refinement_rounds iterations, each step at most one grid spacing long,
+    and a restart stops once a step, in radians, is shorter than
+    local_tolerance.  A restart that reaches the iteration budget has not
+    converged.  The search is deterministic, so there is no seed.  Each
+    field's help is the help of its CLI flag.
     """
 
-    grid_resolution: int = 24
-    refinement_rounds: int = 200
-    local_tolerance: float = 1e-5
-    restarts: int = 8
+    grid_resolution: int = field(default=24, metadata={"help": "coarse grid points per angle"})
+    refinement_rounds: int = field(
+        default=200, metadata={"help": "BFGS iterations per restart before it counts as not converged"}
+    )
+    local_tolerance: float = field(
+        default=1e-5, metadata={"help": "a restart stops once its step is shorter than this, in radians"}
+    )
+    restarts: int = field(default=8, metadata={"help": "best grid cells refined"})
 
     def __post_init__(self) -> None:
         if self.grid_resolution < 2:
@@ -126,6 +138,7 @@ class ThresholdResult:
     p_threshold: float
     best_angles: SymmetricAngles
     max_lhs_at_p1: float
+    converged: bool
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_threshold <= 1.0:
@@ -326,85 +339,159 @@ def exhaustive_symmetric_max(
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free refinement
+# Quasi-Newton refinement
+
+# Sufficient rise of a line-search step, as a share of the rise its gradient predicts.
+_ARMIJO = 1e-4
 
 
-def compass_search(fn, starts, step: float, tol: float, max_rounds: int):
-    """Coordinate pattern search maximizing fn from many starts in lockstep (angles wrapped mod 2*pi).
-
-    fn maps a (points, d) array to the (points,) values there; starts has
-    shape (restarts, d).  Each round polls +/-step along every coordinate of
-    every restart still refining, all in one fn call, and moves each
-    restart to its best poll if that improves on it (the first best poll,
-    coordinate by coordinate and + before -, wins a tie); a restart with no
-    improving poll halves its step.  A restart stops when its step drops
-    below tol, and all stop after max_rounds rounds: every restart still
-    refining has taken part in every round, so that is its own round count
-    too.  Returns the end points and their values.
-    """
-    x = np.array(starts, dtype=float) % TWO_PI
-    fx = fn(x)
-    dims = x.shape[1]
-    steps = np.full(len(x), float(step))
-    polls = np.arange(2 * dims)
-    coord, sign = polls // 2, np.where(polls % 2 == 0, 1.0, -1.0)
-    for _ in range(max_rounds):
-        live = np.flatnonzero(steps >= tol)
-        if not live.size:
-            break
-        # only the polled coordinate is moved and wrapped, the others are copied
-        y = np.repeat(x[live, None, :], 2 * dims, axis=1)
-        y[:, polls, coord] = (x[live][:, coord] + sign * steps[live, None]) % TWO_PI
-        fy = fn(y.reshape(-1, dims)).reshape(len(live), 2 * dims)
-        best = fy.argmax(axis=1)
-        best_f = fy[np.arange(len(live)), best]
-        moved = best_f > fx[live]
-        x[live[moved]] = y[moved, best[moved]]
-        fx[live[moved]] = best_f[moved]
-        steps[live[~moved]] *= 0.5
-    return x, fx
+def _derivative_basis(basis: np.ndarray) -> np.ndarray:
+    """d/dx of `_trig_basis` rows: d/dx cos kx = -k*sin kx and d/dx sin kx = k*cos kx."""
+    k = np.arange(1, basis.shape[1] // 2 + 1)
+    out = np.zeros_like(basis)
+    out[:, 1::2] = -k * basis[:, 2::2]
+    out[:, 2::2] = k * basis[:, 1::2]
+    return out
 
 
-def _symmetric_lhs(forms: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """LHS at (points, 4) angles (x, y, alpha, beta), from the forms' coefficients.
+def _symmetric_lhs(forms: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LHS and its gradient at (points, 4) angles (x, y, alpha, beta), from the forms' coefficients.
 
     forms is `_symmetric_forms` with its alpha axis first, shape (2*D_a+1,
-    5, 2*D_b+1).  One product with the alpha basis, one dot with the beta
-    basis per point, then S + Re(Z_a*e^(-ix)) + Re(Z_b*e^(-iy)): the cost
-    depends on neither the number of terms nor the state's support.
+    5, 2*D_b+1).  One product with the alpha basis and its derivative, then
+    per point a dot with the beta basis and its derivative give S, Re Z_a,
+    Im Z_a, Re Z_b and Im Z_b and their derivatives in alpha and beta; the
+    LHS is their dot with (1, cos x, sin x, cos y, sin y), and
+    d/dx Re(Z_a*e^(-ix)) = Im Z_a*cos x - Re Z_a*sin x, likewise in y.  The
+    cost depends on neither the number of terms nor the state's support.
+    Returns the values, shape (points,), and the gradients, shape (points, 4).
     """
     x, y, alpha, beta = points.T
-    wide = (_trig_basis(alpha, len(forms) // 2) @ forms.reshape(len(forms), -1)).reshape(len(points), 5, -1)
-    s, re_a, im_a, re_b, im_b = np.einsum("pkj,pj->kp", wide, _trig_basis(beta, forms.shape[2] // 2))
-    return s + re_a * np.cos(x) + im_a * np.sin(x) + re_b * np.cos(y) + im_b * np.sin(y)
+    basis_a = _trig_basis(alpha, len(forms) // 2)
+    basis_b = _trig_basis(beta, forms.shape[2] // 2)
+    wide = np.concatenate([basis_a, _derivative_basis(basis_a)]) @ forms.reshape(len(forms), -1)
+    bases_b = np.stack([basis_b, _derivative_basis(basis_b)])
+    # (S, Re Z_a, Im Z_a, Re Z_b, Im Z_b) at each point, and their derivatives in beta and in alpha
+    (at, d_beta), (d_alpha, _) = np.einsum("apkj,bpj->abkp", wide.reshape(2, len(points), 5, -1), bases_b)
+    weights = np.stack([np.ones(len(points)), np.cos(x), np.sin(x), np.cos(y), np.sin(y)])
+    _, re_a, im_a, re_b, im_b = at
+    _, cos_x, sin_x, cos_y, sin_y = weights
+    d_x, d_y = im_a * cos_x - re_a * sin_x, im_b * cos_y - re_b * sin_y
+    return (weights * at).sum(0), np.stack([d_x, d_y, (weights * d_alpha).sum(0), (weights * d_beta).sum(0)], axis=1)
+
+
+@dataclass(frozen=True)
+class SearchTrace:
+    """How the refinement of maximize_violation ended.
+
+    iterations is the most BFGS iterations any restart took,
+    objective_calls the `_symmetric_lhs` calls of the whole search, and
+    converged is False when some restart was still rising after
+    refinement_rounds iterations.
+    """
+
+    iterations: int
+    objective_calls: int
+    converged: bool
+
+
+def _lockstep_bfgs(fn, starts: np.ndarray, max_step: float, tol: float, max_iterations: int, allowance: float):
+    """BFGS ascent maximizing fn from many starts in lockstep (angles wrapped mod 2*pi).
+
+    fn maps a (points, d) array to the values, shape (points,), and the
+    gradients, shape (points, d), there; starts has shape (restarts, d).
+    Each restart keeps its own d x d inverse-Hessian estimate H of -fn, the
+    identity scaled by s.y/y.y at its first update.  An iteration steps
+    along H*g, at most max_step long, with a backtracking line search:
+    every restart still searching is tried in one fn call per halving,
+    until its step rises by at least _ARMIJO of the rise the gradient
+    predicts.  A restart stops, converged, when its predicted rise g.H.g is
+    at most allowance, when its line search finds no rise before the step
+    is shorter than tol, or when it takes a step shorter than tol; a
+    restart still rising after max_iterations iterations has not converged.
+    Returns the end points, their values and the SearchTrace.
+    """
+    x = np.array(starts, dtype=float) % TWO_PI
+    fx, gx = fn(x)
+    calls, iterations = 1, 0
+    restarts, dims = x.shape
+    inverse = np.tile(np.eye(dims), (restarts, 1, 1))
+    updated = np.zeros(restarts, dtype=bool)
+    live = np.arange(restarts)
+    while True:
+        direction = np.einsum("rij,rj->ri", inverse[live], gx[live])
+        rise = np.einsum("ri,ri->r", gx[live], direction)
+        rising = rise > allowance
+        live, direction, rise = live[rising], direction[rising], rise[rising]
+        if not live.size or iterations == max_iterations:
+            break
+        iterations += 1
+        length = np.linalg.norm(direction, axis=1)
+        shrink = np.minimum(1.0, max_step / length)
+        step, rise, length = direction * shrink[:, None], rise * shrink, length * shrink
+        scale, found, start_g = np.ones(len(live)), np.zeros(len(live), dtype=bool), gx[live]
+        pending = np.arange(len(live))
+        while pending.size:
+            at = live[pending]
+            trial = (x[at] + scale[pending, None] * step[pending]) % TWO_PI
+            f, g = fn(trial)
+            calls += 1
+            up = f > fx[at] + _ARMIJO * scale[pending] * rise[pending]
+            x[at[up]], fx[at[up]], gx[at[up]] = trial[up], f[up], g[up]
+            found[pending[up]] = True
+            pending = pending[~up]
+            scale[pending] *= 0.5
+            pending = pending[scale[pending] * length[pending] >= tol]
+        # BFGS update for -fn, from the step taken and the fall of the gradient,
+        # where the fall along the step is positive (else H is kept)
+        moved = live[found]
+        s, y = scale[found, None] * step[found], start_g[found] - gx[moved]
+        sy = np.einsum("ri,ri->r", s, y)
+        curved = sy > 0
+        moved, s, y, sy = moved[curved], s[curved], y[curved], sy[curved]
+        first = ~updated[moved]
+        inverse[moved[first]] *= (sy[first] / np.einsum("ri,ri->r", y[first], y[first]))[:, None, None]
+        updated[moved] = True
+        hy = np.einsum("rij,rj->ri", inverse[moved], y)
+        rho = 1.0 / sy
+        inverse[moved] += (
+            (rho + rho**2 * np.einsum("ri,ri->r", y, hy))[:, None, None] * s[:, :, None] * s[:, None, :]
+            - rho[:, None, None] * (s[:, :, None] * hy[:, None, :] + hy[:, :, None] * s[:, None, :])
+        )
+        live = live[found & (scale * length >= tol)]
+    return x, fx, SearchTrace(iterations, calls, not live.size)
 
 
 def maximize_violation(
     expr: BellExpression,
     state: NoisyState,
     config: OptimizerConfig | None = None,
-) -> tuple[float, SymmetricAngles]:
+) -> tuple[float, SymmetricAngles, SearchTrace]:
     """Maximize the LHS over the four symmetric measurement angles.
 
     Deterministic given the configuration.  Coarse grid first, then one
-    lockstep compass search refining the best `restarts` grid cells
-    together, both on the Fourier coefficients of party 1's forms, sampled
-    once: every round of polls is one `_symmetric_lhs` call.  The best end
-    point wins, ties going to the smaller angle tuple, and the value
-    returned is the objective at the angles returned.
+    lockstep BFGS ascent refining the best `restarts` grid cells together,
+    both on the Fourier coefficients of party 1's forms, sampled once: every
+    line-search trial of every refining restart is one `_symmetric_lhs`
+    call, which gives the gradient with the value.  A step is at most one
+    grid spacing long.  The best end point wins, ties going to the smaller
+    angle tuple, and the value returned is the objective at the angles
+    returned.  The SearchTrace says how the refinement ended.
     """
     config = config or OptimizerConfig()
     if expr.n != state.n:
         raise DimensionMismatchError(f"expression has n={expr.n}, state has n={state.n}")
     coefficients = _symmetric_forms(expr, state)
     _, candidates = _best_candidates(coefficients, config.grid_resolution, config.restarts)
-    forms = np.ascontiguousarray(np.moveaxis(coefficients, 1, 0))  # so each round's reshape is a view
-    ends, values = compass_search(
+    forms = np.ascontiguousarray(np.moveaxis(coefficients, 1, 0))  # so each call's reshape is a view
+    ends, values, trace = _lockstep_bfgs(
         lambda points: _symmetric_lhs(forms, points), [c.as_tuple() for c in candidates],
         TWO_PI / config.grid_resolution, config.local_tolerance, config.refinement_rounds,
+        # the forms' rounding: a predicted rise below it is noise
+        np.finfo(float).eps * np.abs(coefficients).sum(),
     )
     value, best = min(zip(values.tolist(), ends.tolist()), key=lambda end: (-end[0], end[1]))
-    return value, SymmetricAngles(*best)
+    return value, SymmetricAngles(*best), trace
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +518,7 @@ def find_threshold(
     expr = build_hierarchy_inequality(n, m, 1)
     psi = state_for_family(family, n)
 
-    value_p1, angles_p1 = maximize_violation(expr, NoisyState(psi, 1.0), config)
+    value_p1, angles_p1, trace = maximize_violation(expr, NoisyState(psi, 1.0), config)
     if value_p1 <= VIOLATION_TOL:
         raise NoViolationError(
             f"no violation at p=1 for (n={n}, m={m}, family={family}); threshold undefined"
@@ -444,6 +531,7 @@ def find_threshold(
         p_threshold=mixed / (mixed - value_p1),
         best_angles=angles_p1,
         max_lhs_at_p1=value_p1,
+        converged=trace.converged,
     )
 
 

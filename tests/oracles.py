@@ -40,11 +40,10 @@ projectors (`density_matrix`, `measurement_projectors`, built from
 DENSE_ORACLE_MAX_PARTIES, and `quantum_behavior` gives the full 2^n x 2^n
 table P(r|M) of a measured state.
 
-`sequential_compass_search` refines one start at a time, one poll per
-objective call, and so stays independent of the lockstep rounds of
-`mlocality.search.compass_search`.  `full_angle_search` frees all 2n
-angles, against the four symmetric angles of
-`mlocality.search.maximize_violation`, to check that ansatz.
+`full_angle_search` frees all 2n angles, against the four symmetric angles
+of `mlocality.search.maximize_violation`, to check that ansatz.  It
+refines with `compass_search`, a derivative-free pattern search, and so
+needs neither the package's Fourier forms nor their gradient.
 """
 
 from __future__ import annotations
@@ -479,34 +478,6 @@ def lp_vertex_pool(size: int) -> tuple[np.ndarray, ...]:
     return tuple(seen.values())
 
 
-def sequential_compass_search(fn, start, step: float, tol: float, max_rounds: int):
-    """Coordinate pattern search maximizing a scalar fn from one start (angles wrapped mod 2*pi).
-
-    Each round polls +/-step along every coordinate, one fn call per poll,
-    and moves to the best improving point; a round with no improvement
-    halves the step.  Stops when the step drops below tol or the round
-    budget is exhausted.
-    """
-    x = np.asarray(start, dtype=float) % TWO_PI
-    fx = fn(x)
-    rounds = 0
-    while step >= tol and rounds < max_rounds:
-        rounds += 1
-        best_f, best_x = fx, None
-        for d in range(x.size):
-            for sign in (1.0, -1.0):
-                y = x.copy()
-                y[d] = (y[d] + sign * step) % TWO_PI
-                fy = fn(y)
-                if fy > best_f:
-                    best_f, best_x = fy, y
-        if best_x is None:
-            step *= 0.5
-        else:
-            x, fx = best_x, best_f
-    return x, fx
-
-
 def setting_vector(theta: float) -> np.ndarray:
     """Qubit state with Bloch vector (sin theta, 0, cos theta)."""
     return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)])
@@ -580,6 +551,39 @@ def quantum_behavior(state: NoisyState, angles: MeasurementAngles) -> Conditiona
     return ConditionalDistribution(tuple(range(1, n + 1)), table)
 
 
+def compass_search(fn, starts, step: float, tol: float, max_rounds: int):
+    """Coordinate pattern search maximizing fn from many starts in lockstep (angles wrapped mod 2*pi).
+
+    fn maps a (points, d) array to the (points,) values there; starts has
+    shape (restarts, d).  Each round polls +/-step along every coordinate of
+    every restart still refining, all in one fn call, and moves each
+    restart to its best poll if that improves on it; a restart with no
+    improving poll halves its step.  A restart stops when its step drops
+    below tol, and all stop after max_rounds rounds.  Returns the end points
+    and their values.
+    """
+    x = np.array(starts, dtype=float) % TWO_PI
+    fx = fn(x)
+    dims = x.shape[1]
+    steps = np.full(len(x), float(step))
+    polls = np.arange(2 * dims)
+    coord, sign = polls // 2, np.where(polls % 2 == 0, 1.0, -1.0)
+    for _ in range(max_rounds):
+        live = np.flatnonzero(steps >= tol)
+        if not live.size:
+            break
+        y = np.repeat(x[live, None, :], 2 * dims, axis=1)
+        y[:, polls, coord] = (x[live][:, coord] + sign * steps[live, None]) % TWO_PI
+        fy = fn(y.reshape(-1, dims)).reshape(len(live), 2 * dims)
+        best = fy.argmax(axis=1)
+        best_f = fy[np.arange(len(live)), best]
+        moved = best_f > fx[live]
+        x[live[moved]] = y[moved, best[moved]]
+        fx[live[moved]] = best_f[moved]
+        steps[live[~moved]] *= 0.5
+    return x, fx
+
+
 def full_angle_search(expr: BellExpression, state: NoisyState, config: OptimizerConfig, seed=7, extra_starts=()):
     """Maximize the LHS over all 2n per-party angles; returns (max LHS, MeasurementAngles).
 
@@ -605,7 +609,7 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
     for s in extra_starts:
         angles = s.expand(n) if isinstance(s, SymmetricAngles) else s
         starts.append(angles.theta_a + angles.theta_b)
-    ends, end_values = search.compass_search(
+    ends, end_values = compass_search(
         lambda vecs: quantum._lhs_values(expr, state, vecs.reshape(-1, 2, n)), starts,
         TWO_PI / resolution, config.local_tolerance, config.refinement_rounds,
     )

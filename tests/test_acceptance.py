@@ -175,7 +175,7 @@ def test_criterion_8_optimizer_vs_exhaustive_grid():
     for m in (2, 3, 4):
         expr = build_hierarchy_inequality(4, m, 1)
         grid_value, _ = exhaustive_symmetric_max(expr, state, 360)
-        optimizer_value, _ = maximize_violation(expr, state)
+        optimizer_value, _, _ = maximize_violation(expr, state)
         gap = abs(grid_value - optimizer_value)
         assert gap <= 1e-4, f"m={m}: grid {grid_value} vs optimizer {optimizer_value}"
         worst = max(worst, gap)

@@ -25,22 +25,22 @@ from mlocality.inequality import build_hierarchy_inequality
 # GHZ's many tied optima make them depend on last-ulp rounding.
 TABLE_THRESHOLD_COLUMNS = {
     "ghz": (
-        "3,1,2,0.894427,0.0590169943739", "3,2,3,0.782537,0.1042103154",
-        "4,1,2,0.947322,0.0208526361063", "4,2,3,0.913432,0.0355397213813",
-        "4,3,4,0.821021,0.0544988352554", "5,1,2,0.963132,0.00956994047077",
-        "5,2,3,0.951582,0.0159003517683", "5,3,4,0.922647,0.0209596139899",
-        "5,4,5,0.846830,0.0282616819723", "6,1,2,0.970935,0.00467729116913",
-        "6,2,3,0.968280,0.00767803104383", "6,3,4,0.959703,0.00984119527449",
-        "6,4,5,0.930828,0.0116113848298", "6,5,6,0.865786,0.0145331584555",
+        "3,1,2,0.894427,0.0590169943749", "3,2,3,0.782537,0.104210315458",
+        "4,1,2,0.947322,0.020852636225", "4,2,3,0.913432,0.0355397213911",
+        "4,3,4,0.821021,0.054498835267", "5,1,2,0.963132,0.00956994049682",
+        "5,2,3,0.951582,0.0159003518003", "5,3,4,0.922647,0.0209596139979",
+        "5,4,5,0.846830,0.0282616820018", "6,1,2,0.970935,0.00467729121106",
+        "6,2,3,0.968280,0.00767803113388", "6,3,4,0.959703,0.0098411953778",
+        "6,4,5,0.930828,0.011611384879", "6,5,6,0.865786,0.0145331585099",
     ),
     "w": (
-        "3,1,2,0.864021,0.0786893258319", "3,2,3,0.660668,0.192607633628",
-        "4,1,2,0.902376,0.0405694150406", "4,2,3,0.766524,0.11422147052",
-        "4,3,4,0.572403,0.186755365523", "5,1,2,0.909700,0.0248158609437",
-        "5,2,3,0.789473,0.0833334831608", "5,3,4,0.683563,0.115730556448",
-        "5,4,5,0.459829,0.183550585324", "6,1,2,0.893647,0.0185952668983",
-        "6,2,3,0.780412,0.0659469727158", "6,3,4,0.717296,0.0923730142095",
-        "6,4,5,0.588497,0.109256796181", "6,5,6,0.340572,0.181522434032",
+        "3,1,2,0.864021,0.0786893258333", "3,2,3,0.660668,0.192607633769",
+        "4,1,2,0.902376,0.0405694150421", "4,2,3,0.766524,0.114221476647",
+        "4,3,4,0.572403,0.186755365541", "5,1,2,0.909700,0.0248158610022",
+        "5,2,3,0.789473,0.0833334842968", "5,3,4,0.683562,0.11573103365",
+        "5,4,5,0.459829,0.183550585374", "6,1,2,0.893647,0.0185952674827",
+        "6,2,3,0.780412,0.065946973162", "6,3,4,0.717292,0.0923749049702",
+        "6,4,5,0.588494,0.109258107044", "6,5,6,0.340572,0.181522434059",
     ),
 }
 
@@ -104,7 +104,7 @@ class TestEvaluate:
 
     def test_optimized_w_angles_violate_above_threshold(self, capsys):
         expr = build_hierarchy_inequality(4, 4, 1)
-        _, angles = maximize_violation(expr, NoisyState(w_state(4), 1.0))
+        _, angles, _ = maximize_violation(expr, NoisyState(w_state(4), 1.0))
         spec = ",".join(f"{t:.10f}" for t in angles.as_tuple())
         code, out, _ = run(
             capsys,
@@ -227,7 +227,7 @@ class TestThresholdAndTable:
 
     def test_csv_rendering(self, capsys):
         angles = SymmetricAngles(0.1, 0.2, 0.3, 0.4)
-        rows = [ThresholdResult(4, 2, "ghz", 0.9475, angles, 0.0208)]
+        rows = [ThresholdResult(4, 2, "ghz", 0.9475, angles, 0.0208, True)]
         cli._emit_threshold_results(rows, argparse.Namespace(format="csv", output=None), 99)
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "family,n,i,m,p_i,max_lhs_at_p1,theta_a1,theta_b1,theta_a,theta_b,seed"
@@ -302,8 +302,7 @@ class TestThresholdAndTable:
         import mlocality.search as search_mod
 
         def no_violation(*args, **kwargs):
-            from mlocality.search import SymmetricAngles
-            return 0.0, SymmetricAngles(0, 0, 0, 0)
+            return 0.0, search_mod.SymmetricAngles(0, 0, 0, 0), search_mod.SearchTrace(0, 1, True)
 
         monkeypatch.setattr(search_mod, "maximize_violation", no_violation)
         code, _, err = run(capsys, ["threshold", "--family", "ghz", "--n", "4", "--m", "2"])

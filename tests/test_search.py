@@ -16,7 +16,7 @@ import pytest
 
 import mlocality.quantum as quantum
 import mlocality.search as search
-from oracles import full_angle_search, full_grid_selection, full_grid_totals, sequential_compass_search
+from oracles import full_angle_search, full_grid_selection, full_grid_totals
 from mlocality.inequality import build_hierarchy_inequality
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state, w_state
 from mlocality.quantum import _half_angle_pairs, _term_amplitudes, mixed_state_lhs
@@ -26,7 +26,6 @@ from mlocality.search import (
     OptimizerConfig,
     SymmetricAngles,
     ThresholdResult,
-    compass_search,
     exhaustive_symmetric_max,
     find_threshold,
     maximize_violation,
@@ -106,12 +105,12 @@ def bisection_threshold(expr, psi, config, tolerance):
     LHS(p, theta) = p*Q(theta) + (1-p)*C with C independent of theta, so the
     search ranks angles the same at every p > 0 and needs no warm start.
     """
-    value, _ = maximize_violation(expr, NoisyState(psi, 1.0), config)
+    value, _, _ = maximize_violation(expr, NoisyState(psi, 1.0), config)
     assert value > VIOLATION_TOL
     lo, hi = 0.0, 1.0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        value, _ = maximize_violation(expr, NoisyState(psi, mid), config)
+        value, _, _ = maximize_violation(expr, NoisyState(psi, mid), config)
         if value > VIOLATION_TOL:
             hi = mid
         else:
@@ -394,185 +393,138 @@ class TestGridEvaluation:
         assert (index[0], value[0]) == (0, 0.0)
 
 
-class TestCompassSearch:
-    def test_converges_on_smooth_objective(self):
-        target = np.array([1.0, 2.5])
-
-        def fn(x):
-            return -np.sum((x - target) ** 2, axis=-1)
-
-        x, fx = compass_search(fn, [[0.5, 2.0]], step=0.5, tol=1e-8, max_rounds=500)
-        assert np.allclose(x[0], target, atol=1e-6)
-        assert fx[0] == pytest.approx(0.0, abs=1e-10)
-
-    def test_never_worse_than_start(self):
-        rng = np.random.default_rng(3)
-
-        def fn(x):
-            return np.cos(x).sum(axis=-1)
-
-        starts = rng.uniform(0, 2 * np.pi, (10, 3))
-        _, fx = compass_search(fn, starts, step=0.3, tol=1e-4, max_rounds=100)
-        assert np.all(fx >= fn(starts % (2 * np.pi)) - 1e-15)
-
-
-def smooth_objective(seed, dims):
-    """A random trigonometric objective on (..., dims) points, the same row by row."""
+def trig_objective(seed, dims):
+    """A random trigonometric objective on (points, dims) arrays, with its gradient."""
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, (3, dims))
     phases = rng.uniform(0, 2 * np.pi, (3, dims))
+    k = np.arange(1, 4)[:, None]
 
     def fn(x):
-        x = np.asarray(x)[..., None, :]
-        return (weights * np.cos(np.arange(1, 4)[:, None] * x - phases)).sum(axis=(-2, -1))
+        arg = k * np.asarray(x)[:, None, :] - phases
+        return (weights * np.cos(arg)).sum(axis=(1, 2)), -(k * weights * np.sin(arg)).sum(axis=1)
 
     return fn
 
 
-def oracle_runs(fn, starts, step, tol, max_rounds):
-    """End points and values of the sequential oracle, one start after another."""
-    runs = [sequential_compass_search(lambda v: float(fn(v)), s, step, tol, max_rounds) for s in starts]
-    return np.array([x for x, _ in runs]), np.array([fx for _, fx in runs])
+def lockstep(fn, starts, max_step=0.5, tol=1e-8, max_iterations=200, allowance=1e-14):
+    return search._lockstep_bfgs(fn, np.asarray(starts, dtype=float), max_step, tol, max_iterations, allowance)
 
 
-class TestLockstepEqualsOracle:
-    """The lockstep search refines every start exactly as the one-start oracle does."""
+class TestLockstepBfgs:
+    def test_converges_on_a_separable_objective(self):
+        # sum of cos(x_i - c_i) peaks at x = c, where it equals the dimension
+        target = np.array([1.0, 2.5, 4.0])
 
-    @pytest.mark.parametrize("max_rounds", [200, 1], ids=["converged", "budget-1"])
-    def test_smooth_random_objective(self, max_rounds):
-        fn = smooth_objective(61, 3)
-        starts = np.random.default_rng(62).uniform(-1.0, 8.0, (6, 3))  # some outside [0, 2*pi)
-        x, fx = compass_search(fn, starts, step=0.5, tol=1e-6, max_rounds=max_rounds)
-        ox, ofx = oracle_runs(fn, starts, 0.5, 1e-6, max_rounds)
-        np.testing.assert_array_equal(x, ox)
-        np.testing.assert_array_equal(fx, ofx)
-
-    def test_starts_stop_on_their_own(self):
-        # starts converge after different round counts, so some stop while
-        # others refine on; each round is one objective call for all of them
-        fn = smooth_objective(63, 2)
-        starts = np.random.default_rng(64).uniform(0, 2 * np.pi, (5, 2))
-        calls = []
-
-        def counting(points):
-            calls.append(len(points))
-            return fn(points)
-
-        x, fx = compass_search(counting, starts, step=0.4, tol=1e-3, max_rounds=25)
-        ox, ofx = oracle_runs(fn, starts, 0.4, 1e-3, 25)
-        np.testing.assert_array_equal(x, ox)
-        np.testing.assert_array_equal(fx, ofx)
-        assert calls[0] == len(starts)
-        assert all(c % 4 == 0 for c in calls[1:])  # 2 polls per coordinate per live start
-        assert len(set(calls[1:])) > 1  # starts stopped in different rounds
-        assert len(calls) <= 1 + 25
-
-    def test_first_best_poll_wins_a_tie(self):
-        # polls +x0 and +x1 both reach the plateau value 1: the first wins
         def fn(x):
-            return (np.asarray(x) > 1.0).sum(axis=-1).astype(float)
+            return np.cos(x - target).sum(axis=1), -np.sin(x - target)
 
-        starts = [[0.8, 0.8], [0.8, 3.0], [0.2, 0.2]]
-        x, fx = compass_search(fn, starts, step=0.5, tol=0.1, max_rounds=1)
-        np.testing.assert_array_equal(x[0], [1.3, 0.8])
-        ox, ofx = oracle_runs(fn, starts, 0.5, 0.1, 1)
-        np.testing.assert_array_equal(x, ox)
-        np.testing.assert_array_equal(fx, ofx)
-        # on a plateau no poll improves: no start moves, every step halves
-        x, fx = compass_search(lambda p: np.zeros(len(p)), starts, step=0.5, tol=0.1, max_rounds=50)
-        ox, ofx = oracle_runs(lambda p: np.zeros(np.shape(p)[:-1]), starts, 0.5, 0.1, 50)
-        np.testing.assert_array_equal(x, np.array(starts) % (2 * np.pi))
-        np.testing.assert_array_equal(x, ox)
+        x, fx, trace = lockstep(fn, [[0.5, 2.0, 3.5], [1.5, 3.0, 4.4]])
+        np.testing.assert_allclose(x, [target, target], atol=1e-7)
+        np.testing.assert_allclose(fx, 3.0, rtol=0, atol=1e-14)
+        assert trace.converged and 0 < trace.iterations < 50
 
-    def test_step_below_tolerance_runs_no_round(self):
-        fn = smooth_objective(65, 2)
-        starts = [[7.0, 1.0], [2.0, -0.5]]
+    def test_never_below_its_start_and_one_call_per_trial(self):
+        fn = trig_objective(3, 4)
+        starts = np.random.default_rng(4).uniform(-1.0, 8.0, (10, 4))  # some outside [0, 2*pi)
         calls = []
 
         def counting(points):
             calls.append(len(points))
             return fn(points)
 
-        x, fx = compass_search(counting, starts, step=1e-7, tol=1e-6, max_rounds=10)
-        ox, ofx = oracle_runs(fn, starts, 1e-7, 1e-6, 10)
+        x, fx, trace = lockstep(counting, starts)
+        assert np.all(fx >= fn(starts % (2 * np.pi))[0])
+        np.testing.assert_array_equal(fx, fn(x)[0])  # each value is the objective at its end point
+        assert np.all((0 <= x) & (x < 2 * np.pi))
+        assert trace.converged and trace.objective_calls == len(calls)
+        assert calls[0] == len(starts) and max(calls[1:]) <= len(starts)
+        assert len(set(calls[1:])) > 1  # restarts stopped after different iteration counts
+
+    def test_budget_of_one_iteration_has_not_converged(self):
+        x, fx, trace = lockstep(trig_objective(5, 4), [[0.3, 1.0, 2.0, 5.0]], max_iterations=1)
+        assert (trace.iterations, trace.converged) == (1, False)
+
+    def test_flat_objective_stops_at_once(self):
+        # a zero gradient predicts no rise: nothing moves, one call, converged
+        starts = [[0.5, 7.0], [1.0, 2.0]]
+        x, fx, trace = lockstep(lambda p: (np.zeros(len(p)), np.zeros(p.shape)), starts)
         np.testing.assert_array_equal(x, np.array(starts) % (2 * np.pi))
-        np.testing.assert_array_equal(x, ox)
-        np.testing.assert_array_equal(fx, ofx)
-        assert calls == [2]
+        assert (trace.iterations, trace.objective_calls, trace.converged) == (0, 1, True)
+
+    def test_a_step_below_tolerance_stops_its_restart(self):
+        # with the tolerance above the step cap every restart stops after one iteration
+        x, fx, trace = lockstep(trig_objective(6, 3), [[0.2, 0.4, 0.6], [3.0, 2.0, 1.0]], max_step=0.1, tol=0.2)
+        assert (trace.iterations, trace.converged) == (1, True)
 
 
 def oracle_objective(expr, state):
     return lambda v: evaluate_lhs(expr, state, SymmetricAngles(*v).expand(expr.n))
 
 
-def per_point_objective(expr, state):
-    """A stand-in for search._symmetric_lhs: one evaluate_lhs call per point, the oracle's own arithmetic."""
-    fn = oracle_objective(expr, state)
-    return lambda forms, points: np.array([fn(point) for point in points])
-
-
-def optimize_with_oracle(monkeypatch, expr, state, config):
-    """maximize_violation, and the oracle's answer from the same starts.
-
-    Returns the lockstep search's (value, angle vector, per-start end points
-    and values) and the same for the oracle: each start refined on its own
-    by the sequential search on evaluate_lhs, then the best end point taken
-    by the same rule (larger value, then smaller angle tuple).
-    """
-    seen = []
-    lockstep = search.compass_search
-
-    def recording(fn, starts, step, tol, max_rounds):
-        result = lockstep(fn, starts, step, tol, max_rounds)
-        seen.append((np.array(starts, dtype=float), step, tol, max_rounds, result))
-        return result
-
-    monkeypatch.setattr(search, "compass_search", recording)
-    value, angles = maximize_violation(expr, state, config)
-    monkeypatch.setattr(search, "compass_search", lockstep)
-    ((starts, step, tol, max_rounds, ends),) = seen
-
-    fn = oracle_objective(expr, state)
-    runs = [sequential_compass_search(fn, s, step, tol, max_rounds) for s in starts]
-    best_val, best_vec = -np.inf, None
-    for x, fx in runs:
-        if fx > best_val or (fx == best_val and tuple(x) < tuple(best_vec)):
-            best_val, best_vec = fx, x
-    oracle_ends = (np.array([x for x, _ in runs]), np.array([fx for _, fx in runs]))
-    return (value, angles.as_tuple(), ends), (best_val, tuple(best_vec), oracle_ends)
-
-
 ORACLE_CASES = [
     ("ghz-n3", lambda: NoisyState(ghz_state(3), 1.0), 3),
     ("w-n4", lambda: NoisyState(state_for_family("w", 4), 1.0), 2),
+    ("w-n5", lambda: NoisyState(state_for_family("w", 5), 1.0), 4),
     ("random-n3", lambda: NoisyState(random_state(3, np.random.default_rng(67)), 0.9), 2),
 ]
 ORACLE_IDS = [c[0] for c in ORACLE_CASES]
 
+# Q* of every n <= 7 cell at the default config as the earlier compass
+# refinement returned it, rows by n = 2..7, m = 2..n.  It stopped early in
+# some cells (W n=7 m=6 by 7e-5), so a converged search may only rise above these.
+COMPASS_Q_STAR = {
+    "ghz": (
+        [0.20710678118654768],
+        [0.05901699437392156, 0.10421031540029463],
+        [0.02085263610634111, 0.035539721381304165, 0.05449883525536535],
+        [0.009569940470767473, 0.0159003517682579, 0.02095961398994677, 0.028261681972303013],
+        [0.0046772911691324096, 0.007678031043829502, 0.009841195274489005, 0.011611384829837123,
+         0.014533158455486063],
+        [0.0023202674813592, 0.0037908247572174536, 0.004817285498766469, 0.005576850463486525,
+         0.006223114349212499, 0.0074288627928841685],
+    ),
+    "w": (
+        [0.20710678118654768],
+        [0.07868932583189531, 0.1926076336283005],
+        [0.04056941504064426, 0.11422147051984022, 0.18675536552284797],
+        [0.02481586094373306, 0.08333348316078859, 0.1157305564479012, 0.18355058532352042],
+        [0.01859526689833141, 0.06594697271577299, 0.09237301420952027, 0.10925679618115958,
+         0.1815224340319418],
+        [0.015324332892253212, 0.05470507586774409, 0.07736705707602853, 0.09137821559913295,
+         0.10113708702324165, 0.1801220087705171],
+    ),
+}
+
 
 class TestMaximizeViolationEqualsOracle:
     @pytest.mark.parametrize("case,make_state,m", ORACLE_CASES, ids=ORACLE_IDS)
-    def test_same_search_as_oracle_on_the_same_values(self, monkeypatch, case, make_state, m):
-        # with the polls evaluated point by point, both searches see the same
-        # value at every point, so they must take the same steps exactly
+    def test_same_optimum_as_scipy_bfgs_from_the_same_cells(self, case, make_state, m):
+        # SciPy's BFGS, on evaluate_lhs point by point with finite-difference
+        # gradients, from the grid cells the refinement starts from
+        optimize = pytest.importorskip("scipy.optimize")
         state = make_state()
         expr = build_hierarchy_inequality(state.n, m, 1)
-        monkeypatch.setattr(search, "_symmetric_lhs", per_point_objective(expr, state))
-        lock, oracle = optimize_with_oracle(monkeypatch, expr, state, QUICK)
-        np.testing.assert_array_equal(lock[2][0], oracle[2][0])
-        np.testing.assert_array_equal(lock[2][1], oracle[2][1])
-        assert lock[:2] == oracle[:2]
+        forms = search._symmetric_forms(expr, state)
+        _, starts = search._best_candidates(forms, QUICK.grid_resolution, QUICK.restarts)
+        fn = oracle_objective(expr, state)
+        oracle = max(
+            -optimize.minimize(lambda v: -fn(v), start.as_tuple(), method="BFGS", options={"gtol": 1e-11}).fun
+            for start in starts
+        )
+        value, angles, trace = maximize_violation(expr, state, QUICK)
+        assert trace.converged
+        assert value == pytest.approx(oracle, rel=0, abs=1e-10)
+        assert fn(angles.as_tuple()) == pytest.approx(value, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("case,make_state,m", ORACLE_CASES, ids=ORACLE_IDS)
-    def test_batched_symmetric_search_matches_oracle(self, monkeypatch, case, make_state, m):
-        # the objective on the forms' coefficients rounds differently in the
-        # last place, so only the values are compared; the reported angles
-        # reach the value
-        state = make_state()
-        expr = build_hierarchy_inequality(state.n, m, 1)
-        (value, vec, _), (oracle_value, _, _) = optimize_with_oracle(monkeypatch, expr, state, QUICK)
-        assert value == pytest.approx(oracle_value, abs=1e-12)
-        assert oracle_objective(expr, state)(np.array(vec)) == pytest.approx(value, abs=1e-12)
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_no_cell_falls_below_the_compass_refinement(self, family):
+        for n, row in enumerate(COMPASS_Q_STAR[family], start=2):
+            for m, compass in enumerate(row, start=2):
+                expr = build_hierarchy_inequality(n, m, 1)
+                value, _, trace = maximize_violation(expr, NoisyState(state_for_family(family, n), 1.0))
+                assert trace.converged
+                assert value >= compass - 1e-12, (n, m)
 
     @pytest.mark.parametrize("k_prime", [1, 3])
     @pytest.mark.parametrize("n", range(3, 8))
@@ -580,20 +532,25 @@ class TestMaximizeViolationEqualsOracle:
     def test_objective_equals_evaluate_lhs_off_the_grid(self, family, seed, n, k_prime):
         # the refinement's objective reads the grid's Fourier coefficients;
         # at random angles, none of them on a sample grid and some outside
-        # [0, 2*pi), it must give the kernel's LHS for every m
+        # [0, 2*pi), it must give the kernel's LHS for every m, and its
+        # gradient the kernel's central differences
         rng = np.random.default_rng(seed + n)
         state = NoisyState(make_state(family, n, seed + n), 0.7)
         points = rng.uniform(-2 * np.pi, 4 * np.pi, (16, 4))
+        shift = 1e-5 * np.eye(4)
         for m in range(2, n + 1):
             expr = build_hierarchy_inequality(n, m, k_prime)
             forms = np.moveaxis(search._symmetric_forms(expr, state), 1, 0)
-            want = [oracle_objective(expr, state)(point) for point in points]
-            np.testing.assert_allclose(search._symmetric_lhs(forms, points), want, rtol=0, atol=1e-12)
+            fn = oracle_objective(expr, state)
+            values, gradients = search._symmetric_lhs(forms, points)
+            np.testing.assert_allclose(values, [fn(point) for point in points], rtol=0, atol=1e-12)
+            differences = [[(fn(point + h) - fn(point - h)) / 2e-5 for h in shift] for point in points]
+            np.testing.assert_allclose(gradients, differences, rtol=0, atol=1e-8)
 
     def test_one_kernel_call_and_one_objective_call_per_round(self, monkeypatch):
         # the amplitude kernel runs once, to sample party 1's forms; every
-        # objective call after it is a lockstep round, or the first
-        # evaluation of the starts
+        # objective call after it is one line-search trial of an iteration,
+        # or the first evaluation of the starts
         kernel_callers, objective_calls = [], []
         kernel, objective = quantum._term_amplitudes, search._symmetric_lhs
 
@@ -609,10 +566,32 @@ class TestMaximizeViolationEqualsOracle:
         monkeypatch.setattr(search, "_term_amplitudes", counting_kernel)
         monkeypatch.setattr(search, "_symmetric_lhs", counting_objective)
         expr = build_hierarchy_inequality(4, 3, 1)
-        maximize_violation(expr, NoisyState(ghz_state(4), 1.0), QUICK)
+        _, _, trace = maximize_violation(expr, NoisyState(ghz_state(4), 1.0), QUICK)
         assert kernel_callers == ["_form_coefficients"]
-        assert 1 < len(objective_calls) <= 1 + QUICK.refinement_rounds
+        # a line search halves a step of at most one grid spacing until it drops below the tolerance
+        trials = 1 + math.floor(math.log2(2 * math.pi / QUICK.grid_resolution / QUICK.local_tolerance))
+        assert 1 < len(objective_calls) == trace.objective_calls <= 1 + trace.iterations * trials
+        assert trace.iterations <= QUICK.refinement_rounds
         assert all(shape[1:] == (4,) for shape in objective_calls)
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("family,n,m", [("ghz", 3, 2), ("ghz", 3, 3), ("w", 3, 2), ("w", 3, 3), ("ghz", 4, 4)])
+    def test_threshold_table_cells_converge(self, family, n, m):
+        assert find_threshold(n, m, family).converged
+
+    @pytest.mark.parametrize("family,m,config,printed", [
+        ("ghz", 2, OptimizerConfig(grid_resolution=96, restarts=16), "0.986721"),
+        ("w", 6, OptimizerConfig(grid_resolution=96), "0.669846"),
+    ], ids=["ghz-m2", "w-m6"])
+    def test_ci_cells_converge(self, family, m, config, printed):
+        result = find_threshold(12, m, family, config)
+        assert result.converged
+        assert f"{result.p_threshold:.6f}" == printed
+
+    def test_one_iteration_has_not_converged(self):
+        result = find_threshold(3, 3, "w", OptimizerConfig(refinement_rounds=1))
+        assert not result.converged
 
 
 class TestMaximizeViolation:
@@ -620,15 +599,15 @@ class TestMaximizeViolation:
         # coefficient sum over 2^n: (1 - n - binomial(n-1, m-1)) / 2^n
         expr = build_hierarchy_inequality(4, 4, 1)
         state = NoisyState(ghz_state(4), 0.0)
-        value, _ = maximize_violation(expr, state, QUICK)
+        value, _, _ = maximize_violation(expr, state, QUICK)
         assert value == pytest.approx(-4 / 16, abs=1e-12)
         expr = build_hierarchy_inequality(4, 2, 1)
-        value, _ = maximize_violation(expr, state, QUICK)
+        value, _, _ = maximize_violation(expr, state, QUICK)
         assert value == pytest.approx(-6 / 16, abs=1e-12)
 
     def test_ghz_genuine_nonlocality_violation(self):
         expr = build_hierarchy_inequality(4, 2, 1)
-        value, angles = maximize_violation(expr, NoisyState(ghz_state(4), 1.0))
+        value, angles, _ = maximize_violation(expr, NoisyState(ghz_state(4), 1.0))
         assert value > 0
         # optimizer value is reproduced by a direct evaluation at its angles
         assert evaluate_lhs(expr, NoisyState(ghz_state(4), 1.0), angles.expand(4)) == pytest.approx(
@@ -639,20 +618,20 @@ class TestMaximizeViolation:
         # for two qubits the m=2 expression is of Clauser-Horne type: the
         # maximally entangled state reaches (sqrt(2)-1)/2
         expr = build_hierarchy_inequality(2, 2, 1)
-        value, _ = maximize_violation(expr, NoisyState(ghz_state(2), 1.0))
+        value, _, _ = maximize_violation(expr, NoisyState(ghz_state(2), 1.0))
         assert value == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-7)
 
     def test_refinement_not_below_coarse_grid(self):
         expr = build_hierarchy_inequality(4, 3, 1)
         state = NoisyState(ghz_state(4), 1.0)
         grid_best, _ = search._best_candidates(search._symmetric_forms(expr, state), QUICK.grid_resolution, 1)
-        value, _ = maximize_violation(expr, state, QUICK)
+        value, _, _ = maximize_violation(expr, state, QUICK)
         assert value >= grid_best - 1e-12
 
     def test_symmetric_bounded_by_full_parametrization(self):
         expr = build_hierarchy_inequality(3, 2, 1)
         state = NoisyState(ghz_state(3), 1.0)
-        sym_val, sym_angles = maximize_violation(expr, state, QUICK)
+        sym_val, sym_angles, _ = maximize_violation(expr, state, QUICK)
         full_val, full_angles = full_angle_search(expr, state, QUICK, extra_starts=(sym_angles,))
         assert isinstance(full_angles, MeasurementAngles)
         assert full_val >= sym_val - 1e-9
@@ -721,7 +700,7 @@ class TestThresholds:
 
     def test_no_violation_raises(self, monkeypatch):
         def no_violation(expr, state, config=None):
-            return 0.0, SymmetricAngles(0.0, 0.0, 0.0, 0.0)
+            return 0.0, SymmetricAngles(0.0, 0.0, 0.0, 0.0), search.SearchTrace(0, 1, True)
 
         monkeypatch.setattr(search, "maximize_violation", no_violation)
         with pytest.raises(NoViolationError):
@@ -729,7 +708,7 @@ class TestThresholds:
 
     def test_threshold_result_validation(self):
         with pytest.raises(ValueError):
-            ThresholdResult(4, 2, "ghz", 1.4, SymmetricAngles(0, 0, 0, 0), 0.1)
+            ThresholdResult(4, 2, "ghz", 1.4, SymmetricAngles(0, 0, 0, 0), 0.1, True)
 
     def test_state_family_validation(self):
         with pytest.raises(ValueError):
