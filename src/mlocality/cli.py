@@ -14,8 +14,9 @@ the flag does, and every command that takes it prints the seed it used.
 certify reads sample i from row i of the uniforms seeded by --seed, in
 chunks in one process.  A failing sample is written to stderr as a JSON
 report of its draws: seed, sample_index, n, m, k_prime, the observed LHS
-and each block's parties, mixture weights and vertex ids (see `lhv`), from
+and each block's parties and vertex ids, one per atom (see `lhv`), from
 which the sample and its tables are rebuilt.
+evaluate takes exactly one of --angles and --symmetric-angles.
 threshold and table also take --seed, but their search is deterministic:
 the seed is only recorded in the output and does not change the results.
 table computes its cells one after another in one process.
@@ -246,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_expression(p)
     p.add_argument("--family", required=True, help="ghz or w")
     p.add_argument("--p", type=float, default=1.0, help="visibility in [0, 1] (default: %(default)s)")
-    p.add_argument("--angles", help="2n comma-separated radians: a-angles then b-angles")
-    p.add_argument("--symmetric-angles", dest="symmetric_angles", help="4 comma-separated radians")
+    # one of the two is required; that is checked after a config file is read (`_parse_angles`)
+    angles = p.add_mutually_exclusive_group()
+    angles.add_argument("--angles", help="2n comma-separated radians: a-angles then b-angles")
+    angles.add_argument("--symmetric-angles", dest="symmetric_angles", help="4 comma-separated radians")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 

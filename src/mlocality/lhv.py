@@ -10,35 +10,37 @@ strategies is a maximum over the O(n^3) vectors of those counts (see
 `max_strategy_lhs`).
 
 A nonsignaling m-local model is a partition of the n parties into m
-blocks with a nonsignaling distribution on each block.  A block sample is
-a mixture sum_j w_j of products of polytope vertices, one per atom (a run
-of at most 3 consecutive parties of the block).  The vertices come from
-fixed pools for atoms of 1 to 3 parties, stored as exact tables in
+blocks with a nonsignaling distribution on each block.  The LHS is linear
+in each block's table, so over a product of polytopes it is largest at a
+product of vertices: the LHS of a mixture is the mixture of its
+components' LHS values, and never exceeds the best of them.  A sample
+therefore gives each block one product of polytope vertices, one per atom
+(a run of at most 3 consecutive parties of the block).  The vertices come
+from fixed pools for atoms of 1 to 3 parties, stored as exact tables in
 `_vertices` (all 4 and all 24 vertices at sizes 1 and 2, 79 at size 3), so
 all sampling is reproducible given the caller's seed.
 
 Certification reads only the entries the terms touch: a term reads the
 product model at one entry, so its value is
-``coefficients . prod_blocks sum_j w_j prod_atoms touched_atom[vertex_j]``,
-where ``touched_atom`` is the (V, T) matrix of the entries the T terms read
-from the V vertices of the atom's pool (`_TermReader`).  No table of a
-block or of the product is built.
+``coefficients . prod_blocks prod_atoms touched_atom[vertex]``, where
+``touched_atom`` is the (V, T) matrix of the entries the T terms read from
+the V vertices of the atom's pool (`_TermReader`).  No table of a block or
+of the product is built.
 
-Sample i reads row i of D = 1 + m (1 + K A + K) uniforms of
-`default_rng(seed)`, K = 3 the largest mixture and A = ceil((n - m + 1) / 3)
-the most atoms in a block: the partition, then per block its mixture size,
-K A vertex ids and K weights (`_mixtures`), used or not.  The partition is
-the one of rank floor(u S(n, m)) in the lexicographic order of restricted
-growth strings, unranked on its own (`_partition`).  So
-`default_rng(seed)`, `bit_generator.advance(i * D)`, `random(D)` replays it.
+Sample i reads row i of D = 1 + m A uniforms of `default_rng(seed)`, A =
+ceil((n - m + 1) / 3) the most atoms in a block: the partition, then per
+block A vertex ids, used or not.  The partition is the one of rank
+floor(u S(n, m)) in the lexicographic order of restricted growth strings,
+unranked on its own (`_partition`), and vertex a of a block is
+floor(u |pool|) of its atom's pool.  So `default_rng(seed)`,
+`bit_generator.advance(i * D)`, `random(D)` replays it.
 
-A sample above the bound is reported by its draws, in
-`CertificationError.report`: ``kind``, ``seed``, ``sample_index``,
-``tolerance``, the expression's ``n``, ``m`` and ``k_prime``, the
-``observed_lhs`` and, per block of the partition, its ``parties``, the
-mixture ``weights`` of its slots with positive weight and their
-``vertices``, one pool position per atom.  With the stored pools that is
-enough to rebuild every table of the model.
+A sample whose LHS is above the bound, or not a number, is reported by its
+draws, in `CertificationError.report`: ``kind``, ``seed``,
+``sample_index``, ``tolerance``, the expression's ``n``, ``m`` and
+``k_prime``, the ``observed_lhs`` and, per block of the partition, its
+``parties`` and ``vertices``, one pool position per atom.  With the stored
+pools that is enough to rebuild every table of the model.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .inequality import BellExpression, ParameterDomainError, TermTable
 CERT_TOL = 1e-9
 CERTIFY_MAX_PARTIES = 12
 VERTEX_MAX_BLOCK = 3
-MIXTURE_MAX = 3
 # Entries gathered per chunk of samples; keeps a chunk's temporaries near 0.5 MB.
 _GATHER_CAP = 1 << 16
 
@@ -207,19 +208,6 @@ def _uniform_index(u, length):
     return np.floor(u * length).astype(np.intp)
 
 
-def _mixtures(u: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(..., K) weights and (..., K, A) vertex ids of blocks from their 1 + K A + K uniforms.
-
-    k = 1 + floor(3 u) slots are mixed, vertex (j, a) is floor(u lengths[a])
-    and the weights are -log1p(-u), normalised over the first k slots (a
-    flat Dirichlet) and 0 past them.
-    """
-    k = 1 + _uniform_index(u[..., :1], MIXTURE_MAX)
-    ids = _uniform_index(u[..., 1:-MIXTURE_MAX].reshape(u.shape[:-1] + (MIXTURE_MAX, -1)), lengths[..., None, :])
-    weights = np.where(np.arange(MIXTURE_MAX) < k, -np.log1p(-u[..., -MIXTURE_MAX:]), 0.0)
-    return weights / weights.sum(axis=-1, keepdims=True), ids
-
-
 def _term_entries(table: TermTable, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The packed settings and outcome indices each term reads on the
     0-based parties `cols`, the first of them the most significant bit."""
@@ -235,22 +223,21 @@ class _TermReader:
     """The entries that the terms of one expression read from product models.
 
     Term t reads the n-party table at its settings and outcomes.  In a
-    product of block samples that entry is, block by block, the mixture over
-    the slots of the product over the block's atoms of each vertex's entry
-    at t's settings and outcomes on the atom.  The (V, T) matrices of those
-    entries for the V vertices of each atom's pool fill a stack allocated
-    once, below a row of ones that absent atoms read, with room for the
-    1 + sum_s C(n, s) |pool_s| rows of every atom the parties can form; an
-    atom's rows are written when a sample first draws it.  The stored tables
-    are exact, nonnegative and with rows that sum to exactly 1, so they are
-    read as they stand.
+    product of vertices that entry is the product, over the atoms of every
+    block, of the atom's vertex's entry at t's settings and outcomes on the
+    atom.  The (V, T) matrices of those entries for the V vertices of each
+    atom's pool fill a stack allocated once, below a row of ones that
+    absent atoms read, with room for the 1 + sum_s C(n, s) |pool_s| rows of
+    every atom the parties can form; an atom's rows are written when a
+    sample first draws it.  The stored tables are exact, so they are read
+    as they stand.
     """
 
     def __init__(self, expr: BellExpression):
         self._expr = expr
         self._count = _partition_count(expr.n, expr.m)
         self.atoms = -(-(expr.n - expr.m + 1) // VERTEX_MAX_BLOCK)
-        self.width = 1 + expr.m * (1 + MIXTURE_MAX * (self.atoms + 1))
+        self.width = 1 + expr.m * self.atoms
         sizes = range(1, min(VERTEX_MAX_BLOCK, expr.n - expr.m + 1) + 1)
         self._pools = {s: np.stack(nonsignaling_vertex_pool(s)) for s in sizes}
         height = 1 + sum(math.comb(expr.n, s) * len(pool) for s, pool in self._pools.items())
@@ -274,45 +261,49 @@ class _TermReader:
                 layout[a] = self._first[parties], len(pool)
         return self._blocks[block]
 
-    def draws(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The partitions' ranks, the weights, the vertex ids and the atoms'
-        first rows in the stack of the samples of a (rows, width) array of uniforms."""
+    def _layout(self, index: np.ndarray) -> np.ndarray:
+        """The (rows, m, A, 2) `_block` layouts of the partitions of the given ranks."""
         n, m = self._expr.n, self._expr.m
-        index = _uniform_index(u[:, 0], self._count)
         drawn, inverse = np.unique(index, return_inverse=True)
         layout = np.stack([self._block(b) for p in drawn.tolist() for b in _partition(n, m, p)])
-        layout = layout.reshape(len(drawn), m, self.atoms, 2)[inverse]
-        weights, ids = _mixtures(u[:, 1:].reshape(len(u), m, -1), layout[..., 1])
-        return index, weights, ids, layout[..., 0]
+        return layout.reshape(len(drawn), m, self.atoms, 2)[inverse]
 
-    def values(self, u: np.ndarray) -> np.ndarray:
-        """LHS of the sample of each row of uniforms, from one gather."""
-        _, weights, ids, first = self.draws(u)
-        # atoms, slots and blocks lead: no product or sum order depends on the chunk's size
-        reads = self._stack[(ids + first[:, :, None, :]).T].prod(axis=0)
-        weights = weights.T[..., None]
-        # the weights sum to 1 only up to rounding, so each block's mixture is divided by their sum
-        blocks = (weights * reads).sum(axis=0) / weights.sum(axis=0)
-        return (blocks.prod(axis=0) * self._expr.table.coefficients).sum(axis=1)
+    def draws(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The partitions' ranks, the (rows, m, A) vertex ids and the atoms'
+        first rows in the stack of the samples of a (rows, width) array of uniforms."""
+        index = _uniform_index(u[:, 0], self._count)
+        layout = self._layout(index)
+        ids = _uniform_index(u[:, 1:].reshape(layout.shape[:-1]), layout[..., 1])
+        return index, ids, layout[..., 0]
+
+    def values(self, index: np.ndarray, ids: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+        """LHS of the products of vertices `ids` on the partitions of ranks
+        `index`, from one gather.  `first`, the atoms' first rows in the
+        stack, is found from `index` unless given, as `draws` gives it."""
+        if first is None:
+            first = self._layout(index)[..., 0]
+        # atoms and blocks lead: no product or sum order depends on the chunk's size
+        reads = self._stack[(ids + first).T].prod(axis=0).prod(axis=0)
+        return (reads * self._expr.table.coefficients).sum(axis=1)
 
 
 def _sampled_models(reader: _TermReader, samples: int, seed):
     """Yield (first sample, uniforms, LHS values) per chunk; no row depends on the chunk size."""
     expr = reader._expr
-    rows = max(1, _GATHER_CAP // (expr.m * MIXTURE_MAX * reader.atoms * len(expr.table.coefficients)))
+    rows = max(1, _GATHER_CAP // (expr.m * reader.atoms * len(expr.table.coefficients)))
     rng = np.random.default_rng(seed)
     for start in range(0, samples, rows):
         u = rng.random((min(rows, samples - start), reader.width))
-        yield start, u, reader.values(u)
+        yield start, u, reader.values(*reader.draws(u))
 
 
 def _failure_report(reader: _TermReader, row: np.ndarray, value: float, seed, index: int) -> dict:
     """The report of sample `index`, whose uniforms are `row` and LHS `value`, by its draws."""
     expr = reader._expr
-    drawn, weights, ids, _ = reader.draws(row[None])
+    drawn, ids, _ = reader.draws(row[None])
     blocks = [
-        {"parties": list(b), "weights": w[w > 0].tolist(), "vertices": v[w > 0, : len(_atoms(b))].tolist()}
-        for b, w, v in zip(_partition(expr.n, expr.m, int(drawn[0])), weights[0], ids[0])
+        {"parties": list(b), "vertices": v[: len(_atoms(b))].tolist()}
+        for b, v in zip(_partition(expr.n, expr.m, int(drawn[0])), ids[0])
     ]
     return {
         "kind": "certification_failure",
@@ -330,15 +321,17 @@ def _failure_report(reader: _TermReader, row: np.ndarray, value: float, seed, in
 def certify_m_local_bound(expr: BellExpression, samples: int, seed: int) -> float:
     """Sample nonsignaling m-local product models and check LHS <= tolerance.
 
-    Sample i reads row i of D uniforms of `default_rng(seed)` (see the
-    module docstring): a partition into m blocks, unranked from a rank
-    uniform over 0..S(n, m)-1 (`_partition`), and a nonsignaling
-    distribution per block.  A chunk of samples is evaluated with one gather
-    of the T entries its terms read (see `_TermReader`).  Returns the
-    maximum observed LHS.  The first sample above the tolerance raises
-    CertificationError; its report gives the sample's draws and LHS as the
-    run's reader read them (fields in the module docstring), and its
-    sample_index i is replayed by `default_rng(seed)`,
+    Sample i reads row i of D = 1 + m A uniforms of `default_rng(seed)`
+    (see the module docstring): a partition into m blocks, unranked from a
+    rank uniform over 0..S(n, m)-1 (`_partition`), and per block one product
+    of pool vertices, one per atom.  Mixtures are not drawn: the LHS is
+    linear in each block, so a mixture's LHS never exceeds that of its best
+    component.  A chunk of samples is evaluated with one gather of the T
+    entries its terms read (see `_TermReader`).  Returns the maximum
+    observed LHS.  The first sample whose LHS is above the tolerance, or
+    NaN, raises CertificationError; its report gives the sample's draws and
+    LHS as the run's reader read them (fields in the module docstring), and
+    its sample_index i is replayed by `default_rng(seed)`,
     `bit_generator.advance(i * D)`, `random(D)`.  So the seed must be an
     integer: a Generator or a float raises TypeError before any draw, and an
     integer such as np.int64 is stored as a Python int, so the report
@@ -359,12 +352,12 @@ def certify_m_local_bound(expr: BellExpression, samples: int, seed: int) -> floa
     reader = _TermReader(expr)
     worst = -math.inf
     for start, u, values in _sampled_models(reader, samples, seed):
-        over = np.flatnonzero(values > CERT_TOL)
+        over = np.flatnonzero(~(values <= CERT_TOL))  # NaN fails too
         if over.size:
             index, value = start + int(over[0]), float(values[over[0]])
             raise CertificationError(
                 f"m-local bound violated at sample {index}: LHS = {value!r}",
                 _failure_report(reader, u[over[0]], value, seed, index),
             )
-        worst = max(worst, float(values.max()))
+        worst = max(float(values.max()), worst)  # max(nan, x) keeps the nan
     return worst

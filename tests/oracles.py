@@ -12,9 +12,11 @@ the package's amplitude kernel.
 The dense layer lives here, not in the package: `ConditionalDistribution`
 is a 2^s x 2^s table P(r|M) of a block of s parties (`check_nonsignaling`
 tests it), `Partition` and `enumerate_partitions` list the partitions in
-the order of `mlocality.lhv._partition`'s ranks, `block_sample` and
-`sample_nonsignaling_block` build a block's mixture of pool-vertex
-products as one table, `product_distribution` multiplies the blocks into
+the order of `mlocality.lhv._partition`'s ranks, `vertex_product` builds
+a block's product of pool vertices, one per atom, as one table,
+`block_sample` and `sample_nonsignaling_block` build mixtures of them
+(certification draws none: a mixture's LHS never exceeds its best
+component's), `product_distribution` multiplies the blocks into
 the 2^n x 2^n table of an m-local model, and `distribution_lhs` reads the
 LHS off it.  `mlocality.lhv.certify_m_local_bound` builds none of these
 tables: it reads only the entries the terms touch, and these tables check
@@ -67,12 +69,13 @@ from mlocality.inequality import (
     Term,
     TermTable,
 )
-from mlocality.lhv import MIXTURE_MAX, VERTEX_MAX_BLOCK
+from mlocality.lhv import VERTEX_MAX_BLOCK
 from mlocality.quantum import MeasurementAngles, NoisyState
 from mlocality.search import OptimizerConfig, SymmetricAngles
 from mlocality.simplex import solve_lp_max
 
 STRATEGY_MAX_PARTIES = 12
+MIXTURE_MAX = 3  # products of pool vertices mixed by sample_nonsignaling_block
 DENSE_ORACLE_MAX_PARTIES = 8
 NS_TOL = 1e-9
 CLAMP_TOL = -1e-12
@@ -251,29 +254,34 @@ def product_table(groups: Sequence[tuple[int, ...]], tables: Sequence[np.ndarray
     return full
 
 
-def block_sample(size: int, weights: np.ndarray, ids: np.ndarray) -> ConditionalDistribution:
-    """The distribution on parties 1..size of a block's mixture weights and
-    (slot, atom) vertex ids, read from `lhv.nonsignaling_vertex_pool`."""
+def vertex_product(size: int, ids: Sequence[int]) -> ConditionalDistribution:
+    """The distribution on parties 1..size of one vertex per atom, by
+    position in `lhv.nonsignaling_vertex_pool`."""
     groups = lhv._atoms(range(size))
-    tables = [
-        w * product_table(groups, [lhv.nonsignaling_vertex_pool(len(g))[v] for g, v in zip(groups, row)], size)
-        for w, row in zip(weights, ids) if w > 0
-    ]
+    tables = [lhv.nonsignaling_vertex_pool(len(g))[v] for g, v in zip(groups, ids)]
+    return ConditionalDistribution(tuple(range(1, size + 1)), product_table(groups, tables, size))
+
+
+def block_sample(size: int, weights: np.ndarray, ids: np.ndarray) -> ConditionalDistribution:
+    """The mixture on parties 1..size of the vertex products of the rows of
+    (slot, atom) ids, with the given weights."""
+    tables = [w * vertex_product(size, row).table for w, row in zip(weights, ids) if w > 0]
     return ConditionalDistribution(tuple(range(1, size + 1)), sum(tables))
 
 
 def sample_nonsignaling_block(size: int, rng) -> ConditionalDistribution:
     """Random nonsignaling distribution on `size` parties (labeled 1..size).
 
-    Mixes up to three products of pool vertices, one vertex per atom, with
-    its uniforms mapped as a block's columns of a certification sample are
-    (`lhv._mixtures`); nonsignaling is closed under products and mixtures.
+    Mixes 1 to MIXTURE_MAX products of pool vertices, one vertex per atom,
+    with flat Dirichlet weights; nonsignaling is closed under products and
+    mixtures.
     """
     if size < 1:
         raise ParameterDomainError(f"block size must be positive, got {size}")
-    lengths = np.array([len(lhv.nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(range(size))])
-    u = np.random.default_rng(rng).random(1 + MIXTURE_MAX * (len(lengths) + 1))
-    return block_sample(size, *lhv._mixtures(u, lengths))
+    rng = np.random.default_rng(rng)
+    lengths = [len(lhv.nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(range(size))]
+    k = int(rng.integers(1, MIXTURE_MAX + 1))
+    return block_sample(size, rng.dirichlet(np.ones(k)), rng.integers(0, lengths, (k, len(lengths))))
 
 
 def product_distribution(
@@ -306,13 +314,10 @@ def distribution_lhs(expr: BellExpression, dist: ConditionalDistribution) -> flo
 
 def failure_report_product(report: dict) -> tuple[BellExpression, ConditionalDistribution]:
     """The expression and the n-party product table of a certification
-    failure report, rebuilt from its blocks' draws and the vertex pools."""
+    failure report, rebuilt from its blocks' vertex ids and the pools."""
     expr = BellExpression(report["n"], report["m"], report["k_prime"])
     parties = [tuple(b["parties"]) for b in report["blocks"]]
-    blocks = [
-        block_sample(len(p), np.array(b["weights"]), np.array(b["vertices"])).relabel(p)
-        for p, b in zip(parties, report["blocks"])
-    ]
+    blocks = [vertex_product(len(p), b["vertices"]).relabel(p) for p, b in zip(parties, report["blocks"])]
     return expr, product_distribution(Partition(tuple(parties)), blocks)
 
 

@@ -127,6 +127,21 @@ class TestEvaluate:
         code, _, _ = run(capsys, ["evaluate", "--n", "4", "--m", "2", "--family", "ghz"])
         assert code == 2
 
+    def test_both_angle_flags_exit_2(self, capsys):
+        # one of them used to be dropped without a word
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--n", "3", "--m", "2", "--family", "w",
+                      "--angles", "0,0,0,1,1,1", "--symmetric-angles", "1,2,3,4"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_angle_flag_and_other_config_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("angles = 0,0,0,1,1,1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(_EVALUATE + ["--symmetric-angles", "1,2,3,4", "--config", str(cfg)])
+        assert exc.value.code == 2
+
 
 class TestCertify:
     def test_ok_run(self, capsys):
@@ -148,9 +163,9 @@ class TestCertify:
     @pytest.mark.parametrize(
         "case,line",
         [
-            # the raw maximum here is 5.55e-17, summation noise around an exact 0
             (["--n", "4", "--m", "4", "--samples", "500", "--seed", "39"], "sampled_max = 0\n"),
-            (["--n", "3", "--m", "3", "--samples", "5", "--seed", "2"], "sampled_max = -0.328101669003\n"),
+            # -1/3, printed to 12 significant digits
+            (["--n", "4", "--m", "2", "--samples", "3", "--seed", "179"], "sampled_max = -0.333333333333\n"),
         ],
         ids=["zero", "negative"],
     )
@@ -158,6 +173,15 @@ class TestCertify:
         code, out, _ = run(capsys, ["certify"] + case)
         assert code == 0
         assert line in out
+
+    @pytest.mark.parametrize("raw", [5.55e-17, -0.0])
+    def test_summation_noise_prints_as_zero(self, capsys, monkeypatch, raw):
+        # the sampled runs above read exactly 0, so the rounding of noise
+        # around 0 is checked on the value itself
+        monkeypatch.setattr(cli, "certify_m_local_bound", lambda *args: raw)
+        code, out, _ = run(capsys, ["certify", "--n", "3", "--m", "2", "--samples", "1"])
+        assert code == 0
+        assert "sampled_max = 0\n" in out
 
     def test_size_guard_exit_code(self, capsys):
         code, _, _ = run(capsys, ["certify", "--n", "13", "--m", "2", "--samples", "10"])

@@ -15,7 +15,6 @@ from oracles import (
     DeterministicStrategy,
     Partition,
     PartitionMismatchError,
-    block_sample,
     check_nonsignaling,
     distribution_lhs,
     enumerate_partitions,
@@ -29,6 +28,7 @@ from oracles import (
     strategy_distribution,
     strategy_lhs,
     sweep_max_strategy_lhs,
+    vertex_product,
 )
 
 
@@ -391,7 +391,7 @@ class TestCertification:
         # each pool holds its first stored vertex and a signaling one: a block
         # outputs all ones as soon as any of its parties measures b, otherwise
         # all zeros.  Certification reads the pools, so the rig sits there.
-        # At seed 5 sample 11 fails first, with both vertices in its mixtures.
+        # At seed 5 sample 4 fails first, with the signaling vertex in both blocks.
         # The seed comes as np.int64 and is reported as a Python int.
         stored = lhv.nonsignaling_vertex_pool
 
@@ -408,7 +408,7 @@ class TestCertification:
             certify_m_local_bound(expr, 50, seed=np.int64(5))
         report = err.value.report
         assert type(report["seed"]) is int and report["seed"] == 5
-        assert report["sample_index"] == 11
+        assert report["sample_index"] == 4
         assert report["kind"] == "certification_failure"
         assert (report["n"], report["m"], report["k_prime"]) == (4, 2, 1)
         assert report["observed_lhs"] > 1e-9
@@ -422,13 +422,13 @@ class TestCertification:
         rng = np.random.default_rng(report["seed"])
         rng.bit_generator.advance(report["sample_index"] * reader.width)
         row = rng.random((1, reader.width))
-        index, weights, ids, _ = reader.draws(row)
+        index, ids, _ = reader.draws(row)
         part = lhv._partition(4, 2, index[0])
         assert [list(b) for b in part] == [b["parties"] for b in report["blocks"]]
-        for b, w, i, block in zip(part, weights[0], ids[0], report["blocks"]):
-            assert w[w > 0].tolist() == block["weights"]
-            assert i[w > 0, : len(lhv._atoms(b))].tolist() == block["vertices"]
-        assert reader.values(row)[0] == report["observed_lhs"]
+        for b, i, block in zip(part, ids[0], report["blocks"]):
+            assert set(block) == {"parties", "vertices"}
+            assert i[: len(lhv._atoms(b))].tolist() == block["vertices"]
+        assert reader.values(index, ids)[0] == report["observed_lhs"]
 
         # the dense product rebuilt from the report and the pools has that LHS
         rebuilt, product = failure_report_product(report)
@@ -438,6 +438,49 @@ class TestCertification:
         # and the materialised path fails first at the same sample
         index = next(i for i, (_, _, value) in enumerate(materialised_samples(expr, 50, 5)) if value > lhv.CERT_TOL)
         assert report["sample_index"] == index
+
+    def test_nan_lhs_fails_closed(self, monkeypatch):
+        # NaN compares false with everything: a check of values > tolerance
+        # would pass it, and max(-inf, nan) would drop it from the maximum
+        values = lhv._TermReader.values
+
+        def nan_at_three(self, index, ids, first=None):
+            out = values(self, index, ids, first)
+            out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(lhv._TermReader, "values", nan_at_three)
+        with pytest.raises(CertificationError) as err:
+            certify_m_local_bound(build_hierarchy_inequality(4, 2, 1), 50, seed=5)
+        report = err.value.report
+        assert report["sample_index"] == 3
+        assert math.isnan(report["observed_lhs"])
+        assert {p for b in report["blocks"] for p in b["parties"]} == {1, 2, 3, 4}
+
+    def test_every_pool_product_meets_the_bound(self):
+        # the LHS is multilinear in the blocks, so its maximum over products
+        # of polytopes is at a product of vertices: every product of stored
+        # pool vertices, one per atom, on every partition at n = 3..5
+        rng = np.random.default_rng(3)
+        total = 0
+        for n in range(3, 6):
+            for m in range(2, n + 1):
+                expr = build_hierarchy_inequality(n, m, 1)
+                reader = lhv._TermReader(expr)
+                index, ids = pool_products(reader)
+                assert len(index) == sum(
+                    math.prod(len(nonsignaling_vertex_pool(len(a))) for b in part.blocks for a in lhv._atoms(b))
+                    for part in enumerate_partitions(n, m)
+                )
+                values = reader.values(index, ids)
+                assert values.max() <= lhv.CERT_TOL
+                for i in rng.choice(len(index), 20, replace=False):
+                    part = Partition(lhv._partition(n, m, index[i]))
+                    blocks = [vertex_product(len(b), v).relabel(b) for b, v in zip(part.blocks, ids[i])]
+                    want = distribution_lhs(expr, product_distribution(part, blocks))
+                    assert values[i] == pytest.approx(want, abs=1e-12)
+                total += len(index)
+        assert total == 94_768
 
     def test_size_guard(self, monkeypatch):
         # the term reader's stack grows as C(n, 3) times the size-3 pool,
@@ -481,40 +524,24 @@ class TestCertification:
         # be replayed: sample i reads row i of the uniforms of the run's seed.
         # These values were recorded from the implementation; a deliberate
         # change to the vertex pools or to the row protocol must update them.
-        # Per block: the ids of the k mixed slots and their weights.
+        # Per block: one vertex id per atom.
         golden = [
-            ([(2,), (1, 3), (4, 5)], [[[1], [0], [1]], [[21]], [[10], [10]]],
-             [[0.355886084052, 0.426703611723, 0.217410304225], [1.0], [0.980716310923, 0.019283689077]],
-             -0.25),
-            ([(3,), (1, 5), (2, 4)], [[[3], [2]], [[2], [4]], [[20], [10], [3]]],
-             [[0.870295406967, 0.129704593033], [0.394333948792, 0.605666051208],
-              [0.541540599916, 0.210612994863, 0.247846405221]],
-             -0.515025005446),
-            ([(1,), (5,), (2, 3, 4)], [[[2]], [[2], [2]], [[3]]],
-             [[1.0], [0.060950418764, 0.939049581236], [1.0]], 0.0),
-            ([(5,), (1, 4), (2, 3)], [[[0], [2], [3]], [[4], [9], [20]], [[10], [7]]],
-             [[0.058809157554, 0.719641411864, 0.221549430582], [0.444150019341, 0.221266142176, 0.334583838483],
-              [0.525017121643, 0.474982878357]],
-             -0.154556138271),
-            ([(1,), (2,), (3, 4, 5)], [[[2], [0], [3]], [[3], [3], [3]], [[6]]],
-             [[0.543226889369, 0.072609254828, 0.384163855803], [0.153777301778, 0.339385396515, 0.506837301707],
-              [1.0]],
-             0.0),
-            ([(2,), (3,), (1, 4, 5)], [[[3]], [[3], [3], [1]], [[15]]],
-             [[1.0], [0.265189626748, 0.404087415116, 0.330722958135], [1.0]], -1.330722958135),
+            ([(2,), (1, 3), (4, 5)], [[3], [6], [1]], -1.0),
+            ([(5,), (1, 3), (2, 4)], [[2], [18], [12]], 0.0),
+            ([(5,), (1, 3), (2, 4)], [[3], [22], [10]], -0.25),
+            ([(2,), (1, 3), (4, 5)], [[2], [17], [14]], 0.0),
+            ([(2,), (1, 3), (4, 5)], [[1], [15], [22]], 0.0),
+            ([(3,), (5,), (1, 2, 4)], [[0], [3], [36]], 0.0),
         ]
         expr = build_hierarchy_inequality(5, 3, 1)
         u, values = sampled(expr, 6, 19)
-        index, weights, ids, _ = lhv._TermReader(expr).draws(u)
+        index, ids, _ = lhv._TermReader(expr).draws(u)
         assert len(values) == len(golden)
-        for i, (blocks, want_ids, want_weights, lhs) in enumerate(golden):
+        for i, (blocks, want_ids, lhs) in enumerate(golden):
             part = lhv._partition(5, 3, index[i])
             assert list(part) == blocks
             for j, b in enumerate(part):
-                k = len(want_weights[j])
-                assert (weights[i, j, k:] == 0).all()
-                assert weights[i, j, :k] == pytest.approx(want_weights[j], abs=1e-12)
-                assert ids[i, j, :k, : len(lhv._atoms(b))].tolist() == want_ids[j]
+                assert ids[i, j, : len(lhv._atoms(b))].tolist() == want_ids[j]
             assert values[i] == pytest.approx(lhs, abs=1e-12)
 
     def test_fewer_samples_are_a_prefix(self):
@@ -539,7 +566,7 @@ class TestCertification:
         stack = reader._stack
         u = np.random.default_rng(5).random((200, reader.width))
         for row in u:
-            reader.values(row[None])
+            reader.values(*reader.draws(row[None]))
         assert reader._stack is stack
         assert reader._height > 1
 
@@ -549,27 +576,22 @@ class TestCertification:
         # it is read here one uniform at a time, as the protocol states
         expr = build_hierarchy_inequality(n, m, 1)
         atoms = -(-(n - m + 1) // 3)
-        width = 1 + 3 * atoms + 3
         u, values = sampled(expr, 300, 23)
-        index, weights, ids, _ = lhv._TermReader(expr).draws(u)
+        index, ids, _ = lhv._TermReader(expr).draws(u)
         count = lhv._partition_count(n, m)
         for i in (0, 1, 150, 299):
             rng = np.random.default_rng(23)
-            rng.bit_generator.advance(i * (1 + m * width))
-            row = rng.random(1 + m * width)
+            rng.bit_generator.advance(i * (1 + m * atoms))
+            row = rng.random(1 + m * atoms)
             np.testing.assert_array_equal(row, u[i])
-            assert lhv._TermReader(expr).values(row[None])[0] == values[i]
+            reader = lhv._TermReader(expr)
+            assert reader.values(*reader.draws(row[None]))[0] == values[i]
             assert index[i] == math.floor(row[0] * count)
             for j, b in enumerate(lhv._partition(n, m, index[i])):
-                cols = row[1 + j * width : 1 + (j + 1) * width]
-                k = 1 + math.floor(3 * cols[0])
-                e = [-math.log1p(-x) for x in cols[-3:][:k]]
-                want = [x / sum(e) for x in e] + [0.0] * (3 - k)
-                assert weights[i, j].tolist() == pytest.approx(want, abs=1e-15)
-                for slot in range(k):
-                    for a, parties in enumerate(lhv._atoms(b)):
-                        pool = len(nonsignaling_vertex_pool(len(parties)))
-                        assert ids[i, j, slot, a] == math.floor(cols[1 + slot * atoms + a] * pool)
+                cols = row[1 + j * atoms : 1 + (j + 1) * atoms]
+                for a, parties in enumerate(lhv._atoms(b)):
+                    pool = len(nonsignaling_vertex_pool(len(parties)))
+                    assert ids[i, j, a] == math.floor(cols[a] * pool)
 
     def test_uniform_index_stays_below_its_length(self):
         # u <= 1 - 2^-53 and floor(u * L) < L for every L < 2^53
@@ -579,10 +601,14 @@ class TestCertification:
         assert largest == lhv._partition_count(12, 5) == 1_379_400
         lengths = np.arange(1, largest + 1)
         assert (lhv._uniform_index(u, lengths) == lengths - 1).all()
-        pools = np.array([len(nonsignaling_vertex_pool(s)) for s in (1, 2, 3)])
-        weights, ids = lhv._mixtures(np.full(1 + 3 * (len(pools) + 1), u), pools)
-        assert (ids == pools - 1).all()
-        assert (weights > 0).all()  # k = 3
+        # the last partition's atoms have every size: 1, 1 and 3 + 3 + 2 parties
+        reader = lhv._TermReader(build_hierarchy_inequality(10, 3, 1))
+        index, ids, _ = reader.draws(np.full((1, reader.width), u))
+        part = lhv._partition(10, 3, index[0])
+        assert [len(b) for b in part] == [1, 1, 8]
+        for b, block_ids in zip(part, ids[0]):
+            pools = [len(nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(b)]
+            assert block_ids[: len(pools)].tolist() == [p - 1 for p in pools]
 
 
 def sampled(expr, samples, seed):
@@ -591,20 +617,35 @@ def sampled(expr, samples, seed):
     return np.concatenate([u for _, u, _ in chunks]), np.concatenate([v for _, _, v in chunks])
 
 
+def pool_products(reader):
+    """The partitions' ranks and (products, m, A) vertex ids of every product
+    of pool vertices, one per atom, on every partition of the reader's
+    expression; absent atoms read vertex 0 of their one-row pool."""
+    n, m = reader._expr.n, reader._expr.m
+    index, ids = [], []
+    for rank in range(lhv._partition_count(n, m)):
+        lengths = np.ones((m, reader.atoms), dtype=int)
+        for j, b in enumerate(lhv._partition(n, m, rank)):
+            for a, parties in enumerate(lhv._atoms(b)):
+                lengths[j, a] = len(nonsignaling_vertex_pool(len(parties)))
+        grid = np.indices(lengths.ravel()).reshape(lengths.size, -1).T
+        ids.append(grid.reshape(-1, m, reader.atoms))
+        index.append(np.full(len(grid), rank))
+    return np.concatenate(index), np.concatenate(ids)
+
+
 def materialised_samples(expr, samples, seed):
     """Yield (partition, block distributions, LHS) of each sample, built as full tables.
 
     The rows come from one `random((samples, D))` call, and each block's
-    columns are read on their own, with pool length 1 for absent atoms.
+    columns are read on their own, one vertex id per atom.
     """
     count = lhv._partition_count(expr.n, expr.m)
     atoms = -(-(expr.n - expr.m + 1) // 3)
-    width = 1 + 3 * (atoms + 1)
-    for row in np.random.default_rng(seed).random((samples, 1 + expr.m * width)):
+    for row in np.random.default_rng(seed).random((samples, 1 + expr.m * atoms)):
         part = Partition(lhv._partition(expr.n, expr.m, int(row[0] * count)))
         blocks = []
-        for b, cols in zip(part.blocks, row[1:].reshape(expr.m, width)):
-            pools = [len(lhv.nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(b)]
-            weights, ids = lhv._mixtures(cols, np.array(pools + [1] * (atoms - len(pools))))
-            blocks.append(block_sample(len(b), weights, ids[:, : len(pools)]).relabel(b))
+        for b, cols in zip(part.blocks, row[1:].reshape(expr.m, atoms)):
+            ids = [int(u * len(lhv.nonsignaling_vertex_pool(len(a)))) for u, a in zip(cols, lhv._atoms(b))]
+            blocks.append(vertex_product(len(b), ids).relabel(b))
         yield part, blocks, distribution_lhs(expr, product_distribution(part, blocks))

@@ -1,5 +1,6 @@
 """Property tests (hypothesis) of identities the rest of the package rests on."""
 
+import itertools
 import json
 
 import numpy as np
@@ -24,7 +25,15 @@ from mlocality.quantum import (
     evaluate_lhs,
     mixed_state_lhs,
 )
-from oracles import Partition, block_sample, check_nonsignaling, product_distribution, term_probability
+from oracles import (
+    Partition,
+    block_sample,
+    check_nonsignaling,
+    distribution_lhs,
+    product_distribution,
+    term_probability,
+    vertex_product,
+)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 angle = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
@@ -162,28 +171,61 @@ def test_one_broken_term_is_rejected(case):
 
 @st.composite
 def block_models(draw):
-    """A random partition of 2..6 parties and a mixture of pool-vertex products per block."""
+    """A random partition of 2..6 parties and, per block, the (slot, atom)
+    vertex ids and weights of a mixture of 1 to 3 pool-vertex products."""
     n = draw(st.integers(2, 6))
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     groups: dict[int, list[int]] = {}
     for party, label in enumerate(labels, 1):
         groups.setdefault(label, []).append(party)
     part = Partition(tuple(tuple(g) for g in groups.values()))
-    blocks = []
+    mixtures = []
     for b in part.blocks:
         pools = [len(nonsignaling_vertex_pool(len(a))) for a in lhv._atoms(b)]
         k = draw(st.integers(1, 3))
         ids = np.array([[draw(st.integers(0, p - 1)) for p in pools] for _ in range(k)])
         weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
-        blocks.append(block_sample(len(b), weights / weights.sum(), ids).relabel(b))
-    return part, blocks
+        mixtures.append((weights / weights.sum(), ids))
+    return part, mixtures
+
+
+def mixed_blocks(part, mixtures):
+    """Each block's mixture as one table on its parties."""
+    return [block_sample(len(b), w, ids).relabel(b) for b, (w, ids) in zip(part.blocks, mixtures)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_models())
 def test_products_of_nonsignaling_blocks_are_nonsignaling(model):
     # the multilinear evaluation of sampled m-local models rests on this closure
-    part, blocks = model
+    part, mixtures = model
+    blocks = mixed_blocks(part, mixtures)
     assert all(check_nonsignaling(d)[0] for d in blocks)
     ok, worst = check_nonsignaling(product_distribution(part, blocks))
     assert ok, worst
+
+
+@st.composite
+def mixed_models(draw):
+    """An expression on 2..6 parties and a product of pool-vertex mixtures."""
+    part, mixtures = draw(block_models())
+    m = draw(st.integers(2, part.n))
+    return build_hierarchy_inequality(part.n, m, draw(st.integers(1, part.n))), part, mixtures
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_models())
+def test_mixtures_never_beat_their_best_pure_product(model):
+    # certification draws one vertex product per block and no mixtures: the
+    # LHS is linear in each block, so a product of mixtures has the convex
+    # combination of its pure slot choices' LHS values, and never more
+    # than the best of them
+    expr, part, mixtures = model
+    lhs = distribution_lhs(expr, product_distribution(part, mixed_blocks(part, mixtures)))
+    pure, weights = [], []
+    for slots in itertools.product(*(range(len(w)) for w, _ in mixtures)):
+        blocks = [vertex_product(len(b), ids[j]).relabel(b) for b, (_, ids), j in zip(part.blocks, mixtures, slots)]
+        pure.append(distribution_lhs(expr, product_distribution(part, blocks)))
+        weights.append(np.prod([w[j] for (w, _), j in zip(mixtures, slots)]))
+    assert lhs <= max(pure) + 1e-12
+    assert lhs == pytest.approx(np.dot(weights, pure), abs=1e-12)
