@@ -87,10 +87,6 @@ class Term:
     def n(self) -> int:
         return len(self.settings)
 
-    def b_parties(self) -> tuple[int, ...]:
-        """1-based parties measured with setting ``b`` in this term."""
-        return tuple(k + 1 for k, c in enumerate(self.settings) if c == SETTING_B)
-
     def __str__(self) -> str:
         return _term_text(self.coefficient, self.settings, self.outcomes)
 

@@ -115,14 +115,6 @@ class MeasurementAngles:
     def n(self) -> int:
         return len(self.theta_a)
 
-    def normalized(self) -> "MeasurementAngles":
-        """Canonical representative with every angle reduced to [0, 2*pi)."""
-        two_pi = 2.0 * math.pi
-        return MeasurementAngles(
-            tuple(t % two_pi for t in self.theta_a),
-            tuple(t % two_pi for t in self.theta_b),
-        )
-
 
 def ghz_state(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2)."""

@@ -25,16 +25,16 @@ numbers; the exact party-1 maxima are taken from those at the end, so no
 array over all R^2 cells is built and the best cells come out as if every
 cell had been evaluated.
 
-The best grid cells are then refined by BFGS ascent on the same
-coefficients, run on all restarts in lockstep.  The objective S +
-Re(Z_a*e^(-ix)) + Re(Z_b*e^(-iy)) and its analytic gradient (the trig
-bases differentiated in a and b, and d/dx Re(Z*e^(-ix)) = Im(Z*e^(-ix)))
+The best grid cells are then refined by BFGS ascent over (alpha, beta)
+alone, all restarts in lockstep: over x a half peaks at a_h + |Z_h|, so the
+objective is Q(alpha, beta) = S + |Z_a| + |Z_b|, and party 1's angles are
+angle(Z_a) and angle(Z_b) at the end points.  Q and its analytic gradient
 come from one small matrix product per line-search trial, so after the
-sampling no term amplitude is computed again.  Each restart keeps a 4 x 4
-inverse-Hessian estimate and stops on its own once the rise it predicts
-is within the forms' rounding, once its line search finds no rise, or
-once its step is below the tolerance; the search reports whether every
-restart stopped so before the iteration budget ran out.
+sampling no term amplitude is computed again.  Each restart keeps a 2 x 2
+inverse-Hessian estimate and stops on its own once the rise it predicts is
+within the forms' rounding, once its line search finds no rise, or once its
+step is below the tolerance; the search reports whether every restart
+stopped so before the iteration budget ran out.
 
 For fixed angles the LHS is affine in the visibility p,
 LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
@@ -126,8 +126,8 @@ class OptimizerConfig:
             raise ValueError("grid_resolution must be at least 2")
         if self.refinement_rounds < 1 or self.restarts < 1:
             raise ValueError("refinement_rounds and restarts must be positive")
-        if not self.local_tolerance > 0:
-            raise ValueError("local_tolerance must be positive")
+        if not (self.local_tolerance > 0 and math.isfinite(self.local_tolerance)):
+            raise ValueError("local_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -349,45 +349,48 @@ def _derivative_basis(basis: np.ndarray) -> np.ndarray:
     """d/dx of `_trig_basis` rows: d/dx cos kx = -k*sin kx and d/dx sin kx = k*cos kx."""
     k = np.arange(1, basis.shape[1] // 2 + 1)
     out = np.zeros_like(basis)
-    out[:, 1::2] = -k * basis[:, 2::2]
-    out[:, 2::2] = k * basis[:, 1::2]
+    out[:, 1::2], out[:, 2::2] = -k * basis[:, 2::2], k * basis[:, 1::2]
     return out
 
 
-def _symmetric_lhs(forms: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LHS and its gradient at (points, 4) angles (x, y, alpha, beta), from the forms' coefficients.
+def _forms_at(forms: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S, Re Z_a, Im Z_a, Re Z_b and Im Z_b at (points, 2) angles (alpha, beta), and their
+    derivatives in alpha and in beta, each of shape (5, points).
 
     forms is `_symmetric_forms` with its alpha axis first, shape (2*D_a+1,
-    5, 2*D_b+1).  One product with the alpha basis and its derivative, then
-    per point a dot with the beta basis and its derivative give S, Re Z_a,
-    Im Z_a, Re Z_b and Im Z_b and their derivatives in alpha and beta; the
-    LHS is their dot with (1, cos x, sin x, cos y, sin y), and
-    d/dx Re(Z_a*e^(-ix)) = Im Z_a*cos x - Re Z_a*sin x, likewise in y.  The
-    cost depends on neither the number of terms nor the state's support.
-    Returns the values, shape (points,), and the gradients, shape (points, 4).
+    5, 2*D_b+1).  The cost depends on neither the number of terms nor the
+    state's support.
     """
-    x, y, alpha, beta = points.T
+    alpha, beta = points.T
     basis_a = _trig_basis(alpha, len(forms) // 2)
     basis_b = _trig_basis(beta, forms.shape[2] // 2)
     wide = np.concatenate([basis_a, _derivative_basis(basis_a)]) @ forms.reshape(len(forms), -1)
     bases_b = np.stack([basis_b, _derivative_basis(basis_b)])
-    # (S, Re Z_a, Im Z_a, Re Z_b, Im Z_b) at each point, and their derivatives in beta and in alpha
     (at, d_beta), (d_alpha, _) = np.einsum("apkj,bpj->abkp", wide.reshape(2, len(points), 5, -1), bases_b)
-    weights = np.stack([np.ones(len(points)), np.cos(x), np.sin(x), np.cos(y), np.sin(y)])
-    _, re_a, im_a, re_b, im_b = at
-    _, cos_x, sin_x, cos_y, sin_y = weights
-    d_x, d_y = im_a * cos_x - re_a * sin_x, im_b * cos_y - re_b * sin_y
-    return (weights * at).sum(0), np.stack([d_x, d_y, (weights * d_alpha).sum(0), (weights * d_beta).sum(0)], axis=1)
+    return at, d_alpha, d_beta
+
+
+def _symmetric_lhs(forms: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q = S + |Z_a| + |Z_b|, the LHS at party 1's best angles, and its gradient, of shapes
+    (points,) and (points, 2), at (points, 2) angles (alpha, beta).
+
+    d|Z| = Re(conj(Z)*dZ)/|Z|, and a half with Z = 0 adds nothing to it.
+    """
+    at, d_alpha, d_beta = _forms_at(forms, points)
+    re, im = at[1::2], at[2::2]  # halves a and b
+    magnitude = np.hypot(re, im)
+    inverse = np.divide(1.0, magnitude, out=np.zeros_like(magnitude), where=magnitude > 0)
+    gradients = [d[0] + ((re * d[1::2] + im * d[2::2]) * inverse).sum(0) for d in (d_alpha, d_beta)]
+    return at[0] + magnitude.sum(0), np.stack(gradients, axis=1)
 
 
 @dataclass(frozen=True)
 class SearchTrace:
     """How the refinement of maximize_violation ended.
 
-    iterations is the most BFGS iterations any restart took,
-    objective_calls the `_symmetric_lhs` calls of the whole search, and
-    converged is False when some restart was still rising after
-    refinement_rounds iterations.
+    iterations is the most BFGS iterations any restart took, objective_calls
+    the `_symmetric_lhs` calls of the whole search, and converged is False
+    when some restart was still rising after refinement_rounds iterations.
     """
 
     iterations: int
@@ -402,64 +405,58 @@ def _lockstep_bfgs(fn, starts: np.ndarray, max_step: float, tol: float, max_iter
     gradients, shape (points, d), there; starts has shape (restarts, d).
     Each restart keeps its own d x d inverse-Hessian estimate H of -fn, the
     identity scaled by s.y/y.y at its first update.  An iteration steps
-    along H*g, at most max_step long, with a backtracking line search:
-    every restart still searching is tried in one fn call per halving,
-    until its step rises by at least _ARMIJO of the rise the gradient
-    predicts.  A restart stops, converged, when its predicted rise g.H.g is
-    at most allowance, when its line search finds no rise before the step
-    is shorter than tol, or when it takes a step shorter than tol; a
-    restart still rising after max_iterations iterations has not converged.
-    Returns the end points, their values and the SearchTrace.
+    along H*g, at most max_step long, with a backtracking line search: one
+    fn call per halving tries every restart, and a mask keeps the trials of
+    those still searching, until each rises by at least _ARMIJO of the rise
+    the gradient predicts.  A restart stops, converged, when its predicted
+    rise g.H.g is at most allowance, when its line search finds no rise
+    before the step is shorter than tol, or when it takes a step shorter
+    than tol; its point and value then stay fixed.  A restart still rising
+    after max_iterations iterations has not converged.  Returns the end
+    points, their values and the SearchTrace.
     """
     x = np.array(starts, dtype=float) % TWO_PI
     fx, gx = fn(x)
     calls, iterations = 1, 0
     restarts, dims = x.shape
     inverse = np.tile(np.eye(dims), (restarts, 1, 1))
-    updated = np.zeros(restarts, dtype=bool)
-    live = np.arange(restarts)
+    updated, live = np.zeros(restarts, dtype=bool), np.ones(restarts, dtype=bool)
     while True:
-        direction = np.einsum("rij,rj->ri", inverse[live], gx[live])
-        rise = np.einsum("ri,ri->r", gx[live], direction)
-        rising = rise > allowance
-        live, direction, rise = live[rising], direction[rising], rise[rising]
-        if not live.size or iterations == max_iterations:
+        direction = np.einsum("rij,rj->ri", inverse, gx)
+        rise = np.einsum("ri,ri->r", gx, direction)
+        live &= rise > allowance
+        if not live.any() or iterations == max_iterations:
             break
         iterations += 1
         length = np.linalg.norm(direction, axis=1)
-        shrink = np.minimum(1.0, max_step / length)
+        shrink = max_step / np.maximum(length, max_step)  # min(1, max_step/length), 1 at length 0
         step, rise, length = direction * shrink[:, None], rise * shrink, length * shrink
-        scale, found, start_g = np.ones(len(live)), np.zeros(len(live), dtype=bool), gx[live]
-        pending = np.arange(len(live))
-        while pending.size:
-            at = live[pending]
-            trial = (x[at] + scale[pending, None] * step[pending]) % TWO_PI
+        scale, found, start_g, searching = np.ones(restarts), np.zeros(restarts, dtype=bool), gx, live.copy()
+        while searching.any():
+            trial = (x + scale[:, None] * step) % TWO_PI
             f, g = fn(trial)
             calls += 1
-            up = f > fx[at] + _ARMIJO * scale[pending] * rise[pending]
-            x[at[up]], fx[at[up]], gx[at[up]] = trial[up], f[up], g[up]
-            found[pending[up]] = True
-            pending = pending[~up]
-            scale[pending] *= 0.5
-            pending = pending[scale[pending] * length[pending] >= tol]
+            up = searching & (f > fx + _ARMIJO * scale * rise)
+            x, fx, gx = np.where(up[:, None], trial, x), np.where(up, f, fx), np.where(up[:, None], g, gx)
+            found |= up
+            searching &= ~up
+            scale[searching] *= 0.5
+            searching &= scale * length >= tol
         # BFGS update for -fn, from the step taken and the fall of the gradient,
-        # where the fall along the step is positive (else H is kept)
-        moved = live[found]
-        s, y = scale[found, None] * step[found], start_g[found] - gx[moved]
-        sy = np.einsum("ri,ri->r", s, y)
-        curved = sy > 0
-        moved, s, y, sy = moved[curved], s[curved], y[curved], sy[curved]
-        first = ~updated[moved]
-        inverse[moved[first]] *= (sy[first] / np.einsum("ri,ri->r", y[first], y[first]))[:, None, None]
-        updated[moved] = True
-        hy = np.einsum("rij,rj->ri", inverse[moved], y)
-        rho = 1.0 / sy
-        inverse[moved] += (
+        # where the fall along the step is positive (else H is kept: rho = 0)
+        s, y = scale[:, None] * step, start_g - gx
+        sy, yy = np.einsum("ri,ri->r", s, y), np.einsum("ri,ri->r", y, y)
+        curved = found & (sy > 0)
+        inverse *= np.divide(sy, yy, out=np.ones(restarts), where=curved & ~updated)[:, None, None]
+        updated |= curved
+        hy = np.einsum("rij,rj->ri", inverse, y)
+        rho = np.divide(1.0, sy, out=np.zeros(restarts), where=curved)
+        inverse += (
             (rho + rho**2 * np.einsum("ri,ri->r", y, hy))[:, None, None] * s[:, :, None] * s[:, None, :]
             - rho[:, None, None] * (s[:, :, None] * hy[:, None, :] + hy[:, :, None] * s[:, None, :])
         )
-        live = live[found & (scale * length >= tol)]
-    return x, fx, SearchTrace(iterations, calls, not live.size)
+        live &= found & (scale * length >= tol)
+    return x, fx, SearchTrace(iterations, calls, not live.any())
 
 
 def maximize_violation(
@@ -470,13 +467,14 @@ def maximize_violation(
     """Maximize the LHS over the four symmetric measurement angles.
 
     Deterministic given the configuration.  Coarse grid first, then one
-    lockstep BFGS ascent refining the best `restarts` grid cells together,
-    both on the Fourier coefficients of party 1's forms, sampled once: every
-    line-search trial of every refining restart is one `_symmetric_lhs`
-    call, which gives the gradient with the value.  A step is at most one
-    grid spacing long.  The best end point wins, ties going to the smaller
-    angle tuple, and the value returned is the objective at the angles
-    returned.  The SearchTrace says how the refinement ended.
+    lockstep BFGS ascent over (alpha, beta) refining the best `restarts`
+    grid cells together, both on the Fourier coefficients of party 1's
+    forms, sampled once: every line-search trial of every refining restart
+    is one `_symmetric_lhs` call, which gives the gradient with the value.
+    A step is at most one grid spacing long.  Party 1's angles at an end
+    point are angle(Z_a) and angle(Z_b) mod 2*pi.  The best end point wins,
+    ties going to the smaller angle tuple, and the value returned is the
+    objective at the angles returned.  The SearchTrace says how it ended.
     """
     config = config or OptimizerConfig()
     if expr.n != state.n:
@@ -485,12 +483,14 @@ def maximize_violation(
     _, candidates = _best_candidates(coefficients, config.grid_resolution, config.restarts)
     forms = np.ascontiguousarray(np.moveaxis(coefficients, 1, 0))  # so each call's reshape is a view
     ends, values, trace = _lockstep_bfgs(
-        lambda points: _symmetric_lhs(forms, points), [c.as_tuple() for c in candidates],
+        lambda points: _symmetric_lhs(forms, points), [c.as_tuple()[2:] for c in candidates],
         TWO_PI / config.grid_resolution, config.local_tolerance, config.refinement_rounds,
         # the forms' rounding: a predicted rise below it is noise
         np.finfo(float).eps * np.abs(coefficients).sum(),
     )
-    value, best = min(zip(values.tolist(), ends.tolist()), key=lambda end: (-end[0], end[1]))
+    at = _forms_at(forms, ends)[0]
+    angles = np.column_stack([np.arctan2(at[2], at[1]) % TWO_PI, np.arctan2(at[4], at[3]) % TWO_PI, ends])
+    value, best = min(zip(values.tolist(), angles.tolist()), key=lambda end: (-end[0], end[1]))
     return value, SymmetricAngles(*best), trace
 
 

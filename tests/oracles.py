@@ -4,7 +4,8 @@ behaviors and reference searches.
 
 `canonical_terms` builds an expression's terms as `Term` objects, one
 string at a time, and so stays independent of the numpy table of
-`mlocality.inequality.BellExpression`; `serialize_terms` writes them in
+`mlocality.inequality.BellExpression`; `b_parties` lists the parties a
+term measures with setting b, `serialize_terms` writes the terms in
 both serialization formats from those objects, `tabulate_terms` tabulates
 any sequence of them, and `term_probability` evaluates one of them with
 the package's amplitude kernel.
@@ -114,6 +115,11 @@ def canonical_terms(n: int, m: int, k_prime: int) -> tuple[Term, ...]:
         outcomes = "".join("1" if j in b_set else "0" for j in range(1, n + 1))
         terms.append(Term(-1, settings, outcomes))
     return tuple(terms)
+
+
+def b_parties(term: Term) -> tuple[int, ...]:
+    """1-based parties measured with setting b in a term."""
+    return tuple(k + 1 for k, c in enumerate(term.settings) if c == SETTING_B)
 
 
 def serialize_terms(n: int, m: int, k_prime: int, terms: Sequence[Term], format: str) -> bytes:

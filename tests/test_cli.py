@@ -27,9 +27,9 @@ TABLE_THRESHOLD_COLUMNS = {
     "ghz": (
         "3,1,2,0.894427,0.0590169943749", "3,2,3,0.782537,0.104210315458",
         "4,1,2,0.947322,0.020852636225", "4,2,3,0.913432,0.0355397213911",
-        "4,3,4,0.821021,0.054498835267", "5,1,2,0.963132,0.00956994049682",
+        "4,3,4,0.821021,0.054498835267", "5,1,2,0.963132,0.00956994049683",
         "5,2,3,0.951582,0.0159003518003", "5,3,4,0.922647,0.0209596139979",
-        "5,4,5,0.846830,0.0282616820018", "6,1,2,0.970935,0.00467729121106",
+        "5,4,5,0.846830,0.0282616820019", "6,1,2,0.970935,0.00467729121107",
         "6,2,3,0.968280,0.00767803113388", "6,3,4,0.959703,0.0098411953778",
         "6,4,5,0.930828,0.011611384879", "6,5,6,0.865786,0.0145331585099",
     ),
@@ -313,6 +313,14 @@ class TestThresholdAndTable:
             cli.main(command + ["--workers", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_infinite_local_tolerance_exits_2(self, capsys):
+        # no step is shorter than inf, so no line-search trial would run and
+        # the grid's value would come back marked converged
+        code, out, err = run(capsys, ["threshold", "--n", "3", "--m", "3", "--family", "w",
+                                      "--local-tolerance", "inf"])
+        assert (code, out) == (2, "")
+        assert "local_tolerance must be positive and finite" in err
 
     def test_bisection_tolerance_config_key_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -21,7 +21,7 @@ from mlocality.inequality import (
     term_count,
 )
 from mlocality.quantum import mixed_state_lhs
-from oracles import canonical_terms, serialize_terms, tabulate_terms
+from oracles import b_parties, canonical_terms, serialize_terms, tabulate_terms
 
 
 def test_binary_alphabets():
@@ -108,7 +108,7 @@ class TestBuildExpression:
 
     def test_m2_pairs_all_contain_k_prime(self):
         expr = build_hierarchy_inequality(5, 2, 3)
-        pairs = [t.b_parties() for t in expr.terms[6:]]
+        pairs = [b_parties(t) for t in expr.terms[6:]]
         assert pairs == [(1, 3), (2, 3), (3, 4), (3, 5)]
 
     @pytest.mark.parametrize("n,m,k", [(4, 2, 1), (5, 3, 2), (6, 4, 6), (7, 5, 3), (2, 2, 1)])
@@ -119,10 +119,10 @@ class TestBuildExpression:
         positive = [t for t in expr.terms if t.coefficient == +1]
         assert len(positive) == 1
         assert positive[0].settings == "a" * n and positive[0].outcomes == "0" * n
-        single_b = [t for t in expr.terms if len(t.b_parties()) == 1]
-        assert sorted(t.b_parties()[0] for t in single_b) == list(range(1, n + 1))
-        second = [t for t in expr.terms if len(t.b_parties()) == m and t.coefficient == -1]
-        subsets = {frozenset(t.b_parties()) - {k} for t in second if k in t.b_parties()}
+        single_b = [t for t in expr.terms if len(b_parties(t)) == 1]
+        assert sorted(b_parties(t)[0] for t in single_b) == list(range(1, n + 1))
+        second = [t for t in expr.terms if len(b_parties(t)) == m and t.coefficient == -1]
+        subsets = {frozenset(b_parties(t)) - {k} for t in second if k in b_parties(t)}
         assert len(subsets) == math.comb(n - 1, m - 1)
         assert expr.table.coefficients.sum() == 2**n * mixed_state_lhs(n, m)
 
@@ -132,7 +132,7 @@ class TestBuildExpression:
             other = build_hierarchy_inequality(5, 3, k)
             assert other.terms[: 1 + 5] == base.terms[: 1 + 5]
             assert set(other.terms[6:]) != set(base.terms[6:])
-            assert all(k in t.b_parties() for t in other.terms[6:])
+            assert all(k in b_parties(t) for t in other.terms[6:])
 
     @pytest.mark.parametrize("n,m,k", [(1, 2, 1), (4, 1, 1), (4, 5, 1), (4, 2, 0), (4, 2, 5)])
     def test_domain_errors(self, n, m, k):

@@ -271,7 +271,12 @@ class TestQuantumBehavior:
             )
 
     def test_angle_normalization(self):
-        angles = MeasurementAngles((7.0, -1.0), (2.0, 9.0))
-        norm = angles.normalized()
-        assert all(0.0 <= t < 2 * math.pi for t in norm.theta_a + norm.theta_b)
-        assert norm.theta_a[0] == pytest.approx(7.0 - 2 * math.pi)
+        # a setting vector only changes sign when its angle grows by 2*pi, so
+        # angles reduced to [0, 2*pi) give the same LHS
+        expr = build_hierarchy_inequality(3, 2, 1)
+        st = NoisyState(random_state(3, np.random.default_rng(43)), 0.9)
+        angles = MeasurementAngles((7.0, -1.0, 13.0), (2.0, 9.0, -8.0))
+        two_pi = 2 * math.pi
+        reduced = MeasurementAngles(*(tuple(t % two_pi for t in thetas) for thetas in (angles.theta_a, angles.theta_b)))
+        assert reduced.theta_a[0] == pytest.approx(7.0 - two_pi)
+        assert evaluate_lhs(expr, st, reduced) == pytest.approx(evaluate_lhs(expr, st, angles), abs=1e-12)

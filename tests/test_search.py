@@ -438,8 +438,27 @@ class TestLockstepBfgs:
         np.testing.assert_array_equal(fx, fn(x)[0])  # each value is the objective at its end point
         assert np.all((0 <= x) & (x < 2 * np.pi))
         assert trace.converged and trace.objective_calls == len(calls)
-        assert calls[0] == len(starts) and max(calls[1:]) <= len(starts)
-        assert len(set(calls[1:])) > 1  # restarts stopped after different iteration counts
+        assert set(calls) == {len(starts)}  # every call evaluates every restart
+
+    def test_a_stopped_restart_stays_fixed(self):
+        # the first i iterations do not depend on the budget, so a budget of i
+        # shows the points after iteration i.  A restart whose step in an
+        # iteration was shorter than tol (or none) has stopped, yet every
+        # later call still evaluates it: its point and value must stay fixed
+        fn, tol = trig_objective(3, 4), 1e-2
+        starts = np.random.default_rng(4).uniform(-1.0, 8.0, (10, 4)) % (2 * np.pi)
+        _, _, trace = lockstep(fn, starts, tol=tol)
+        runs = [(starts, fn(starts)[0])]
+        runs += [lockstep(fn, starts, tol=tol, max_iterations=i)[:2] for i in range(1, trace.iterations + 1)]
+        stopped_at = np.zeros(len(starts), dtype=int)  # 0: still moving
+        for i, ((x, fx), (later_x, later_fx)) in enumerate(zip(runs, runs[1:]), start=1):
+            step = np.linalg.norm((later_x - x + np.pi) % (2 * np.pi) - np.pi, axis=1)
+            stopped = stopped_at > 0
+            np.testing.assert_array_equal(later_x[stopped], x[stopped])
+            np.testing.assert_array_equal(later_fx[stopped], fx[stopped])
+            stopped_at[~stopped & (step < tol)] = i
+        assert trace.converged and np.all(stopped_at > 0)
+        assert len(set(stopped_at.tolist())) > 1  # restarts stopped after different iteration counts
 
     def test_budget_of_one_iteration_has_not_converged(self):
         x, fx, trace = lockstep(trig_objective(5, 4), [[0.3, 1.0, 2.0, 5.0]], max_iterations=1)
@@ -460,6 +479,15 @@ class TestLockstepBfgs:
 
 def oracle_objective(expr, state):
     return lambda v: evaluate_lhs(expr, state, SymmetricAngles(*v).expand(expr.n))
+
+
+def symmetric_lhs_values(expr, state, points):
+    """The kernel's LHS at a batch of (points, 4) symmetric angles (x, y, alpha, beta)."""
+    x, y, alpha, beta = np.asarray(points).T
+    rest = np.ones(expr.n - 1)
+    theta = np.stack([np.column_stack([x, np.multiply.outer(alpha, rest)]),
+                      np.column_stack([y, np.multiply.outer(beta, rest)])], axis=1)
+    return quantum._lhs_values(expr, state, theta)
 
 
 ORACLE_CASES = [
@@ -531,21 +559,56 @@ class TestMaximizeViolationEqualsOracle:
     @pytest.mark.parametrize("family,seed", [("random", 101), ("w-phases", 102)])
     def test_objective_equals_evaluate_lhs_off_the_grid(self, family, seed, n, k_prime):
         # the refinement's objective reads the grid's Fourier coefficients;
-        # at random angles, none of them on a sample grid and some outside
-        # [0, 2*pi), it must give the kernel's LHS for every m, and its
-        # gradient the kernel's central differences
+        # at random (alpha, beta), none of them on a sample grid and some
+        # outside [0, 2*pi), it must give the kernel's LHS at party 1's best
+        # angles angle(Z_a) and angle(Z_b) for every m, no less than the LHS
+        # at 32 random party-1 angles, and its gradient the kernel's central
+        # differences in alpha and beta with party 1 held at its optimum
+        # (envelope theorem)
         rng = np.random.default_rng(seed + n)
         state = NoisyState(make_state(family, n, seed + n), 0.7)
-        points = rng.uniform(-2 * np.pi, 4 * np.pi, (16, 4))
-        shift = 1e-5 * np.eye(4)
+        points = rng.uniform(-2 * np.pi, 4 * np.pi, (16, 2))
+        party1 = rng.uniform(0, 2 * np.pi, (32, 2))
+        shift = 1e-5 * np.eye(2)
         for m in range(2, n + 1):
             expr = build_hierarchy_inequality(n, m, k_prime)
             forms = np.moveaxis(search._symmetric_forms(expr, state), 1, 0)
             fn = oracle_objective(expr, state)
             values, gradients = search._symmetric_lhs(forms, points)
-            np.testing.assert_allclose(values, [fn(point) for point in points], rtol=0, atol=1e-12)
-            differences = [[(fn(point + h) - fn(point - h)) / 2e-5 for h in shift] for point in points]
+            at = search._forms_at(forms, points)[0]
+            best = np.column_stack([np.angle(at[1] + 1j * at[2]), np.angle(at[3] + 1j * at[4])])
+            np.testing.assert_allclose(
+                values, [fn(np.concatenate([x, point])) for x, point in zip(best, points)], rtol=0, atol=1e-12
+            )
+            for value, point in zip(values, points):
+                others = np.column_stack([party1, np.broadcast_to(point, party1.shape)])
+                assert value >= symmetric_lhs_values(expr, state, others).max() - 1e-12
+            differences = [
+                [(fn(np.concatenate([x, point + h])) - fn(np.concatenate([x, point - h]))) / 2e-5 for h in shift]
+                for x, point in zip(best, points)
+            ]
             np.testing.assert_allclose(gradients, differences, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (5, 5)])
+    def test_a_zero_amplitude_half_adds_its_mean_alone(self, n, m):
+        # with Z_a's coefficients zeroed, |Z_a| = 0 exactly at every point:
+        # the value and gradient must be finite, with no divide by zero,
+        # and equal those of S + |Z_b|
+        state = NoisyState(make_state("random", n, 103), 0.8)
+        forms = np.moveaxis(search._symmetric_forms(build_hierarchy_inequality(n, m, 1), state), 1, 0).copy()
+        forms[:, 1:3] = 0.0
+        points = np.random.default_rng(104).uniform(0, 2 * np.pi, (16, 2))
+
+        def s_plus_z_b(points):
+            at = search._forms_at(forms, points)[0]
+            return at[0] + np.hypot(at[3], at[4])
+
+        values, gradients = search._symmetric_lhs(forms, points)
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(gradients))
+        np.testing.assert_allclose(values, s_plus_z_b(points), rtol=0, atol=1e-15)
+        shift = 1e-5 * np.eye(2)
+        differences = np.stack([(s_plus_z_b(points + h) - s_plus_z_b(points - h)) / 2e-5 for h in shift], axis=1)
+        np.testing.assert_allclose(gradients, differences, rtol=0, atol=1e-8)
 
     def test_one_kernel_call_and_one_objective_call_per_round(self, monkeypatch):
         # the amplitude kernel runs once, to sample party 1's forms; every
@@ -572,10 +635,36 @@ class TestMaximizeViolationEqualsOracle:
         trials = 1 + math.floor(math.log2(2 * math.pi / QUICK.grid_resolution / QUICK.local_tolerance))
         assert 1 < len(objective_calls) == trace.objective_calls <= 1 + trace.iterations * trials
         assert trace.iterations <= QUICK.refinement_rounds
-        assert all(shape[1:] == (4,) for shape in objective_calls)
+        assert all(shape[1:] == (2,) for shape in objective_calls)
+
+
+# p_i of every n = 7..10 cell at the default config, as `table --family F
+# --n-list 7,8,9,10 --format csv` printed it with the four-angle refinement,
+# rows by n, m = 2..n.
+LARGE_N_THRESHOLDS = {
+    "ghz": (
+        "0.975848 0.977416 0.976834 0.967125 0.937752 0.880404",
+        "0.979286 0.983046 0.985656 0.983522 0.973075 0.943553 0.892059",
+        "0.981845 0.986785 0.990579 0.991119 0.988161 0.977709 0.948431 0.901587",
+        "0.983831 0.989403 0.993511 0.994869 0.994383 0.991320 0.981317 0.952567 0.909530",
+    ),
+    "w": (
+        "0.859506 0.749937 0.724156 0.642262 0.480872 0.232902",
+        "0.805867 0.700317 0.710857 0.675199 0.556429 0.369326 0.148564",
+        "0.729135 0.632066 0.680337 0.686505 0.619257 0.461226 0.265881 0.089734",
+        "0.628243 0.547068 0.633791 0.679290 0.657132 0.552733 0.363150 0.180185 0.052094",
+    ),
+}
 
 
 class TestConvergence:
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_n7_to_10_thresholds_are_pinned_and_converge(self, family):
+        results = reproduce_table(family, [7, 8, 9, 10])
+        assert all(r.converged for r in results)
+        printed = [" ".join(f"{r.p_threshold:.6f}" for r in results if r.n == n) for n in range(7, 11)]
+        assert tuple(printed) == LARGE_N_THRESHOLDS[family]
+
     @pytest.mark.parametrize("family,n,m", [("ghz", 3, 2), ("ghz", 3, 3), ("w", 3, 2), ("w", 3, 3), ("ghz", 4, 4)])
     def test_threshold_table_cells_converge(self, family, n, m):
         assert find_threshold(n, m, family).converged
@@ -732,5 +821,9 @@ class TestOptimizerConfig:
             OptimizerConfig(grid_resolution=1)
         with pytest.raises(ValueError):
             OptimizerConfig(local_tolerance=0.0)
+        with pytest.raises(ValueError):  # no step is ever shorter: no line-search trial would run
+            OptimizerConfig(local_tolerance=math.inf)
+        with pytest.raises(ValueError):
+            OptimizerConfig(local_tolerance=math.nan)
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
