@@ -34,8 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._bits import bit_matrix
-from .inequality import BellExpression, DimensionMismatchError, TermTable
+from .inequality import BellExpression, DimensionMismatchError, ParameterDomainError, TermTable
 
 NORM_TOL = 1e-12
 
@@ -44,6 +43,9 @@ NORM_TOL = 1e-12
 # search's Fourier forms.  The grid's cells go in far smaller blocks of beta
 # rows (search._GRID_BLOCK_CELLS).
 _BATCH_ELEMENTS = 1 << 20
+# Most parties of a GHZ or W state: its dense amplitude vector then takes
+# 2^24 * 16 bytes, 268 MB.
+MAX_FAMILY_PARTIES = 24
 
 
 @dataclass
@@ -77,7 +79,7 @@ class StateVector:
         amplitudes = self.amplitudes[nonzero]
         if not amplitudes.imag.any():
             amplitudes = amplitudes.real
-        return bit_matrix(nonzero, self.n), amplitudes
+        return (nonzero[:, None] >> np.arange(self.n - 1, -1, -1)) & 1, amplitudes
 
 
 @dataclass
@@ -116,10 +118,19 @@ class MeasurementAngles:
         return len(self.theta_a)
 
 
-def ghz_state(n: int) -> StateVector:
-    """(|0...0> + |1...1>)/sqrt(2)."""
+def _check_family_parties(n: int) -> None:
+    """Refuse a party count outside [2, MAX_FAMILY_PARTIES] before any vector is allocated."""
     if n < 2:
         raise ValueError(f"need at least 2 parties, got n={n}")
+    if n > MAX_FAMILY_PARTIES:
+        raise ParameterDomainError(
+            f"a state on n={n} parties has 2^{n} amplitudes; at most {MAX_FAMILY_PARTIES} parties are built"
+        )
+
+
+def ghz_state(n: int) -> StateVector:
+    """(|0...0> + |1...1>)/sqrt(2)."""
+    _check_family_parties(n)
     amp = np.zeros(2**n, dtype=complex)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return StateVector(n, amp)
@@ -127,8 +138,7 @@ def ghz_state(n: int) -> StateVector:
 
 def w_state(n: int) -> StateVector:
     """Equal superposition of the n single-excitation basis states."""
-    if n < 2:
-        raise ValueError(f"need at least 2 parties, got n={n}")
+    _check_family_parties(n)
     amp = np.zeros(2**n, dtype=complex)
     for k in range(n):
         amp[1 << k] = 1.0 / math.sqrt(n)

@@ -105,29 +105,21 @@ class OptimizerConfig:
 
     The coarse grid has grid_resolution points per angle; its best
     `restarts` cells are refined by BFGS ascent for at most
-    refinement_rounds iterations, each step at most one grid spacing long,
+    _REFINEMENT_ROUNDS iterations, each step at most one grid spacing long,
     and a restart stops once a step, in radians, is shorter than
-    local_tolerance.  A restart that reaches the iteration budget has not
+    _LOCAL_TOLERANCE.  A restart that reaches the iteration budget has not
     converged.  The search is deterministic, so there is no seed.  Each
     field's help is the help of its CLI flag.
     """
 
     grid_resolution: int = field(default=24, metadata={"help": "coarse grid points per angle"})
-    refinement_rounds: int = field(
-        default=200, metadata={"help": "BFGS iterations per restart before it counts as not converged"}
-    )
-    local_tolerance: float = field(
-        default=1e-5, metadata={"help": "a restart stops once its step is shorter than this, in radians"}
-    )
     restarts: int = field(default=8, metadata={"help": "best grid cells refined"})
 
     def __post_init__(self) -> None:
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
-        if self.refinement_rounds < 1 or self.restarts < 1:
-            raise ValueError("refinement_rounds and restarts must be positive")
-        if not (self.local_tolerance > 0 and math.isfinite(self.local_tolerance)):
-            raise ValueError("local_tolerance must be positive and finite")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -343,6 +335,11 @@ def exhaustive_symmetric_max(
 
 # Sufficient rise of a line-search step, as a share of the rise its gradient predicts.
 _ARMIJO = 1e-4
+# BFGS iterations per restart before it counts as not converged; over every
+# default cell with n <= 10 the most any search takes is 16 (W n=9 m=6).
+_REFINEMENT_ROUNDS = 200
+# A restart stops once its step is shorter than this, in radians.
+_LOCAL_TOLERANCE = 1e-5
 
 
 def _derivative_basis(basis: np.ndarray) -> np.ndarray:
@@ -390,7 +387,8 @@ class SearchTrace:
 
     iterations is the most BFGS iterations any restart took, objective_calls
     the `_symmetric_lhs` calls of the whole search, and converged is False
-    when some restart was still rising after refinement_rounds iterations.
+    when some restart was still rising after _REFINEMENT_ROUNDS iterations
+    with no step shorter than _LOCAL_TOLERANCE.
     """
 
     iterations: int
@@ -412,8 +410,9 @@ def _lockstep_bfgs(fn, starts: np.ndarray, max_step: float, tol: float, max_iter
     rise g.H.g is at most allowance, when its line search finds no rise
     before the step is shorter than tol, or when it takes a step shorter
     than tol; its point and value then stay fixed.  A restart still rising
-    after max_iterations iterations has not converged.  Returns the end
-    points, their values and the SearchTrace.
+    after max_iterations iterations has not converged; maximize_violation
+    passes tol = _LOCAL_TOLERANCE and max_iterations = _REFINEMENT_ROUNDS.
+    Returns the end points, their values and the SearchTrace.
     """
     x = np.array(starts, dtype=float) % TWO_PI
     fx, gx = fn(x)
@@ -471,10 +470,13 @@ def maximize_violation(
     grid cells together, both on the Fourier coefficients of party 1's
     forms, sampled once: every line-search trial of every refining restart
     is one `_symmetric_lhs` call, which gives the gradient with the value.
-    A step is at most one grid spacing long.  Party 1's angles at an end
-    point are angle(Z_a) and angle(Z_b) mod 2*pi.  The best end point wins,
-    ties going to the smaller angle tuple, and the value returned is the
-    objective at the angles returned.  The SearchTrace says how it ended.
+    A step is at most one grid spacing long, and a restart stops once a
+    step is shorter than _LOCAL_TOLERANCE radians; one still rising after
+    _REFINEMENT_ROUNDS iterations leaves the search not converged.  Party
+    1's angles at an end point are angle(Z_a) and angle(Z_b) mod 2*pi.  The
+    best end point wins, ties going to the smaller angle tuple, and the
+    value returned is the objective at the angles returned.  The
+    SearchTrace says how it ended.
     """
     config = config or OptimizerConfig()
     if expr.n != state.n:
@@ -484,7 +486,7 @@ def maximize_violation(
     forms = np.ascontiguousarray(np.moveaxis(coefficients, 1, 0))  # so each call's reshape is a view
     ends, values, trace = _lockstep_bfgs(
         lambda points: _symmetric_lhs(forms, points), [c.as_tuple()[2:] for c in candidates],
-        TWO_PI / config.grid_resolution, config.local_tolerance, config.refinement_rounds,
+        TWO_PI / config.grid_resolution, _LOCAL_TOLERANCE, _REFINEMENT_ROUNDS,
         # the forms' rounding: a predicted rise below it is noise
         np.finfo(float).eps * np.abs(coefficients).sum(),
     )

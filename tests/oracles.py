@@ -595,7 +595,10 @@ def compass_search(fn, starts, step: float, tol: float, max_rounds: int):
     return x, fx
 
 
-def full_angle_search(expr: BellExpression, state: NoisyState, config: OptimizerConfig, seed=7, extra_starts=()):
+def full_angle_search(
+    expr: BellExpression, state: NoisyState, config: OptimizerConfig, seed=7, extra_starts=(),
+    tol: float = 1e-5, max_rounds: int = 200,
+):
     """Maximize the LHS over all 2n per-party angles; returns (max LHS, MeasurementAngles).
 
     The coarse grid covers every point of the product grid over the 2n
@@ -603,7 +606,8 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
     `config.restarts` points, as many uniform random starts drawn with
     `seed`, and the extra starts (SymmetricAngles or MeasurementAngles) are
     then refined by one lockstep compass search, each round one call of the
-    quantum module's kernel on all 2n angles.  The best end point wins, ties
+    quantum module's kernel on all 2n angles, until every step is below tol
+    or max_rounds rounds have run.  The best end point wins, ties
     going to the smaller angle tuple, and the result is never below the best
     grid point.
     """
@@ -622,7 +626,7 @@ def full_angle_search(expr: BellExpression, state: NoisyState, config: Optimizer
         starts.append(angles.theta_a + angles.theta_b)
     ends, end_values = compass_search(
         lambda vecs: quantum._lhs_values(expr, state, vecs.reshape(-1, 2, n)), starts,
-        TWO_PI / resolution, config.local_tolerance, config.refinement_rounds,
+        TWO_PI / resolution, tol, max_rounds,
     )
     best_val, best_vec = -np.inf, None
     for x, fx in zip(ends, end_values.tolist()):

@@ -314,14 +314,6 @@ class TestThresholdAndTable:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_infinite_local_tolerance_exits_2(self, capsys):
-        # no step is shorter than inf, so no line-search trial would run and
-        # the grid's value would come back marked converged
-        code, out, err = run(capsys, ["threshold", "--n", "3", "--m", "3", "--family", "w",
-                                      "--local-tolerance", "inf"])
-        assert (code, out) == (2, "")
-        assert "local_tolerance must be positive and finite" in err
-
     def test_bisection_tolerance_config_key_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bisection_tolerance = 1e-3\n")
@@ -329,6 +321,46 @@ class TestThresholdAndTable:
                                     "--config", str(cfg)])
         assert code == 2
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("option", ["refinement-rounds", "local-tolerance"])
+    @pytest.mark.parametrize(
+        "command",
+        [["threshold", "--n", "2", "--m", "2"], ["table", "--n-list", "2"]],
+        ids=["threshold", "table"],
+    )
+    def test_refinement_budget_flags_are_rejected(self, capsys, command, option):
+        # the BFGS iteration budget and step tolerance are constants of the search
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command[0], "--help"])
+        assert exc.value.code == 0
+        assert f"--{option}" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--family", "ghz", f"--{option}", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["refinement_rounds", "local_tolerance"])
+    @pytest.mark.parametrize(
+        "command",
+        [["threshold", "--n", "2", "--m", "2"], ["table", "--n-list", "2"]],
+        ids=["threshold", "table"],
+    )
+    def test_refinement_budget_config_keys_are_rejected(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, out, err = run(capsys, command + ["--family", "ghz", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert f"unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--n", "40", "--m", "2", "--family", "ghz"],
+        ["evaluate", "--n", "40", "--m", "2", "--family", "w", "--symmetric-angles", "0,0,0,0"],
+    ], ids=["threshold", "evaluate"])
+    def test_state_too_large_exits_2(self, capsys, command):
+        # refused before the 2^40-amplitude vector is allocated
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "at most 24 parties" in err
 
     def test_no_violation_maps_to_exit_1(self, capsys, monkeypatch):
         import mlocality.search as search_mod
@@ -464,8 +496,6 @@ PARITY_CASES = [
     (_THRESHOLD, "family", "w"),
     (_THRESHOLD, "seed", "7"),
     (_THRESHOLD, "grid_resolution", "12"),
-    (_THRESHOLD, "refinement_rounds", "1"),
-    (_THRESHOLD, "local_tolerance", "0.1"),
     (_THRESHOLD_GHZ4, "restarts", "1"),
     (_THRESHOLD, "format", "structured"),
     (_THRESHOLD, "output", "out.txt"),
@@ -473,8 +503,6 @@ PARITY_CASES = [
     (_TABLE, "family", "ghz"),
     (_TABLE, "seed", "7"),
     (_TABLE, "grid_resolution", "12"),
-    (_TABLE, "refinement_rounds", "1"),
-    (_TABLE, "local_tolerance", "0.1"),
     (_TABLE_GHZ4, "restarts", "1"),
     (_TABLE, "format", "text"),
     (_TABLE, "output", "out.txt"),

@@ -28,6 +28,7 @@ from oracles import (
     dense_density_oracle,
     density_matrix,
     distribution_lhs,
+    index_to_bits,
     measurement_projectors,
     orthogonal_vector,
     quantum_behavior,
@@ -71,6 +72,25 @@ class TestStates:
             ghz_state(1)
         with pytest.raises(ValueError):
             w_state(1)
+
+    @pytest.mark.parametrize("n", [quantum.MAX_FAMILY_PARTIES + 1, 40])
+    @pytest.mark.parametrize("family", [ghz_state, w_state], ids=["ghz", "w"])
+    def test_rejects_large_n_before_allocating(self, monkeypatch, family, n):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a state vector was allocated")
+
+        monkeypatch.setattr(quantum.np, "zeros", no_allocation)
+        with pytest.raises(ParameterDomainError, match=f"at most {quantum.MAX_FAMILY_PARTIES} parties"):
+            family(n)
+
+    def test_support_bits_are_party_1_first(self):
+        amplitudes = np.zeros(32, dtype=complex)
+        amplitudes[[0, 5, 18, 31]] = [0.5, -0.5j, 0.5, 0.5]
+        bits, values = StateVector(5, amplitudes).support
+        assert bits.tolist() == [list(index_to_bits(i, 5)) for i in (0, 5, 18, 31)]
+        np.testing.assert_array_equal(values, [0.5, -0.5j, 0.5, 0.5])
+        bits, values = ghz_state(3).support
+        assert bits.tolist() == [[0, 0, 0], [1, 1, 1]] and values.dtype == float
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
