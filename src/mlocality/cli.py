@@ -20,6 +20,10 @@ evaluate takes exactly one of --angles and --symmetric-angles.
 threshold and table also take --seed, but their search is deterministic:
 the seed is only recorded in the output and does not change the results.
 table computes its cells one after another in one process.
+--output writes to a path instead of stdout: a symlink's target gets the
+text, a regular file is replaced atomically and keeps its mode (a new one
+gets 0o666 less the umask), and any other file, such as a device, is
+written directly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import asdict, fields
@@ -99,13 +104,21 @@ def _expression(args: argparse.Namespace):
 
 
 def _write_output(text: str, path: str | None) -> None:
-    """Print to stdout, or write atomically (temp file + rename) to path."""
+    """Print to stdout, or write to path (see the module docs)."""
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mlocality-")
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or FIFO is written, never replaced
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".mlocality-")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -220,7 +233,7 @@ def _emit_threshold_results(results, args: argparse.Namespace, seed: int) -> Non
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value file supplying defaults")
-    parser.add_argument("--output", help="write output atomically to this path")
+    parser.add_argument("--output", help="write output to this path; a regular file is replaced atomically")
 
 
 def _add_expression(parser: argparse.ArgumentParser) -> None:

@@ -174,8 +174,6 @@ def _term_amplitudes(table: TermTable, psi: StateVector, pairs: np.ndarray) -> n
     vectors = (pairs @ _OUTCOME_VECTORS).reshape(pairs.shape[:-3] + (-1, 2))
     slots = table.slots[:, None, :]
     per_term = bits.size * pairs.size // (4 * psi.n)  # factor entries per term; pairs holds 4n a point
-    if per_term * len(slots) <= _BATCH_ELEMENTS:
-        return vectors[..., slots, bits].prod(axis=-1) @ amplitudes
     step = max(1, _BATCH_ELEMENTS // per_term)
     parts = [vectors[..., slots[i : i + step], bits].prod(axis=-1) @ amplitudes
              for i in range(0, len(slots), step)]

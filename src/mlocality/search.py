@@ -18,23 +18,22 @@ the number of terms.  A sinusoid's grid maximum lies at one of the two grid
 points bracketing its peak angle(Z), and in [|Z|*cos(pi/R), |Z|], so it is
 bounded without locating the peak.
 
-The (a, b) cells are streamed in cache-sized blocks of b rows.  Each block's
-bounds are checked against the running top-k-th largest lower bound, and
-only the few cells whose upper bound reaches it are kept, with their three
-numbers; the exact party-1 maxima are taken from those at the end, so no
-array over all R^2 cells is built and the best cells come out as if every
-cell had been evaluated.
+The (a, b) cells are streamed in cache-sized blocks of b rows.  Over x a
+half peaks at a_h + |Z_h|, so with party 1 at its best angles the LHS is
+Q(alpha, beta) = S + |Z_a| + |Z_b|.  The search keeps one Q per cell and
+refines the best cells by Q with BFGS ascent over (alpha, beta) alone, all
+restarts in lockstep; party 1's angles are angle(Z_a) and angle(Z_b) at the
+end points.  Q and its analytic gradient come from one small matrix product
+per line-search trial, so after the sampling no term amplitude is computed
+again.  Each restart keeps a 2 x 2 inverse-Hessian estimate and stops on its
+own once the rise it predicts is within the forms' rounding, once its line
+search finds no rise, or once its step is below the tolerance; the search
+reports whether every restart stopped so before the iteration budget ran out.
 
-The best grid cells are then refined by BFGS ascent over (alpha, beta)
-alone, all restarts in lockstep: over x a half peaks at a_h + |Z_h|, so the
-objective is Q(alpha, beta) = S + |Z_a| + |Z_b|, and party 1's angles are
-angle(Z_a) and angle(Z_b) at the end points.  Q and its analytic gradient
-come from one small matrix product per line-search trial, so after the
-sampling no term amplitude is computed again.  Each restart keeps a 2 x 2
-inverse-Hessian estimate and stops on its own once the rise it predicts is
-within the forms' rounding, once its line search finds no rise, or once its
-step is below the tolerance; the search reports whether every restart
-stopped so before the iteration budget ran out.
+The exhaustive oracle keeps party 1 on the grid as well.  It checks each
+block's bounds against the largest lower bound so far and keeps the few
+cells that can reach it, so no array over all R^2 cells is built and the
+maximum comes out as if every cell had been evaluated.
 
 For fixed angles the LHS is affine in the visibility p,
 LHS(p, theta) = p*Q(theta) + (1-p)*C, and C = (1-n-C(n-1,m-1))/2^n does not
@@ -103,13 +102,13 @@ class SymmetricAngles:
 class OptimizerConfig:
     """Budget of maximize_violation.
 
-    The coarse grid has grid_resolution points per angle; its best
-    `restarts` cells are refined by BFGS ascent for at most
-    _REFINEMENT_ROUNDS iterations, each step at most one grid spacing long,
-    and a restart stops once a step, in radians, is shorter than
-    _LOCAL_TOLERANCE.  A restart that reaches the iteration budget has not
-    converged.  The search is deterministic, so there is no seed.  Each
-    field's help is the help of its CLI flag.
+    The coarse grid has grid_resolution points per angle in (alpha, beta);
+    its best `restarts` cells by Q = S + |Z_a| + |Z_b| are refined by BFGS
+    ascent for at most _REFINEMENT_ROUNDS iterations, each step at most one
+    grid spacing long, and a restart stops once a step, in radians, is
+    shorter than _LOCAL_TOLERANCE.  A restart that reaches the iteration
+    budget has not converged.  The search is deterministic, so there is no
+    seed.  Each field's help is the help of its CLI flag.
     """
 
     grid_resolution: int = field(default=24, metadata={"help": "coarse grid points per angle"})
@@ -237,7 +236,7 @@ def _symmetric_forms(expr: BellExpression, state: NoisyState) -> np.ndarray:
     return coefficients
 
 
-def _grid_forms(coefficients: np.ndarray, resolution: int, block_cells: int):
+def _grid_forms(coefficients: np.ndarray, resolution: int):
     """Every (alpha, beta) cell's S, Z_a and Z_b on the grid, in blocks of beta rows.
 
     coefficients are `_symmetric_forms`, C of degree (D_a, D_b).  As D_b <=
@@ -248,15 +247,16 @@ def _grid_forms(coefficients: np.ndarray, resolution: int, block_cells: int):
 
     Returns the rounding allowance, _BOUND_SLACK times the sum of absolute
     coefficients (basis entries are at most 1 in magnitude), and the blocks,
-    of at most block_cells cells and at least one beta row: the first beta
-    row, S of shape (rows, R) and (Z_a, Z_b) of shape (rows, 2, R), alpha last.
+    of at most _GRID_BLOCK_CELLS cells and at least one beta row: the first
+    beta row, S of shape (rows, R) and (Z_a, Z_b) of shape (rows, 2, R),
+    alpha last.
     """
     basis_a, basis_b = (_trig_basis(_grid_axis(resolution), size // 2) for size in coefficients.shape[1:])
     wide = np.moveaxis(basis_a @ coefficients, -1, 0)  # beta x (S, Re Z_a, Im Z_a, Re Z_b, Im Z_b) x alpha
     # C-order columns (twice as fast as a transpose): S at each alpha, then Z_a and Z_b as (re, im) pairs
     amplitudes = wide[:, 1:].reshape(len(wide), 2, 2, resolution).swapaxes(2, 3)
     columns = np.concatenate([wide[:, 0], amplitudes.reshape(len(wide), -1)], axis=1)
-    step = max(1, block_cells // resolution)
+    step = max(1, _GRID_BLOCK_CELLS // resolution)
 
     def blocks():
         for start in range(0, resolution, step):
@@ -267,31 +267,24 @@ def _grid_forms(coefficients: np.ndarray, resolution: int, block_cells: int):
     return _BOUND_SLACK * np.abs(coefficients).sum(), blocks()
 
 
-def _best_candidates(
-    coefficients: np.ndarray, resolution: int, top_k: int
-) -> tuple[float, list[SymmetricAngles]]:
-    """Coarse-grid maximum and the top-k grid cells as refinement starts.
+def exhaustive_symmetric_max(
+    expr: BellExpression, state: NoisyState, resolution: int
+) -> tuple[float, SymmetricAngles]:
+    """Exact maximum of the LHS over the full 4-angle product grid, and its angles.
 
-    A cell's total is S plus the grid maxima over party 1's angle x of its
-    halves' sinusoids Re(Z*e^(-ix)).  The grid point nearest a peak lies
+    Brute-force oracle.  A cell's total is S plus the grid maxima over x of
+    Re(Z_a*e^(-ix)) and Re(Z_b*e^(-ix)); the grid point nearest a peak lies
     within pi/R of it, so the total lies in [S + (|Z_a|+|Z_b|)*cos(pi/R),
-    S + |Z_a| + |Z_b|], bounded with no arctan2 and no gather.
-
-    The blocks of `_grid_forms` stream past a floor, the top_k-th largest
-    lower bound so far.  A cell whose upper bound is below the floor cannot
-    be among the top_k; the floor only rises, so it could not be at the end
-    either, and is dropped.  The cells left at the end, the few that can
-    reach the top, get their exact party-1 maxima (`_party1_maxima`) from
-    the same S and Z the bounds came from, so no array over all R^2 cells
-    is built.  The bounds carry the grid's rounding allowance, so the result
-    is bit for bit the one every cell evaluated exactly would give.  The
-    top_k cells come in descending order of value, the higher (alpha, beta)
-    index first among ties.
+    S + |Z_a| + |Z_b|].  The blocks of `_grid_forms` stream past a floor, the
+    largest lower bound so far, which only rises: a cell whose upper bound is
+    below it cannot win and is dropped.  The few cells left get their exact
+    party-1 maxima (`_party1_maxima`) from the same S and Z, and the bounds
+    carry the grid's rounding allowance, so the result is bit for bit the one
+    every cell evaluated exactly gives, the higher cell index winning a tie.
     """
     shortfall = 1.0 - math.cos(math.pi / resolution)
-    slack, blocks = _grid_forms(coefficients, resolution, _GRID_BLOCK_CELLS)
-    lows, floor = np.empty(0), -np.inf  # the top_k largest lower bounds so far, and the least of them
-    kept = []  # per block: row-major cell indices, tops, S and (Z_a, Z_b) of the cells that can still win
+    slack, blocks = _grid_forms(_symmetric_forms(expr, state), resolution)
+    floor, kept = -np.inf, []  # kept: per block, the indices, tops, S and Z of the cells that can win
     for start, s, z in blocks:
         magnitude = np.abs(z)
         radius = magnitude[:, 0] + magnitude[:, 1]
@@ -299,11 +292,7 @@ def _best_candidates(
         if top.max() < floor - slack:  # most blocks, once the floor is near the top
             continue
         keep = np.flatnonzero(top >= floor - slack)
-        lower = top[keep] - shortfall * radius.ravel()[keep] - slack
-        lows = np.concatenate([lows, lower[lower > floor]])
-        if len(lows) >= top_k:
-            lows = np.partition(lows, len(lows) - top_k)[len(lows) - top_k :]
-            floor = lows[0]
+        floor = max(floor, (top[keep] - shortfall * radius.ravel()[keep] - slack).max())
         keep = keep[top[keep] >= floor - slack]
         beta, alpha = np.divmod(keep, resolution)
         kept.append((alpha * resolution + start + beta, top[keep], s[beta, alpha], z[beta, :, alpha]))
@@ -311,23 +300,22 @@ def _best_candidates(
     cells, s, z = (x[top >= floor - slack] for x in (cells, s, z))
     arg, value = _party1_maxima(z.T, resolution)
     total = s + value[0] + value[1]
-    # descending total, the higher cell index first among ties
-    order = np.lexsort((cells, total))[::-1][:top_k]
-    angles = _grid_axis(resolution)[np.vstack([arg[:, order], *np.divmod(cells[order], resolution)])]
-    return float(total[order[0]]), [SymmetricAngles(*a) for a in angles.T.tolist()]
+    best = np.lexsort((cells, total))[-1]  # the largest total, the higher cell index among ties
+    angles = _grid_axis(resolution)[[*arg[:, best], *divmod(cells[best], resolution)]]
+    return float(total[best]), SymmetricAngles(*angles.tolist())
 
 
-def exhaustive_symmetric_max(
-    expr: BellExpression, state: NoisyState, resolution: int
-) -> tuple[float, SymmetricAngles]:
-    """Exact maximum of the LHS over the full 4-angle product grid.
+def _grid_starts(coefficients: np.ndarray, resolution: int, restarts: int) -> np.ndarray:
+    """The `restarts` best (alpha, beta) grid cells by Q = S + |Z_a| + |Z_b|, at most R^2 of them.
 
-    Brute-force oracle: every grid cell is bounded, and each one whose
-    bound can reach the maximum is evaluated exactly (the party-1 maxima
-    separate, so no 4-dimensional array is ever materialized).
+    Q is the function the refinement climbs, at least the cell's four-angle
+    grid value.  Rows (alpha, beta) in descending Q, the higher alpha-major
+    cell index first among ties.
     """
-    value, candidates = _best_candidates(_symmetric_forms(expr, state), resolution, top_k=1)
-    return value, candidates[0]
+    _, blocks = _grid_forms(coefficients, resolution)
+    q = np.concatenate([s + np.abs(z).sum(axis=1) for _, s, z in blocks]).T.ravel()  # alpha-major
+    cells = np.argsort(q, kind="stable")[::-1][:restarts]
+    return _grid_axis(resolution)[np.column_stack(np.divmod(cells, resolution))]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +324,7 @@ def exhaustive_symmetric_max(
 # Sufficient rise of a line-search step, as a share of the rise its gradient predicts.
 _ARMIJO = 1e-4
 # BFGS iterations per restart before it counts as not converged; over every
-# default cell with n <= 10 the most any search takes is 16 (W n=9 m=6).
+# default cell with n <= 10 the most any search takes is 15 (W n=10 m=9).
 _REFINEMENT_ROUNDS = 200
 # A restart stops once its step is shorter than this, in radians.
 _LOCAL_TOLERANCE = 1e-5
@@ -466,12 +454,12 @@ def maximize_violation(
     """Maximize the LHS over the four symmetric measurement angles.
 
     Deterministic given the configuration.  Coarse grid first, then one
-    lockstep BFGS ascent over (alpha, beta) refining the best `restarts`
-    grid cells together, both on the Fourier coefficients of party 1's
-    forms, sampled once: every line-search trial of every refining restart
-    is one `_symmetric_lhs` call, which gives the gradient with the value.
-    A step is at most one grid spacing long, and a restart stops once a
-    step is shorter than _LOCAL_TOLERANCE radians; one still rising after
+    lockstep BFGS ascent over (alpha, beta) from the best `restarts` grid
+    cells by Q (`_grid_starts`), both on the Fourier coefficients of party
+    1's forms, sampled once: every line-search trial of every restart is one
+    `_symmetric_lhs` call, which gives the gradient with the value.  A step
+    is at most one grid spacing long, and a restart stops once a step is
+    shorter than _LOCAL_TOLERANCE radians; one still rising after
     _REFINEMENT_ROUNDS iterations leaves the search not converged.  Party
     1's angles at an end point are angle(Z_a) and angle(Z_b) mod 2*pi.  The
     best end point wins, ties going to the smaller angle tuple, and the
@@ -482,10 +470,10 @@ def maximize_violation(
     if expr.n != state.n:
         raise DimensionMismatchError(f"expression has n={expr.n}, state has n={state.n}")
     coefficients = _symmetric_forms(expr, state)
-    _, candidates = _best_candidates(coefficients, config.grid_resolution, config.restarts)
     forms = np.ascontiguousarray(np.moveaxis(coefficients, 1, 0))  # so each call's reshape is a view
     ends, values, trace = _lockstep_bfgs(
-        lambda points: _symmetric_lhs(forms, points), [c.as_tuple()[2:] for c in candidates],
+        lambda points: _symmetric_lhs(forms, points),
+        _grid_starts(coefficients, config.grid_resolution, config.restarts),
         TWO_PI / config.grid_resolution, _LOCAL_TOLERANCE, _REFINEMENT_ROUNDS,
         # the forms' rounding: a predicted rise below it is noise
         np.finfo(float).eps * np.abs(coefficients).sum(),

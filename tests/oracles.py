@@ -635,31 +635,42 @@ def full_angle_search(
     return max(best_val, float(values.max())), MeasurementAngles(tuple(best_vec[:n]), tuple(best_vec[n:]))
 
 
+def _full_grid_cells(expr: BellExpression, state: NoisyState, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (alpha, beta) cell's S, shape (R*R,), and (Z_a, Z_b), shape (2, R*R), cells in row-major order.
+
+    Takes them from `search._grid_forms` in the blocks the search uses
+    (their last bits depend on the width of a block's matrix product).
+    """
+    _, blocks = search._grid_forms(search._symmetric_forms(expr, state), resolution)
+    _, s, z = zip(*blocks)
+    s, z = np.concatenate(s), np.concatenate(z)  # beta rows first
+    return s.T.ravel(), z.transpose(1, 2, 0).reshape(2, -1)
+
+
 def full_grid_totals(expr: BellExpression, state: NoisyState, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's total on the symmetric 4-angle grid, with no cell pruned.
 
-    Takes every cell's S, Z_a and Z_b from `search._grid_forms` in the
-    blocks the search uses (their last bits depend on the width of a
-    block's matrix product), and runs `search._party1_maxima` on every
-    (alpha, beta) cell.  Returns the totals, shape (R*R,), and the party-1
+    Runs `search._party1_maxima` on every (alpha, beta) cell of
+    `_full_grid_cells`.  Returns the totals, shape (R*R,), and the party-1
     grid indices of each half, shape (2, R*R), cells in row-major order.
     """
-    _, blocks = search._grid_forms(search._symmetric_forms(expr, state), resolution, search._GRID_BLOCK_CELLS)
-    _, s, z = zip(*blocks)
-    s, z = np.concatenate(s), np.concatenate(z)  # beta rows first
-    arg, value = search._party1_maxima(z.transpose(1, 2, 0).reshape(2, -1), resolution)
-    return s.T.ravel() + value[0] + value[1], arg
+    s, z = _full_grid_cells(expr, state, resolution)
+    arg, value = search._party1_maxima(z, resolution)
+    return s + value[0] + value[1], arg
 
 
-def full_grid_selection(
-    expr: BellExpression, state: NoisyState, resolution: int, top_k: int
-) -> tuple[float, list[SymmetricAngles]]:
-    """The top_k cells of a full stable argsort of `full_grid_totals`, reversed:
-    descending total, the higher cell index first among ties.  Returns the
-    best total and each cell's SymmetricAngles, as `search._best_candidates` does."""
+def full_grid_peaks(expr: BellExpression, state: NoisyState, resolution: int) -> np.ndarray:
+    """Every (alpha, beta) cell's Q = S + |Z_a| + |Z_b|, the LHS at party 1's
+    best angles, shape (R*R,), cells in row-major order."""
+    s, z = _full_grid_cells(expr, state, resolution)
+    return s + (np.abs(z[0]) + np.abs(z[1]))
+
+
+def full_grid_selection(expr: BellExpression, state: NoisyState, resolution: int) -> tuple[float, SymmetricAngles]:
+    """The last cell of a full stable argsort of `full_grid_totals`: the best
+    total, the higher cell index among ties, and its SymmetricAngles, as
+    `search.exhaustive_symmetric_max` returns them."""
     total, arg = full_grid_totals(expr, state, resolution)
-    order = np.argsort(total, kind="stable")[::-1][:top_k]
-    axis = search._grid_axis(resolution)
-    alpha_beta = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    candidates = [SymmetricAngles(*axis[arg[:, i]].tolist(), *alpha_beta[i].tolist()) for i in order]
-    return float(total[order[0]]), candidates
+    best = int(np.argsort(total, kind="stable")[-1])
+    angles = search._grid_axis(resolution)[[*arg[:, best], *divmod(best, resolution)]]
+    return float(total[best]), SymmetricAngles(*angles.tolist())

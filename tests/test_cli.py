@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -81,6 +82,48 @@ class TestBuild:
     def test_m_larger_than_n(self, capsys):
         code, _, _ = run(capsys, ["threshold", "--family", "ghz", "--n", "4", "--m", "5"])
         assert code == 2
+
+
+class TestOutputPath:
+    BUILD = ["build", "--n", "3", "--m", "2"]
+
+    def test_symlink_stays_a_link_and_its_target_gets_the_text(self, capsys, tmp_path):
+        _, want, _ = run(capsys, self.BUILD)
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run(capsys, self.BUILD + ["--output", str(link)])[0] == 0
+        assert link.is_symlink()
+        assert target.read_text() == want
+
+    def test_new_file_gets_the_mode_the_umask_leaves(self, capsys, tmp_path):
+        path = tmp_path / "out.txt"
+        umask = os.umask(0o022)
+        try:
+            code = run(capsys, self.BUILD + ["--output", str(path)])[0]
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_rewritten_file_keeps_its_mode(self, capsys, tmp_path):
+        _, want, _ = run(capsys, self.BUILD)
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        assert run(capsys, self.BUILD + ["--output", str(path)])[0] == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() == want
+
+    def test_non_regular_file_is_written_not_replaced(self, capsys, monkeypatch):
+        # os.devnull is a character device: it must be written, never have a
+        # file renamed over it, so with os.replace refusing the write succeeds
+        def refuse(*args):
+            raise AssertionError(f"os.replace{args} over a file that is not regular")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert run(capsys, self.BUILD + ["--output", os.devnull])[0] == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestEvaluate:

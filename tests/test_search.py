@@ -17,7 +17,7 @@ import pytest
 
 import mlocality.quantum as quantum
 import mlocality.search as search
-from oracles import full_angle_search, full_grid_selection, full_grid_totals
+from oracles import full_angle_search, full_grid_peaks, full_grid_selection, full_grid_totals
 from mlocality.inequality import build_hierarchy_inequality
 from mlocality.quantum import MeasurementAngles, NoisyState, StateVector, evaluate_lhs, ghz_state, w_state
 from mlocality.quantum import _half_angle_pairs, _term_amplitudes, mixed_state_lhs
@@ -50,6 +50,15 @@ def brute_force_symmetric_values(expr, state, resolution):
         evaluate_lhs(expr, state, SymmetricAngles(*point).expand(n))
         for point in itertools.product(axis, repeat=4)
     ]).reshape((resolution,) * 4)
+
+
+def party1_best(forms, points):
+    """Party 1's best angles angle(Z_a) and angle(Z_b) at (points, 2) angles (alpha, beta), shape (points, 2).
+
+    forms is `_symmetric_forms` with its alpha axis first.
+    """
+    at = search._forms_at(forms, points)[0]
+    return np.column_stack([np.angle(at[1] + 1j * at[2]), np.angle(at[3] + 1j * at[4])])
 
 
 def grid_features(resolution):
@@ -156,16 +165,25 @@ class TestGridEvaluation:
         assert fast == pytest.approx(brute.max(), abs=1e-12)
         # the reported angle tuple reproduces the reported value
         assert evaluate_lhs(expr, state, angles.expand(n)) == pytest.approx(fast, abs=1e-12)
-        # every top-k (alpha, beta) cell, at its best party-1 angles,
-        # reproduces its grid value, best first
-        cell_best = np.sort(brute.max(axis=(0, 1)), axis=None)[::-1]
-        top_k = 10
-        grid_best, candidates = search._best_candidates(search._symmetric_forms(expr, state), 6, top_k)
-        values = [evaluate_lhs(expr, state, c.expand(n)) for c in candidates]
-        assert len(candidates) == top_k
-        assert values[0] == pytest.approx(grid_best, abs=1e-12)
-        np.testing.assert_allclose(values, cell_best[:top_k], rtol=0, atol=1e-12)
-        assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
+        # the 10 refinement starts are the 10 best (alpha, beta) cells by Q,
+        # best first; each, at party 1's best angles angle(Z_a) and
+        # angle(Z_b), reproduces its Q, which is at least the cell's
+        # four-angle grid maximum
+        coefficients = search._symmetric_forms(expr, state)
+        forms = np.moveaxis(coefficients, 1, 0)
+        starts = search._grid_starts(coefficients, 6, 10)
+        q, _ = search._symmetric_lhs(forms, starts)
+        values = [
+            evaluate_lhs(expr, state, SymmetricAngles(*x, *ab).expand(n))
+            for x, ab in zip(party1_best(forms, starts).tolist(), starts.tolist())
+        ]
+        assert len(starts) == 10
+        np.testing.assert_allclose(values, q, rtol=0, atol=1e-12)
+        cells = np.stack(np.meshgrid(search._grid_axis(6), search._grid_axis(6), indexing="ij"), -1).reshape(-1, 2)
+        every_q = np.sort(search._symmetric_lhs(forms, cells)[0])[::-1]
+        np.testing.assert_allclose(q, every_q[:10], rtol=0, atol=1e-12)
+        index = np.rint(starts * (6 / (2 * np.pi))).astype(int)
+        assert np.all(q >= brute.max(axis=(0, 1))[index[:, 0], index[:, 1]] - 1e-12)
 
     def test_separable_grid_max_ghz(self):
         expr = build_hierarchy_inequality(4, 4, 1)
@@ -175,25 +193,30 @@ class TestGridEvaluation:
         assert fast == pytest.approx(brute, abs=1e-12)
 
     def test_top_cells_keep_the_order_of_a_full_sort(self):
-        # GHZ n=4 m=2 ties at many grid values.  The candidates must come in
-        # the order of a full stable argsort of the grid totals, reversed:
-        # descending, the higher (alpha, beta) cell index first among ties.
-        # The totals are the unpruned oracle's, one per cell.  At 48 points
-        # about 410 of the 2304 totals tie exactly; at 24 points only about 120
-        # of 576 do, since the forms are interpolated from their samples.
+        # GHZ n=4 m=2 ties at many grid values.  The refinement's starts must
+        # come in the order of a full stable argsort of the cells' Q,
+        # reversed: descending, the higher (alpha, beta) cell index first
+        # among ties, and the exhaustive maximum must be the last cell of a
+        # stable argsort of the four-angle totals.  Q and the totals are the
+        # unpruned oracle's, one per cell.  At 48 points about 620 of the 2304
+        # Q and 410 of the totals tie exactly.
         resolution = 48
         expr = build_hierarchy_inequality(4, 2, 1)
         state = NoisyState(ghz_state(4), 1.0)
         cell = {x: i for i, x in enumerate(search._grid_axis(resolution).tolist())}
+        q = full_grid_peaks(expr, state, resolution)
         total, _ = full_grid_totals(expr, state, resolution)
-        assert total.size - len(np.unique(total)) > 100  # many exact ties
+        assert q.size - len(np.unique(q)) > 100  # many exact ties
+        assert total.size - len(np.unique(total)) > 100
         forms = search._symmetric_forms(expr, state)
-        for top_k in (1, 2, 4, 5, 8, 100, resolution**2 - 1, resolution**2, resolution**2 + 3):
-            best, candidates = search._best_candidates(forms, resolution, top_k)
-            want = np.argsort(total, kind="stable")[::-1][:top_k]
-            got = [cell[c.theta_a_rest] * resolution + cell[c.theta_b_rest] for c in candidates]
-            assert got == want.tolist()
-            assert best == total[want[0]]
+        for restarts in (1, 2, 4, 5, 8, 100, resolution**2 - 1, resolution**2, resolution**2 + 3):
+            starts = search._grid_starts(forms, resolution, restarts)
+            want = np.argsort(q, kind="stable")[::-1][:restarts]
+            assert [cell[a] * resolution + cell[b] for a, b in starts.tolist()] == want.tolist()
+        value, angles = exhaustive_symmetric_max(expr, state, resolution)
+        best = np.argsort(total, kind="stable")[-1]
+        assert value == total[best]
+        assert cell[angles.theta_a_rest] * resolution + cell[angles.theta_b_rest] == best
 
     @pytest.mark.parametrize("p", [1.0, 0.6])
     @pytest.mark.parametrize(
@@ -208,24 +231,28 @@ class TestGridEvaluation:
         ids=["random-n3", "random-n4-k3", "w-phases-n4", "w-phases-n5-k3", "ghz-n4"],
     )
     def test_pruned_grid_equals_full_grid(self, monkeypatch, family, n, m, k_prime, seed, p):
-        # pruning drops only cells that cannot reach the top_k, so the value
-        # and every candidate equal those of the unpruned selection bit for
-        # bit, ties included (GHZ has many).  With one alpha row per block
-        # the floor rises across blocks; by default one block holds the grid.
+        # pruning drops only cells that cannot reach the maximum, so the
+        # value and its angles equal those of the unpruned selection bit for
+        # bit, ties included (GHZ has many).  With one beta row per block the
+        # floor rises across blocks; by default one block holds the grid.
+        # The refinement's starts, streamed from the same blocks, are the
+        # best of a full stable sort of the cells' Q.
         state = NoisyState(make_state(family, n, seed), p)
         expr = build_hierarchy_inequality(n, m, k_prime)
         forms = search._symmetric_forms(expr, state)
 
         def bits(selection):
-            value, candidates = selection
-            return value.hex(), [[x.hex() for x in c.as_tuple()] for c in candidates]
+            value, angles = selection
+            return value.hex(), [x.hex() for x in angles.as_tuple()]
 
         for block_cells in (1, search._GRID_BLOCK_CELLS):
             monkeypatch.setattr(search, "_GRID_BLOCK_CELLS", block_cells)
             for resolution in (2, 3, 6, 7, 24):
-                for top_k in (1, 2, 8, resolution**2, resolution**2 + 3):
-                    pruned = search._best_candidates(forms, resolution, top_k)
-                    assert bits(pruned) == bits(full_grid_selection(expr, state, resolution, top_k))
+                pruned = exhaustive_symmetric_max(expr, state, resolution)
+                assert bits(pruned) == bits(full_grid_selection(expr, state, resolution))
+                cells = np.argsort(full_grid_peaks(expr, state, resolution), kind="stable")[::-1][:8]
+                want = search._grid_axis(resolution)[np.column_stack(np.divmod(cells, resolution))]
+                assert search._grid_starts(forms, resolution, 8).tolist() == want.tolist()
 
     def test_grid_holds_no_array_over_all_cells(self):
         # the 360-point grid has 129,600 cells; blocks of them are streamed
@@ -265,7 +292,7 @@ class TestGridEvaluation:
         mixed = mixed_state_lhs(n, m) * (1 - state.p)
         coefficients = search._symmetric_forms(expr, state)
         for resolution in (2, 3, 7, 24):
-            _, blocks = search._grid_forms(coefficients, resolution, search._GRID_BLOCK_CELLS)
+            _, blocks = search._grid_forms(coefficients, resolution)
             _, s, z = zip(*blocks)
             s, z = np.concatenate(s).T.ravel(), np.concatenate(z).transpose(1, 2, 0).reshape(2, -1)
             forms = np.stack([s, z[0].real, z[0].imag, z[1].real, z[1].imag])
@@ -294,7 +321,7 @@ class TestGridEvaluation:
         expr = build_hierarchy_inequality(n, m, k_prime)
         coefficients = search._symmetric_forms(expr, state)
         for resolution in (2, 3, 7, 24):
-            slack, blocks = search._grid_forms(coefficients, resolution, search._GRID_BLOCK_CELLS)
+            slack, blocks = search._grid_forms(coefficients, resolution)
             for _, s, z in blocks:
                 _, value = search._party1_maxima(z, resolution)
                 total = s + value[:, 0] + value[:, 1]
@@ -534,12 +561,13 @@ class TestMaximizeViolationEqualsOracle:
         optimize = pytest.importorskip("scipy.optimize")
         state = make_state()
         expr = build_hierarchy_inequality(state.n, m, 1)
-        forms = search._symmetric_forms(expr, state)
-        _, starts = search._best_candidates(forms, QUICK.grid_resolution, QUICK.restarts)
+        coefficients = search._symmetric_forms(expr, state)
+        starts = search._grid_starts(coefficients, QUICK.grid_resolution, QUICK.restarts)
+        party1 = party1_best(np.moveaxis(coefficients, 1, 0), starts)
         fn = oracle_objective(expr, state)
         oracle = max(
-            -optimize.minimize(lambda v: -fn(v), start.as_tuple(), method="BFGS", options={"gtol": 1e-11}).fun
-            for start in starts
+            -optimize.minimize(lambda v: -fn(v), [*x, *ab], method="BFGS", options={"gtol": 1e-11}).fun
+            for x, ab in zip(party1.tolist(), starts.tolist())
         )
         value, angles, trace = maximize_violation(expr, state, QUICK)
         assert trace.converged
@@ -576,8 +604,7 @@ class TestMaximizeViolationEqualsOracle:
             forms = np.moveaxis(search._symmetric_forms(expr, state), 1, 0)
             fn = oracle_objective(expr, state)
             values, gradients = search._symmetric_lhs(forms, points)
-            at = search._forms_at(forms, points)[0]
-            best = np.column_stack([np.angle(at[1] + 1j * at[2]), np.angle(at[3] + 1j * at[4])])
+            best = party1_best(forms, points)
             np.testing.assert_allclose(
                 values, [fn(np.concatenate([x, point])) for x, point in zip(best, points)], rtol=0, atol=1e-12
             )
@@ -712,10 +739,17 @@ class TestMaximizeViolation:
         value, _, _ = maximize_violation(expr, NoisyState(ghz_state(2), 1.0))
         assert value == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-7)
 
-    def test_refinement_not_below_coarse_grid(self):
-        expr = build_hierarchy_inequality(4, 3, 1)
-        state = NoisyState(ghz_state(4), 1.0)
-        grid_best, _ = search._best_candidates(search._symmetric_forms(expr, state), QUICK.grid_resolution, 1)
+    @pytest.mark.parametrize(
+        "family,n,m,k_prime,seed,p",
+        [("random", 4, 3, 3, 111, 0.8), ("w-phases", 5, 3, 1, 112, 1.0), ("ghz", 4, 3, 1, None, 1.0)],
+        ids=["random-n4-k3", "w-phases-n5", "ghz-n4"],
+    )
+    def test_refinement_not_below_coarse_grid(self, family, n, m, k_prime, seed, p):
+        # every start's Q is at least its cell's four-angle grid value, and
+        # the refinement only rises from its starts
+        expr = build_hierarchy_inequality(n, m, k_prime)
+        state = NoisyState(make_state(family, n, seed), p)
+        grid_best, _ = exhaustive_symmetric_max(expr, state, QUICK.grid_resolution)
         value, _, _ = maximize_violation(expr, state, QUICK)
         assert value >= grid_best - 1e-12
 
